@@ -34,6 +34,7 @@
 #include "core/objective.h"
 #include "core/ubg.h"
 #include "diffusion/ic_model.h"
+#include "estimation/dagum.h"
 #include "graph/delta.h"
 #include "graph/generators/dataset_catalog.h"
 #include "graph/generators/generators.h"
@@ -181,6 +182,38 @@ void BM_RicSampleGenerationLarge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RicSampleGenerationLarge);
+
+// The Dagum stopping-rule estimate (paper Alg. 6) on the large fixture:
+// fresh draws through RicSampler::draw_influenced until Λ' of them are
+// influenced. Seeds are fixed — the ten highest out-degree nodes — and so
+// is the estimator seed, so every iteration draws the same T samples.
+// items/s is draws/s, the estimate layer's throughput; `samples` is T.
+void BM_DagumEstimate(benchmark::State& state) {
+  const Graph& graph = large_graph();
+  const CommunitySet& communities = large_communities();
+  std::vector<NodeId> seeds(graph.node_count());
+  for (NodeId v = 0; v < graph.node_count(); ++v) seeds[v] = v;
+  std::partial_sort(seeds.begin(), seeds.begin() + 10, seeds.end(),
+                    [&graph](NodeId a, NodeId b) {
+                      return graph.out_degree(a) != graph.out_degree(b)
+                                 ? graph.out_degree(a) > graph.out_degree(b)
+                                 : a < b;
+                    });
+  seeds.resize(10);
+  DagumOptions options;
+  options.seed = 5;
+  std::uint64_t samples = 0;
+  for (auto _ : state) {
+    const DagumEstimate estimate =
+        dagum_estimate_benefit(graph, communities, seeds, options);
+    benchmark::DoNotOptimize(estimate.value);
+    samples = estimate.samples;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(samples));
+  state.counters["samples"] = static_cast<double>(samples);
+}
+BENCHMARK(BM_DagumEstimate)->Unit(benchmark::kMillisecond);
 
 // End-to-end pool growth on the large fixture — the acceptance benchmark
 // for the sampling engine (geometric skip + bit-parallel masks +
@@ -511,14 +544,15 @@ const CommunitySet& ba_hub_communities() {
 // the serial schedule (pipeline off, no worker pool); threads > 0 runs the
 // pipelined engine (DESIGN.md §15) with that many workers overlapping each
 // stage's solve/estimate with the next stage's sample generation.
-// Sampling itself stays SERIAL in every row (parallel_sampling = false) so
-// the pipeline's only lever is the overlap — on a multi-core host the
-// wall-clock should approach max(sampling, solve + estimate) instead of
-// their sum, i.e. the solver_seconds counter disappears from the wall
-// time at >= 2 threads. (The committed numbers come from a single-core
-// container — see EXPERIMENTS.md — where overlap cannot shorten wall
-// time; the overlap_seconds counter still reports what WAS hidden.)
-// items_per_second = RIC samples generated end to end.
+// Sampling itself stays SERIAL in the rows with 0 or >= 2 threads
+// (parallel_sampling = false) so the pipeline's only lever is the overlap
+// — on a multi-core host the wall-clock should approach
+// max(sampling, solve + estimate) instead of their sum, i.e. the
+// solver_seconds counter disappears from the wall time at >= 2 threads.
+// The one-worker row /1/1 is the configuration perfbench runs
+// (--workers 1): parallel sampling on a one-worker pool, where the caller
+// that waits on a grow or at the stage boundary samples beside the
+// worker. items_per_second = RIC samples generated end to end.
 void BM_ImcafEndToEnd(benchmark::State& state) {
   const Graph& graph = ba_hub_graph();
   const CommunitySet& communities = ba_hub_communities();
@@ -527,7 +561,7 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   ImcafConfig config;
   config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
   config.seed = 2024;
-  config.parallel_sampling = false;
+  config.parallel_sampling = threads == 1;
   config.warm_start = state.range(0) != 0;
   config.pipeline = threads > 0;
   std::unique_ptr<ThreadPool> workers;
@@ -571,6 +605,7 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_ImcafEndToEnd)
     ->Args({0, 0})
     ->Args({1, 0})
+    ->Args({1, 1})
     ->Args({1, 2})
     ->Args({1, 4})
     ->Args({1, 8})

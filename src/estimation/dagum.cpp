@@ -38,16 +38,8 @@ DagumEstimate dagum_estimate_impl(const Graph& graph,
       result.reached_deadline = true;
       break;
     }
-    const RicSample g = sampler.generate(rng);
-    // tmp of Alg. 6: members of C_g reached by the seed set.
-    std::uint64_t covered = 0;
-    for (const auto& [node, mask] : g.touching) {
-      if (is_seed[node]) covered |= mask;
-    }
-    if (static_cast<std::uint32_t>(__builtin_popcountll(covered)) >=
-        g.threshold) {
-      ++influenced;
-    }
+    // X_g(S) of Alg. 6 (tmp >= h_g), decided without building the sample.
+    if (sampler.draw_influenced(rng, is_seed)) ++influenced;
     result.samples = t;
     if (static_cast<double>(influenced) >= lambda_prime) {
       result.value = b * lambda_prime / static_cast<double>(t);

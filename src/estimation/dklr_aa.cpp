@@ -124,12 +124,7 @@ DklrAaEstimate dklr_aa_estimate_benefit(const Graph& graph,
   RicSampler sampler(graph, communities, options.model);
   Rng rng(options.seed);
   const auto draw = [&]() -> double {
-    const RicSample g = sampler.generate(rng);
-    std::uint64_t covered = 0;
-    for (const auto& [node, mask] : g.touching) {
-      if (is_seed[node]) covered |= mask;
-    }
-    return popcount64(covered) >= static_cast<int>(g.threshold) ? 1.0 : 0.0;
+    return sampler.draw_influenced(rng, is_seed) ? 1.0 : 0.0;
   };
 
   DklrAaEstimate result = dklr_aa_estimate(draw, options);

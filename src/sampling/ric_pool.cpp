@@ -12,6 +12,22 @@ namespace imc {
 
 namespace {
 
+/// The pool a parallel sampling operation fans out on, or nullptr for the
+/// serial path. A one-worker pool is NOT serial: every parallel_for /
+/// parallel_for_shards caller help-runs queued tasks while it waits, so
+/// the calling thread is a second sampling lane beside the worker
+/// (DESIGN.md §15).
+ThreadPool* sampling_pool(bool parallel, ThreadPool* workers) {
+  if (!parallel) return nullptr;
+  return workers != nullptr ? workers : &default_pool();
+}
+
+/// Target samples per staging part. Staging runs as one task per part, so
+/// a batch splits into many small tasks and a thread that joins the
+/// staging job late (the engine's stage boundary) still finds parts left
+/// to help-run instead of idling behind the one worker generating them.
+constexpr std::uint64_t kStagePartSamples = 256;
+
 /// One sample's evaluator slot: the reached-member mask fused with its
 /// epoch mark and threshold into 16 bytes, so both the accumulation sweep
 /// and the reduction over dirty ids touch a single cache stream (one
@@ -196,11 +212,7 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
   ensure_mutable();
   const std::uint64_t base = size();
 
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
+  ThreadPool* const pool = sampling_pool(parallel, workers);
   // Serial fast path: one part means the stitched layout IS generation
   // order, so emit straight into the pool's own sample-major arena and
   // skip the part-arena copy entirely. (This is the configuration the
@@ -308,55 +320,49 @@ void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
   }
   check_capacity(count);
 
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
-  // Same fixed (count, parts) -> sample-range mapping as grow()'s parallel
-  // path. The part structure only decides buffer boundaries: the stitched
-  // commit concatenates parts in order (= global sample order), so the
-  // spliced arena bytes do not depend on it — but keeping the mapping
-  // identical means staging and growing even share their copy pattern.
+  ThreadPool* const pool = sampling_pool(parallel, workers);
+  // Fixed (count, pool size) -> sample-range mapping: ~kStagePartSamples
+  // per part, one pool task each. The part structure only decides buffer
+  // boundaries: the stitched commit concatenates parts in order (= global
+  // sample order), so the spliced arena bytes do not depend on it.
   const std::uint64_t base = out.base_;
   const std::uint64_t parts =
       pool == nullptr
           ? 1
-          : std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(
-                       count, static_cast<std::uint64_t>(pool->size()) * 4));
+          : std::min<std::uint64_t>(
+                count, std::max<std::uint64_t>(
+                           ceil_div(count, kStagePartSamples),
+                           static_cast<std::uint64_t>(pool->size()) * 4));
   const auto part_begin = [&](std::uint64_t p) { return count * p / parts; };
   out.parts_.resize(parts);
 
   std::atomic<bool> stopped{false};
-  const auto generate_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned /*chunk*/) {
+  const auto generate_part = [&](std::uint64_t p) {
+    if (stopped.load(std::memory_order_relaxed)) return;
+    PoolStagingArena::Part& part = out.parts_[p];
+    const std::uint64_t lo = part_begin(p);
+    const std::uint64_t hi = part_begin(p + 1);
+    part.metas.reserve(hi - lo);
     std::unique_ptr<RicSampler> sampler = acquire_sampler();
-    for (std::uint64_t p = begin; p < end && !stopped.load(std::memory_order_relaxed);
-         ++p) {
-      PoolStagingArena::Part& part = out.parts_[p];
-      const std::uint64_t lo = part_begin(p);
-      const std::uint64_t hi = part_begin(p + 1);
-      part.metas.reserve(hi - lo);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        // Polled per sample: speculation must wind down promptly when the
-        // engine cancels it (stop condition fired, deadline expired).
-        if (cancelled && cancelled()) {
-          stopped.store(true, std::memory_order_relaxed);
-          break;
-        }
-        // One substream per global sample index — identical to grow(), so
-        // a committed batch is bit-identical to direct growth.
-        Rng rng(splitmix_of(seed, base + i));
-        part.metas.push_back(sampler->generate_into(rng, part.touches));
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      // Polled per sample: speculation must wind down promptly when the
+      // engine cancels it (stop condition fired, deadline expired).
+      if (cancelled && cancelled()) {
+        stopped.store(true, std::memory_order_relaxed);
+        break;
       }
+      // One substream per global sample index — identical to grow(), so
+      // a committed batch is bit-identical to direct growth.
+      Rng rng(splitmix_of(seed, base + i));
+      part.metas.push_back(sampler->generate_into(rng, part.touches));
     }
     release_sampler(std::move(sampler));
   };
   if (pool == nullptr) {
-    generate_parts(0, parts, 0);
+    generate_part(0);
   } else {
-    parallel_for(*pool, parts, generate_parts);
+    parallel_for_shards(*pool, static_cast<unsigned>(parts),
+                        [&](unsigned p) { generate_part(p); });
   }
   out.complete_ = !stopped.load(std::memory_order_relaxed);
 }
@@ -380,11 +386,7 @@ void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
   check_capacity(staged.count_);
   ensure_mutable();
 
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
+  ThreadPool* const pool = sampling_pool(parallel, workers);
 
   // Stitch the staged part arenas into the sample-major arena in part
   // order (= global sample order) — the same prefix-sum + bulk-copy splice
@@ -785,11 +787,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     return stats;
   }
 
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool = workers != nullptr ? workers : &default_pool();
-    if (pool->size() <= 1) pool = nullptr;
-  }
+  ThreadPool* const pool = sampling_pool(parallel, workers);
 
   // Regenerate the affected samples with their ORIGINAL substreams —
   // Rng(splitmix_of(seed, g)) is exactly what a rebuild-from-scratch

@@ -94,7 +94,8 @@ class RicPool {
   /// and the current pool size (so grow(a); grow(b) == grow(a+b) given the
   /// same base seed, for ANY parallelism/worker combination — per-sample
   /// RNG substreams make chunking irrelevant). When `parallel` is set the
-  /// generation runs on `workers` (default_pool() when null): each part
+  /// generation runs on `workers` (default_pool() when null) plus the
+  /// calling thread, which help-runs parts while it waits: each part
   /// emits into its own arena via RicSampler::generate_into, parts are
   /// stitched deterministically into the sample-major arena, and the CSR
   /// index is merged eagerly with the two-pass parallel build. Sampler

@@ -75,16 +75,7 @@ RicSampleMeta RicSampler::generate_into(Rng& rng, Arena& out) {
       static_cast<CommunityId>(rho_.sample(rng)), rng, out);
 }
 
-template <typename Arena>
-RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
-                                                      Rng& rng,
-                                                      Arena& out) {
-  const auto members = communities_->members(community);  // range-checked
-  RicSampleMeta meta;
-  meta.community = community;
-  meta.threshold = communities_->threshold(community);
-  meta.member_count = static_cast<std::uint32_t>(members.size());
-
+void RicSampler::realize(std::span<const NodeId> members, Rng& rng) {
   // -- Phase 1: backward BFS from the whole community, flipping each edge
   // at most once (the st[e] bookkeeping of Alg. 1 is implicit: an edge is
   // examined exactly when its head is dequeued, which happens once).
@@ -143,16 +134,28 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
       }
     }
   }
+}
 
+void RicSampler::reset_live_edges() {
+  for (const NodeId u : live_touched_) live_head_[u] = kNoLiveEdge;
+  live_touched_.clear();
+  live_tail_.clear();
+  live_next_.clear();
+}
+
+template <typename OnGrow>
+bool RicSampler::propagate(std::span<const NodeId> members, OnGrow on_grow) {
   // -- Phase 2: bit-parallel mask propagation. Node v gets bit j iff v can
   // reach member j — all <= 64 bits flow at once along the realized edges
   // (mask_[tail] |= mask_[head]) through one monotone worklist fixpoint,
   // instead of one DFS per member. Reusing queue_ as the worklist is safe:
-  // the BFS above fully drained it.
+  // the BFS in realize() fully drained it.
   queue_.clear();
-  head = 0;
   for (std::uint32_t j = 0; j < members.size(); ++j) {
     mask_[members[j]] |= 1ULL << j;
+  }
+  for (const NodeId u : members) {
+    if (on_grow(u)) return true;
   }
   for (const NodeId u : members) {
     if (!in_worklist_[u]) {
@@ -160,6 +163,7 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
       queue_.push_back(u);
     }
   }
+  std::size_t head = 0;
   while (head < queue_.size()) {
     const NodeId v = queue_[head++];
     in_worklist_[v] = 0;
@@ -169,6 +173,12 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
       const NodeId w = live_tail_[e];  // live edge w -> v
       if ((mask_[w] | m) != mask_[w]) {
         mask_[w] |= m;
+        if (on_grow(w)) {
+          // Early exit: clear the undrained tail's worklist flags so the
+          // next sample starts from an all-false worklist.
+          for (; head < queue_.size(); ++head) in_worklist_[queue_[head]] = 0;
+          return true;
+        }
         if (!in_worklist_[w]) {
           in_worklist_[w] = 1;
           queue_.push_back(w);
@@ -176,6 +186,20 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
       }
     }
   }
+  return false;
+}
+
+template <typename Arena>
+RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
+                                                      Rng& rng,
+                                                      Arena& out) {
+  const auto members = communities_->members(community);  // range-checked
+  RicSampleMeta meta;
+  meta.community = community;
+  meta.threshold = communities_->threshold(community);
+  meta.member_count = static_cast<std::uint32_t>(members.size());
+  realize(members, rng);
+  propagate(members, [](NodeId) { return false; });
 
   // -- Phase 3: emit (node, mask) pairs sorted by node id; reset scratch.
   // Sorting the 4-byte node ids and then emitting beats sorting the
@@ -190,11 +214,41 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
     if (mask_[v] != 0) out.emplace_back(v, mask_[v]);
   }
   meta.touch_count = static_cast<std::uint32_t>(out.size() - start);
-  for (const NodeId u : live_touched_) live_head_[u] = kNoLiveEdge;
-  live_touched_.clear();
-  live_tail_.clear();
-  live_next_.clear();
+  reset_live_edges();
   return meta;
+}
+
+bool RicSampler::draw_influenced(Rng& rng,
+                                 std::span<const std::uint8_t> is_seed) {
+  if (is_seed.size() < graph_->node_count()) {
+    throw std::invalid_argument(
+        "RicSampler::draw_influenced: seed bitmap shorter than the graph");
+  }
+  const auto community = static_cast<CommunityId>(rho_.sample(rng));
+  const auto members = communities_->members(community);
+  const std::uint32_t threshold = communities_->threshold(community);
+  realize(members, rng);  // the only RNG consumer, as in generate()
+
+  // h_g >= 1, so a region without seeds cannot be influenced.
+  const bool seed_in_region = std::any_of(
+      region_.begin(), region_.end(), [&](NodeId v) { return is_seed[v]; });
+  if (!seed_in_region) {
+    reset_live_edges();
+    return false;
+  }
+
+  // Phase 2, tracking the members the seeds cover as their masks grow.
+  // Masks only gain bits, so the first time `covered` reaches h_g
+  // decides X = 1.
+  std::uint64_t covered = 0;
+  const bool influenced = propagate(members, [&](NodeId v) {
+    if (!is_seed[v]) return false;
+    covered |= mask_[v];
+    return static_cast<std::uint32_t>(__builtin_popcountll(covered)) >=
+           threshold;
+  });
+  reset_live_edges();
+  return influenced;
 }
 
 // The two arena types pool growth actually emits into: per-part scratch

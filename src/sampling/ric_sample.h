@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -125,6 +126,17 @@ class RicSampler {
   RicSampleMeta generate_for_community_into(CommunityId community, Rng& rng,
                                             Arena& out);
 
+  /// X_g(S) of one fresh draw: true iff the seeds flagged in `is_seed`
+  /// (indexed by node id, size >= node_count) reach at least h_g members
+  /// of the drawn sample. Equals generate(rng).influenced_by(S) and leaves
+  /// `rng` in the same state — the draw and the live-edge BFS are the
+  /// same code and the only RNG consumers — but builds no sample: a region
+  /// without seeds returns before mask propagation, and propagation stops
+  /// as soon as the seeds cover h_g members. No sort, no allocation once
+  /// the scratch has grown. The estimators' inner loop (DESIGN.md §9).
+  [[nodiscard]] bool draw_influenced(Rng& rng,
+                                     std::span<const std::uint8_t> is_seed);
+
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const CommunitySet& communities() const noexcept {
     return *communities_;
@@ -145,6 +157,20 @@ class RicSampler {
  private:
   /// Sentinel for "no (more) realized in-edges" in the live-edge arena.
   static constexpr std::uint32_t kNoLiveEdge = 0xFFFFFFFFU;
+
+  /// Phase 1 of every draw: starts a new visit epoch and realizes the
+  /// live-edge region reverse-reachable from `members` into region_ and
+  /// the live-edge arena. Shared by generate_for_community_into and
+  /// draw_influenced, so both consume the RNG identically.
+  void realize(std::span<const NodeId> members, Rng& rng);
+  /// Phase 2: propagates member masks along the realized live edges to
+  /// their fixpoint. `on_grow(v)` runs after every member's initial bit
+  /// and every mask update; returning true stops propagation early (the
+  /// undrained worklist is reset) and makes propagate return true.
+  template <typename OnGrow>
+  bool propagate(std::span<const NodeId> members, OnGrow on_grow);
+  /// Clears the live-edge arena for the next sample.
+  void reset_live_edges();
 
   /// Marks v visited (epoch trick) and enqueues it for the BFS. Inline:
   /// called once per realized edge, millions of times per grow().
@@ -189,7 +215,8 @@ class RicSampler {
   std::vector<NodeId> live_touched_;  // heads with live in-edges this sample
 
   // Phase-2 worklist membership flags (all false between samples: every
-  // queued node is popped exactly once per queue residency).
+  // queued node is popped exactly once per queue residency, and an early
+  // exit clears the undrained tail).
   std::vector<std::uint8_t> in_worklist_;
 };
 

@@ -17,6 +17,8 @@
 #include "core/maf.h"
 #include "core/objective.h"
 #include "core/ubg.h"
+#include "estimation/concentration.h"
+#include "estimation/dagum.h"
 #include "util/context.h"
 #include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
@@ -1078,6 +1080,81 @@ std::optional<std::string> check_sampler_distribution(
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// Check: dagum_draw
+// ---------------------------------------------------------------------------
+
+std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
+                                            std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const NodeId n = graph.node_count();
+  Rng pick(case_seed ^ 0xda9ULL);
+  std::vector<NodeId> seeds;
+  const std::uint64_t seed_count = 1 + pick.below(std::min<NodeId>(4, n));
+  for (std::uint64_t i = 0; i < seed_count; ++i) {
+    seeds.push_back(static_cast<NodeId>(pick.below(n)));
+  }
+  std::vector<std::uint8_t> is_seed(n, 0);
+  for (const NodeId v : seeds) is_seed[v] = 1;
+
+  // Draw for draw: the early-exit draw against the materialized sample,
+  // same X and same RNG state after every draw.
+  RicSampler reference(graph, communities, spec.model);
+  RicSampler drawing(graph, communities, spec.model);
+  Rng rng_reference(case_seed);
+  Rng rng_drawing(case_seed);
+  for (int i = 0; i < 200; ++i) {
+    const bool want = reference.generate(rng_reference).influenced_by(seeds);
+    const bool got = drawing.draw_influenced(rng_drawing, is_seed);
+    Rng next_reference = rng_reference;
+    Rng next_drawing = rng_drawing;
+    if (got != want || next_reference.next() != next_drawing.next()) {
+      return "draw " + std::to_string(i) + " for seeds " +
+             describe_nodes(seeds) + ": X " + std::to_string(got) +
+             " vs materialized " + std::to_string(want) +
+             (got == want ? " (RNG state diverged)" : "");
+    }
+  }
+
+  // The estimator end to end: Alg. 6 replayed on materialized samples.
+  DagumOptions options;
+  options.eps_prime = 0.3;
+  options.delta_prime = 0.2;
+  options.max_samples = 3000;
+  options.seed = case_seed ^ 0xe571ULL;
+  options.model = spec.model;
+  const DagumEstimate got =
+      dagum_estimate_benefit(graph, communities, seeds, options);
+  const double lambda_prime =
+      dagum_lambda_prime(options.eps_prime, options.delta_prime);
+  const double b = communities.total_benefit();
+  DagumEstimate want;
+  Rng rng(options.seed);
+  std::uint64_t influenced = 0;
+  for (std::uint64_t t = 1; t <= options.max_samples; ++t) {
+    if (reference.generate(rng).influenced_by(seeds)) ++influenced;
+    want.samples = t;
+    if (static_cast<double>(influenced) >= lambda_prime) {
+      want.value = b * lambda_prime / static_cast<double>(t);
+      want.converged = true;
+      break;
+    }
+  }
+  if (!want.converged) {
+    want.value = b * static_cast<double>(influenced) /
+                 static_cast<double>(want.samples);
+  }
+  if (got.value != want.value || got.samples != want.samples ||
+      got.converged != want.converged) {
+    return "dagum_estimate_benefit (" + std::to_string(got.value) + ", T=" +
+           std::to_string(got.samples) + ") vs materialized replay (" +
+           std::to_string(want.value) + ", T=" +
+           std::to_string(want.samples) + ")";
+  }
+  return std::nullopt;
+}
+
 /// True when the instance is small enough for enumerate_exact to succeed —
 /// used only for skip accounting, mirroring check_sampler_distribution.
 bool distribution_checkable(const InstanceSpec& spec) {
@@ -1115,6 +1192,7 @@ std::vector<FuzzCheck> default_checks() {
       {"pool_roundtrip", check_pool_roundtrip},
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},
+      {"dagum_draw", check_dagum_draw},
   };
 }
 

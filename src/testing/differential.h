@@ -33,6 +33,11 @@
 //                     bit-parallel RicSampler against exhaustive live-edge
 //                     ground truth (6σ bands), plus binomial checks on the
 //                     source-community frequencies.
+//   * dagum_draw    — RicSampler::draw_influenced (the estimators' early-
+//                     exit draw) vs generate().influenced_by() draw for
+//                     draw, X and RNG state alike, plus
+//                     dagum_estimate_benefit vs a replay of Alg. 6 on
+//                     materialized samples: same value, T and convergence.
 //
 // Runs are driven by (base seed, case index): case i's instance derives
 // from fuzz_case_seed(base, i), so any failure is pinned by a single

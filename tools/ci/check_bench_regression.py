@@ -52,6 +52,7 @@ ALLOWLIST = [
     "BM_GreedyCHatSelectLarge/0",
     "BM_CelfGreedyNuSelectLarge/0",
     "BM_Louvain",
+    "BM_DagumEstimate",
 ]
 
 # Counters every end-to-end Alg. 5 row must report. The serial-schedule
@@ -88,6 +89,7 @@ _DELTA_COUNTERS = [
 COUNTER_CHECKS = {
     "BM_ImcafEndToEnd/0/0": _E2E_COUNTERS,
     "BM_ImcafEndToEnd/1/0": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/1/1": _E2E_COUNTERS,
     "BM_ImcafEndToEnd/1/2": _E2E_COUNTERS,
     "BM_ImcafEndToEnd/1/4": _E2E_COUNTERS,
     "BM_ImcafEndToEnd/1/8": _E2E_COUNTERS,

@@ -386,7 +386,8 @@ void print_usage() {
       "common options: --dataset NAME | --graph FILE [--undirected],\n"
       "  --scale S, --method louvain|random|lpa, --size-cap S,\n"
       "  --regime regular|bounded, --k K, --model ic|lt, --seed N,\n"
-      "  --threads N (worker count; also via IMC_THREADS env),\n"
+      "  --threads N (pool workers; also via IMC_THREADS env; sampling\n"
+      "    runs on the N workers plus the waiting caller),\n"
       "  --parallel (deterministic parallel seed selection in solve)\n"
       "solve-only options:\n"
       "  --time-budget-s S   wall-clock budget; returns the best seeds from\n"
