@@ -352,9 +352,8 @@ void BM_PoolCHatLarge(benchmark::State& state) {
 BENCHMARK(BM_PoolCHatLarge);
 
 // Binary snapshot persistence on the large (~40k sample) pool. Save is one
-// sequential arena write; Load contrasts the three reload paths — Arg 0
-// is the streamed read (checksum + full per-sample validation, O(pool),
-// owned arenas), Arg 1 the default zero-copy mmap attach (same checks,
+// sequential arena write; Load contrasts the two attach modes — Arg 1 the
+// default zero-copy mmap attach (checksum + full per-sample validation,
 // one pass over the mapping, no copy), Arg 2 the opt-in TRUSTED attach
 // (`--load-pool --trust-pool`) whose cost must stay independent of pool
 // size — the acceptance bar for warm restarts.
@@ -375,23 +374,19 @@ void BM_PoolSnapshotLoad(benchmark::State& state) {
   const RicPool& pool = large_pool();
   const std::string path = "/tmp/imc_bench_pool_load.snap";
   save_ric_pool_snapshot(path, pool);
-  const int mode = static_cast<int>(state.range(0));
+  const bool trusted = state.range(0) == 2;
   for (auto _ : state) {
-    RicPool loaded =
-        mode == 0 ? load_ric_pool_snapshot(path, large_graph(),
-                                           large_communities())
-                  : attach_ric_pool_snapshot(
-                        path, large_graph(), large_communities(),
-                        mode == 2 ? SnapshotTrust::kTrustPayload
-                                  : SnapshotTrust::kVerifyPayload);
+    RicPool loaded = attach_ric_pool_snapshot(
+        path, large_graph(), large_communities(),
+        trusted ? SnapshotTrust::kTrustPayload
+                : SnapshotTrust::kVerifyPayload);
     benchmark::DoNotOptimize(loaded.size());
   }
   state.counters["pool_size"] = static_cast<double>(pool.size());
-  state.counters["mmap"] = mode != 0 ? 1 : 0;
-  state.counters["trusted"] = mode == 2 ? 1 : 0;
+  state.counters["trusted"] = trusted ? 1 : 0;
   std::remove(path.c_str());
 }
-BENCHMARK(BM_PoolSnapshotLoad)->Arg(0)->Arg(1)->Arg(2)
+BENCHMARK(BM_PoolSnapshotLoad)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CoverageMarginal(benchmark::State& state) {

@@ -30,11 +30,11 @@ ImcEngine::ImcEngine(const Graph& graph, const CommunitySet& communities,
       communities_(&require_communities(communities)),
       config_(config),
       context_(context),
-      pool_(graph, communities, config_.model, config_.pool_backend) {}
+      pool_(graph, communities, config_.model) {}
 
 void ImcEngine::attach_pool(const std::string& path, SnapshotTrust trust) {
-  RicPool loaded = load_ric_pool_any(path, *graph_, *communities_,
-                                     config_.pool_backend, trust);
+  RicPool loaded =
+      attach_ric_pool_snapshot(path, *graph_, *communities_, trust);
   if (loaded.model() != config_.model) {
     throw std::invalid_argument(
         "ImcEngine::attach_pool: pool file was sampled under a different "
@@ -42,8 +42,7 @@ void ImcEngine::attach_pool(const std::string& path, SnapshotTrust trust) {
   }
   pool_ = std::move(loaded);
   log(LogLevel::kDebug) << "IMCAF attach: |R|=" << pool_.size()
-                        << (pool_.attached() ? " (zero-copy mmap)"
-                                             : " (owned arenas)");
+                        << " (zero-copy mmap)";
 }
 
 RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,

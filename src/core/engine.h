@@ -74,16 +74,15 @@ class ImcEngine {
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
-  /// Replaces the engine's pool with one loaded from `path` — a binary v2
-  /// snapshot (attached zero-copy via mmap) or a text v1 pool file.
-  /// The file must have been saved against the SAME graph and community
-  /// structure (fingerprint-checked for snapshots) and the same diffusion
-  /// model as config().model. Snapshot payloads are checksum- and
-  /// invariant-verified by default; pass SnapshotTrust::kTrustPayload for
-  /// files this host wrote to keep attach cost independent of pool size.
-  /// Post-attach growth allocates from config().pool_backend either way.
-  /// The restored PoolEpoch watermark means solver warm-start carriers
-  /// captured against the saved pool validate against the reloaded one.
+  /// Replaces the engine's pool with a v3 snapshot attached zero-copy via
+  /// mmap (attach_ric_pool_snapshot). The file must have been saved
+  /// against the SAME graph and community structure (fingerprint-checked)
+  /// and the same diffusion model as config().model. Payloads are
+  /// checksum- and invariant-verified by default; pass
+  /// SnapshotTrust::kTrustPayload for files this host wrote to keep attach
+  /// cost independent of pool size. The restored PoolEpoch watermark means
+  /// solver warm-start carriers captured against the saved pool validate
+  /// against the reloaded one.
   /// Throws std::runtime_error / std::invalid_argument on any mismatch;
   /// the current pool is untouched on failure.
   void attach_pool(const std::string& path,

@@ -16,7 +16,6 @@
 #include "core/maxr_solver.h"
 #include "estimation/concentration.h"
 #include "graph/graph.h"
-#include "util/mmap_arena.h"
 
 namespace imc {
 
@@ -35,11 +34,6 @@ struct ImcafConfig {
   /// MaxrSolver::resume. Results are BIT-IDENTICAL either way (the resume
   /// contract); off exists for benchmarking the cold baseline.
   bool warm_start = true;
-  /// Storage backend for the RIC pool arenas: kRam (aligned heap) or kMmap
-  /// (anonymous mappings grown via mremap — the kernel can lazily back and
-  /// swap them). Pool CONTENT is bit-identical either way; the golden
-  /// determinism pins hold under both.
-  ArenaBackend pool_backend = ArenaBackend::kRam;
   /// Overlap each stage's solve/estimate with speculative generation of
   /// the NEXT stage's samples into a staging arena, committed at the stage
   /// boundary (DESIGN.md §15). Results are BIT-IDENTICAL either way — the

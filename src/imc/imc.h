@@ -51,7 +51,6 @@
 #include "diffusion/monte_carlo.h"
 
 // sampling
-#include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
@@ -61,7 +60,6 @@
 #include "estimation/benefit_oracle.h"
 #include "estimation/concentration.h"
 #include "estimation/dagum.h"
-#include "estimation/dklr_aa.h"
 
 // core algorithms
 #include "core/baselines/centrality.h"

@@ -1,6 +1,7 @@
 #include "sampling/ric_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -97,19 +98,11 @@ EvalScratch& accumulate_masks(const RicPool& pool,
 }  // namespace
 
 RicPool::RicPool(const Graph& graph, const CommunitySet& communities,
-                 DiffusionModel model, ArenaBackend backend)
+                 DiffusionModel model)
     : graph_(&graph),
       communities_(&communities),
       model_(model),
-      backend_(backend),
-      total_benefit_(communities.total_benefit()),
-      thresholds_(backend),
-      source_community_(backend),
-      community_frequency_(backend),
-      sample_offsets_(backend),
-      sample_arena_(backend),
-      touch_offsets_(backend),
-      touches_(backend) {
+      total_benefit_(communities.total_benefit()) {
   // Validate eagerly so misconfiguration surfaces at pool construction;
   // the validation sampler seeds the reuse cache instead of being thrown
   // away.
@@ -124,7 +117,6 @@ RicPool::RicPool(RicPool&& other) noexcept
     : graph_(other.graph_),
       communities_(other.communities_),
       model_(other.model_),
-      backend_(other.backend_),
       total_benefit_(other.total_benefit_),
       grows_(other.grows_),
       repairs_(other.repairs_),
@@ -136,15 +128,13 @@ RicPool::RicPool(RicPool&& other) noexcept
       sampler_cache_(std::move(other.sampler_cache_)),
       touch_offsets_(std::move(other.touch_offsets_)),
       touches_(std::move(other.touches_)),
-      indexed_samples_(other.indexed_samples_),
-      index_stale_(other.index_stale_.load(std::memory_order_relaxed)) {}
+      indexed_samples_(other.indexed_samples_) {}
 
 RicPool& RicPool::operator=(RicPool&& other) noexcept {
   if (this == &other) return *this;
   graph_ = other.graph_;
   communities_ = other.communities_;
   model_ = other.model_;
-  backend_ = other.backend_;
   total_benefit_ = other.total_benefit_;
   grows_ = other.grows_;
   repairs_ = other.repairs_;
@@ -157,8 +147,6 @@ RicPool& RicPool::operator=(RicPool&& other) noexcept {
   touch_offsets_ = std::move(other.touch_offsets_);
   touches_ = std::move(other.touches_);
   indexed_samples_ = other.indexed_samples_;
-  index_stale_.store(other.index_stale_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
   return *this;
 }
 
@@ -486,9 +474,7 @@ void RicPool::append(RicSample sample) {
                        sample.touching.data() + sample.touching.size());
   register_metadata(sample.community, sample.threshold,
                     sample.touching.size());
-  // Defer the CSR merge: a deserialization loop appends |R| samples and
-  // pays for ONE rebuild on the first read instead of |R| re-merges.
-  index_stale_.store(true, std::memory_order_release);
+  merge_fresh_into_index(1, nullptr);
   ++grows_;
 }
 
@@ -506,21 +492,11 @@ RicSample RicPool::sample(std::uint32_t i) const {
   return s;
 }
 
-void RicPool::materialize_index() const {
-  const std::lock_guard<std::mutex> lock(index_mutex_);
-  if (!index_stale_.load(std::memory_order_relaxed)) return;  // raced: done
-  merge_fresh_into_index(1, nullptr);
-}
-
-void RicPool::merge_fresh_into_index(unsigned chunks,
-                                     ThreadPool* workers) const {
+void RicPool::merge_fresh_into_index(unsigned chunks, ThreadPool* workers) {
   const std::uint64_t total_samples = size();
   const std::uint64_t fresh_begin = indexed_samples_;
   const std::uint64_t fresh = total_samples - fresh_begin;
-  if (fresh == 0) {
-    index_stale_.store(false, std::memory_order_release);
-    return;
-  }
+  if (fresh == 0) return;
   const std::uint64_t n = graph_->node_count();
   const std::uint64_t parts =
       std::max<std::uint64_t>(1, std::min<std::uint64_t>(chunks, fresh));
@@ -550,8 +526,8 @@ void RicPool::merge_fresh_into_index(unsigned chunks,
   // fresh touches, then chunk 1's, ... Sample ids ascend within each run
   // and across runs, so the merged CSR equals the serial append order for
   // ANY chunk count: the keystone of deterministic parallel rebuilds.
-  ArenaVector<std::uint64_t> new_offsets(n + 1, 0, backend_);
-  ArenaVector<Touch> new_arena(backend_);
+  ArenaVector<std::uint64_t> new_offsets(n + 1, 0);
+  ArenaVector<Touch> new_arena;
   const std::span<const std::uint64_t> old_offsets = touch_offsets_.span();
   const auto prefix_sum = [&] {
     std::uint64_t total = 0;
@@ -614,11 +590,9 @@ void RicPool::merge_fresh_into_index(unsigned chunks,
   touches_ = std::move(new_arena);
   touch_offsets_ = std::move(new_offsets);
   indexed_samples_ = total_samples;
-  index_stale_.store(false, std::memory_order_release);
 }
 
 RicPool::SnapshotView RicPool::snapshot_view() const {
-  ensure_index();  // never persist a stale CSR
   SnapshotView view;
   view.thresholds = thresholds_.span();
   view.source_community = source_community_.span();
@@ -690,10 +664,7 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
     }
   }
 
-  // The restored pool inherits the arenas' backend (the attach path hands
-  // over borrowed views whose materialize target is kMmap) so later
-  // growth keeps allocating from the same kind of storage.
-  RicPool pool(graph, communities, model, arenas.sample_arena.backend());
+  RicPool pool(graph, communities, model);
   pool.thresholds_ = std::move(arenas.thresholds);
   pool.source_community_ = std::move(arenas.source_community);
   pool.community_frequency_ = std::move(arenas.community_frequency);
@@ -704,7 +675,6 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
   pool.grows_ = epoch.grows;
   pool.repairs_ = epoch.repairs;
   pool.indexed_samples_ = samples;
-  pool.index_stale_.store(false, std::memory_order_release);
   return pool;
 }
 
@@ -758,7 +728,6 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     ++repairs_;  // future samples may differ: stale stagers must not commit
     return stats;
   }
-  ensure_index();  // the affected set is read off the PRE-delta index
   ensure_mutable();
 
   // Affected = samples touching a changed in-adjacency head (their walk
@@ -856,10 +825,10 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     new_pairs += repaired_meta[j]->touch_count -
                  (old_offsets[r + 1] - old_offsets[r]);
   }
-  ArenaVector<std::uint64_t> new_offsets(backend_);
+  ArenaVector<std::uint64_t> new_offsets;
   new_offsets.reserve(stats.total + 1);
   new_offsets.push_back(0);
-  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena(backend_);
+  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena;
   new_arena.reserve(new_pairs);
   std::uint64_t run_begin = 0;
   for (std::uint64_t j = 0; j <= count; ++j) {
@@ -894,7 +863,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // offset table and an empty arena, merging [0, size()) is exactly the
   // fresh-build path — byte-identical for any chunk count.
   touch_offsets_.assign(graph_->node_count() + 1, 0);
-  touches_ = ArenaVector<Touch>(backend_);
+  touches_ = ArenaVector<Touch>();
   indexed_samples_ = 0;
   merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
 

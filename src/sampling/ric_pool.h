@@ -14,14 +14,12 @@
 // materializes a RicSample view on demand (serialization/tests only).
 // Growth is arena-direct (DESIGN.md §9): per-part worker arenas filled by
 // `RicSampler::generate_into` are stitched straight into the sample-major
-// arena, and the CSR is rebuilt incrementally: `grow()` merges its fresh
-// batch with a two-pass parallel build (per-chunk count, exclusive
-// prefix-sum, parallel scatter); `append()` marks the index stale and the
-// next reader materializes it on demand, so bulk deserialization pays one
-// merge, not one per sample.
+// arena, and the CSR is rebuilt incrementally: every mutation (`grow()`,
+// `commit_staged()`, `append()`) merges its fresh samples with a two-pass
+// build (per-chunk count, exclusive prefix-sum, parallel scatter) before
+// returning, so the index is never stale and const readers never write.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -76,15 +74,10 @@ class RicPool {
     friend bool operator==(const PoolEpoch&, const PoolEpoch&) = default;
   };
 
-  /// The arena backend every growth path allocates from: kRam keeps the
-  /// pre-mmap behavior (aligned heap slabs), kMmap puts the arenas in
-  /// anonymous mappings grown via mremap. Content is bit-identical either
-  /// way — the backend only decides where the bytes live.
   RicPool(const Graph& graph, const CommunitySet& communities,
-          DiffusionModel model = DiffusionModel::kIndependentCascade,
-          ArenaBackend backend = ArenaBackend::kRam);
+          DiffusionModel model = DiffusionModel::kIndependentCascade);
 
-  // Movable (the CSR cache mutex is per-object, not part of the value).
+  // Movable (the sampler cache mutex is per-object, not part of the value).
   RicPool(RicPool&& other) noexcept;
   RicPool& operator=(RicPool&& other) noexcept;
   RicPool(const RicPool&) = delete;
@@ -135,10 +128,10 @@ class RicPool {
   void commit_staged(PoolStagingArena&& staged, bool parallel = true,
                      ThreadPool* workers = nullptr);
 
-  /// Appends one externally produced sample (deserialization, tests).
+  /// Appends one externally produced sample (tests, hand-made pools).
   /// Validates community id, threshold and touching node ids; throws
   /// std::invalid_argument on mismatch with the bound structures. The CSR
-  /// index is NOT rebuilt here — it materializes on the next read.
+  /// index is merged before returning, exactly as grow() does.
   void append(RicSample sample);
 
   [[nodiscard]] std::uint64_t size() const noexcept {
@@ -215,8 +208,7 @@ class RicPool {
   };
 
   /// Read-only view of every arena plus the growth watermark — what the
-  /// snapshot writer serializes. Materializes any pending index merge
-  /// first so the CSR sections are never stale.
+  /// snapshot writer serializes.
   struct SnapshotView {
     std::span<const std::uint32_t> thresholds;
     std::span<const CommunityId> source_community;
@@ -230,15 +222,14 @@ class RicPool {
   };
   [[nodiscard]] SnapshotView snapshot_view() const;
 
-  /// Installs fully built arenas (deserialization back door for
-  /// sampling/pool_snapshot.cpp). Arenas may be owned (the streamed
-  /// loader) or borrowed zero-copy views into an mmapped snapshot (the
-  /// attach path) — a borrowed pool serves reads in place and
+  /// Installs fully built arenas (the attach back door for
+  /// sampling/pool_snapshot.cpp). The arenas are borrowed zero-copy views
+  /// into an mmapped snapshot: the pool serves reads in place and
   /// copy-on-write-materializes on the first grow()/append(). Validates
   /// the cheap structural invariants (sizes coherent, both offset tables'
   /// endpoints AND monotonicity — so no span can wrap out of bounds even
   /// for trusted input — community frequencies sum to the sample count,
-  /// epoch matches); deep per-sample content validation is the loaders'
+  /// epoch matches); deep per-sample content validation is the loader's
   /// job (pool_snapshot's validate step, skipped only by the explicit
   /// SnapshotTrust::kTrustPayload attach). Throws std::invalid_argument
   /// on any structural mismatch.
@@ -247,9 +238,6 @@ class RicPool {
                                                 DiffusionModel model,
                                                 PoolEpoch epoch,
                                                 PoolArenas&& arenas);
-
-  /// Backend growth allocates from (fixed at construction / restore).
-  [[nodiscard]] ArenaBackend backend() const noexcept { return backend_; }
 
   /// True while any arena is still a zero-copy view into an attached
   /// snapshot mapping (i.e. no mutation has materialized it yet).
@@ -310,7 +298,6 @@ class RicPool {
   /// Samples touched by node v (empty for untouched nodes). Hot path:
   /// bounds are debug-asserted, not checked in release builds.
   [[nodiscard]] std::span<const Touch> touches_of(NodeId v) const {
-    ensure_index();
     assert(v + 1 < touch_offsets_.size());
     const std::uint64_t begin = touch_offsets_[v];
     return {touches_.data() + begin, touch_offsets_[v + 1] - begin};
@@ -339,13 +326,12 @@ class RicPool {
 
   /// CSR begin offsets (node -> first touch; node_count()+1 entries). The
   /// span [touch_offsets()[v], touch_offsets()[v+1]) indexes touch_arena().
-  [[nodiscard]] std::span<const std::uint64_t> touch_offsets() const {
-    ensure_index();
+  [[nodiscard]] std::span<const std::uint64_t> touch_offsets()
+      const noexcept {
     return touch_offsets_.span();
   }
   /// The contiguous touch arena the offsets point into.
-  [[nodiscard]] std::span<const Touch> touch_arena() const {
-    ensure_index();
+  [[nodiscard]] std::span<const Touch> touch_arena() const noexcept {
     return touches_.span();
   }
 
@@ -408,13 +394,6 @@ class RicPool {
   /// need no eager copy. No-op for pools that own their arenas.
   void ensure_mutable();
 
-  /// Cheap staleness gate in front of every index read.
-  void ensure_index() const {
-    if (index_stale_.load(std::memory_order_acquire)) materialize_index();
-  }
-  /// Slow path of ensure_index(): serial merge under the cache mutex
-  /// (double-checked; safe for concurrent const readers).
-  void materialize_index() const;
   /// Merges samples [indexed_samples_, size()) into the CSR via the
   /// two-pass build: per-chunk counting, exclusive prefix-sum over
   /// (node, chunk) cursors, then relocation of the old arena and scatter of
@@ -422,12 +401,11 @@ class RicPool {
   /// read from the sample-major arena. The result is byte-identical for
   /// any chunk count (touches stay sorted by sample id within each node),
   /// which is what keeps selection deterministic.
-  void merge_fresh_into_index(unsigned chunks, ThreadPool* workers) const;
+  void merge_fresh_into_index(unsigned chunks, ThreadPool* workers);
 
   const Graph* graph_;
   const CommunitySet* communities_;
   DiffusionModel model_ = DiffusionModel::kIndependentCascade;
-  ArenaBackend backend_ = ArenaBackend::kRam;
   double total_benefit_ = 0.0;
 
   // Completed growth operations (grow with count > 0, append); see
@@ -439,8 +417,8 @@ class RicPool {
   std::uint64_t repairs_ = 0;
 
   // SoA hot-path metadata, one entry per sample. All arenas below live in
-  // ArenaVector slabs (util/mmap_arena.h): heap or anonymous-mmap per
-  // backend_, or zero-copy borrowed views while attached() to a snapshot.
+  // ArenaVector slabs (util/mmap_arena.h): owned heap slabs, or zero-copy
+  // borrowed views while attached() to a snapshot.
   ArenaVector<std::uint32_t> thresholds_;       // sample -> h_g
   ArenaVector<CommunityId> source_community_;   // sample -> C_g
   ArenaVector<std::uint32_t> community_frequency_;  // community -> #samples
@@ -457,13 +435,12 @@ class RicPool {
   mutable std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
   mutable std::mutex sampler_mutex_;
 
-  // Flat CSR inverted index over samples [0, indexed_samples_); mutable so
-  // const readers can materialize pending appends on demand.
-  mutable ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
-  mutable ArenaVector<Touch> touches_;                // contiguous arena
-  mutable std::uint64_t indexed_samples_ = 0;
-  mutable std::atomic<bool> index_stale_{false};
-  mutable std::mutex index_mutex_;
+  // Flat CSR inverted index over samples [0, indexed_samples_); every
+  // mutation merges its fresh samples before returning, so outside one
+  // indexed_samples_ == size().
+  ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
+  ArenaVector<Touch> touches_;                // contiguous arena
+  std::uint64_t indexed_samples_ = 0;
 };
 
 /// Sampler-owned staging buffers for one speculative growth batch — the

@@ -252,7 +252,7 @@ bool RicSampler::draw_influenced(Rng& rng,
 }
 
 // The two arena types pool growth actually emits into: per-part scratch
-// vectors and the pool's own ArenaVector slabs (heap or mmap backend).
+// vectors and the pool's own ArenaVector heap slabs.
 using PoolArena = ArenaVector<std::pair<NodeId, std::uint64_t>>;
 template RicSampleMeta RicSampler::generate_into(Rng&,
                                                  RicSampler::TouchArena&);

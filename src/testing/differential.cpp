@@ -20,7 +20,6 @@
 #include "estimation/concentration.h"
 #include "estimation/dagum.h"
 #include "util/context.h"
-#include "sampling/pool_io.h"
 #include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
@@ -189,14 +188,12 @@ std::optional<std::string> check_append_path(const InstanceSpec& spec,
   RicPool grown(graph, communities, spec.model);
   grown.grow(count, case_seed, /*parallel=*/false);
 
-  // Rebuild sample-by-sample through append(); interleave an index read so
-  // the materialize-on-demand merge runs more than once.
+  // Rebuild sample-by-sample through append(), which merges each sample
+  // into the CSR index before returning; read the index mid-stream too.
   RicPool appended(graph, communities, spec.model);
   for (std::uint32_t g = 0; g < count; ++g) {
     appended.append(grown.sample(g));
-    if (g == count / 2) {
-      (void)appended.appearance_count(0);  // force a mid-stream materialize
-    }
+    if (g == count / 2) (void)appended.appearance_count(0);
   }
   if (appended.size() != grown.size()) {
     return "appended pool size mismatch";
@@ -690,10 +687,10 @@ std::optional<std::string> check_pipelined_vs_serial(const InstanceSpec& spec,
 // Check: pool_roundtrip
 // ---------------------------------------------------------------------------
 
-/// Bit-level pool equality over everything persistence must preserve: the
-/// SoA metadata, both arenas and the CSR index. Deliberately NOT the grow
-/// epoch — the text v1 loader rebuilds through append() (one "grow" per
-/// sample), which is its documented behavior.
+/// Bit-level pool equality over the SoA metadata, both arenas and the CSR
+/// index. Deliberately NOT the epoch: a repaired pool and its rebuild
+/// share content but not growth history, so callers that need the
+/// watermark compare PoolEpoch themselves.
 std::string pool_content_diff(const RicPool& got, const RicPool& want) {
   if (got.size() != want.size()) return "size mismatch";
   if (got.model() != want.model()) return "model tag mismatch";
@@ -734,9 +731,9 @@ std::string pool_content_diff(const RicPool& got, const RicPool& want) {
   return "";
 }
 
-/// Every persistence path — text v1 re-parse, binary v2 streamed read,
-/// binary v2 zero-copy mmap attach — must hand back the ORIGINAL pool
-/// bit-for-bit, and solves on the reloaded pools must be bit-identical to
+/// Both attach modes of the v3 snapshot — payload-verified and trusted —
+/// must hand back the ORIGINAL pool bit-for-bit, epoch watermark
+/// included, and solves on the reloaded pools must be bit-identical to
 /// solves on the original at every parallelism level. This is the
 /// round-trip certificate behind `imc_cli --save-pool/--load-pool`.
 std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
@@ -748,55 +745,43 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
   RicPool original(graph, communities, spec.model);
   original.grow(count, case_seed, /*parallel=*/false);
 
-  // Leg 1: text v1 through a string stream.
-  std::stringstream text;
-  write_ric_pool(text, original);
-  const RicPool from_text = read_ric_pool(text, graph, communities);
-
-  // Leg 2: binary v2, streamed read with full validation.
-  std::stringstream binary;
-  write_ric_pool_snapshot(binary, original);
-  const RicPool from_stream =
-      read_ric_pool_snapshot(binary, graph, communities);
-
-  // Leg 3: binary v2, zero-copy mmap attach from a real file. The file is
-  // unlinked immediately after the attach — the mapping must pin it.
+  // Both legs attach the same real file. It is unlinked right after the
+  // attaches — the mappings must pin it.
   char path[] = "/tmp/imc_fuzz_pool_XXXXXX";
   const int fd = ::mkstemp(path);
-  if (fd < 0) return "mkstemp failed for the mmap round-trip leg";
+  if (fd < 0) return "mkstemp failed for the attach round-trip";
   ::close(fd);
-  std::optional<RicPool> from_mmap;
+  std::optional<RicPool> verified;
+  std::optional<RicPool> trusted;
   std::string attach_error;
   try {
     save_ric_pool_snapshot(path, original);
-    from_mmap.emplace(attach_ric_pool_snapshot(path, graph, communities));
+    verified.emplace(attach_ric_pool_snapshot(path, graph, communities));
+    trusted.emplace(attach_ric_pool_snapshot(path, graph, communities,
+                                             SnapshotTrust::kTrustPayload));
   } catch (const std::exception& e) {
     attach_error = e.what();
   }
   std::remove(path);
-  if (!from_mmap) return "mmap attach leg failed: " + attach_error;
-  if (!from_mmap->attached()) {
-    return "mmap attach leg did not produce a zero-copy attached pool";
-  }
+  if (!trusted) return "attach failed: " + attach_error;
 
   const struct {
     const char* name;
     const RicPool* pool;
-  } legs[] = {{"text-v1", &from_text},
-              {"binary-v2-streamed", &from_stream},
-              {"binary-v2-mmap", &*from_mmap}};
+  } legs[] = {{"verified-attach", &*verified},
+              {"trusted-attach", &*trusted}};
   for (const auto& leg : legs) {
+    if (!leg.pool->attached()) {
+      return std::string(leg.name) + " did not produce a zero-copy pool";
+    }
     const std::string diff = pool_content_diff(*leg.pool, original);
     if (!diff.empty()) {
       return std::string(leg.name) + " round-trip not bit-identical: " +
              diff;
     }
-  }
-  // The binary format persists the epoch watermark exactly.
-  if (from_stream.grow_epoch().samples != original.grow_epoch().samples ||
-      from_stream.grow_epoch().grows != original.grow_epoch().grows ||
-      from_mmap->grow_epoch().grows != original.grow_epoch().grows) {
-    return "binary v2 round-trip lost the epoch watermark";
+    if (leg.pool->grow_epoch() != original.grow_epoch()) {
+      return std::string(leg.name) + " round-trip lost the epoch watermark";
+    }
   }
 
   // Solves on the reloaded pools, across the thread grid {1, 2, 8}: same

@@ -10,8 +10,8 @@
 //                     reference pool fed the same per-sample RNG
 //                     substreams, compared sample-for-sample and
 //                     touch-for-touch.
-//   * append_path   — RicPool::append + materialize-on-demand index vs the
-//                     grow()-built index, including interleaved reads.
+//   * append_path   — RicPool::append (eager per-sample index merge) vs
+//                     the grow()-built index, including interleaved reads.
 //   * evaluators    — c_hat/nu/influenced_count, CoverageState increments,
 //                     node marginals (ν compared BIT-FOR-BIT to pin the
 //                     accumulation-order contract) and the chunked /

@@ -46,14 +46,12 @@ void MmapStorage::reset() noexcept {
   address_ = nullptr;
   bytes_ = 0;
   fd_ = -1;
-  writable_ = false;
 }
 
 MmapStorage::MmapStorage(MmapStorage&& other) noexcept
     : address_(std::exchange(other.address_, nullptr)),
       bytes_(std::exchange(other.bytes_, 0)),
-      fd_(std::exchange(other.fd_, -1)),
-      writable_(std::exchange(other.writable_, false)) {}
+      fd_(std::exchange(other.fd_, -1)) {}
 
 MmapStorage& MmapStorage::operator=(MmapStorage&& other) noexcept {
   if (this != &other) {
@@ -61,37 +59,8 @@ MmapStorage& MmapStorage::operator=(MmapStorage&& other) noexcept {
     address_ = std::exchange(other.address_, nullptr);
     bytes_ = std::exchange(other.bytes_, 0);
     fd_ = std::exchange(other.fd_, -1);
-    writable_ = std::exchange(other.writable_, false);
   }
   return *this;
-}
-
-MmapStorage MmapStorage::anonymous(std::size_t bytes) {
-  MmapStorage storage;
-  storage.bytes_ = detail::round_up_64(bytes == 0 ? 64 : bytes);
-  void* address = ::mmap(nullptr, storage.bytes_, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (address == MAP_FAILED) fail_errno("anonymous mmap");
-  storage.address_ = address;
-  storage.writable_ = true;
-  return storage;
-}
-
-MmapStorage MmapStorage::create_file(const std::string& path,
-                                     std::size_t bytes) {
-  MmapStorage storage;
-  storage.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (storage.fd_ < 0) fail_errno("cannot create " + path);
-  storage.bytes_ = detail::round_up_64(bytes == 0 ? 64 : bytes);
-  if (::ftruncate(storage.fd_, static_cast<off_t>(storage.bytes_)) != 0) {
-    fail_errno("cannot size " + path);
-  }
-  void* address = ::mmap(nullptr, storage.bytes_, PROT_READ | PROT_WRITE,
-                         MAP_SHARED, storage.fd_, 0);
-  if (address == MAP_FAILED) fail_errno("cannot map " + path);
-  storage.address_ = address;
-  storage.writable_ = true;
-  return storage;
 }
 
 MmapStorage MmapStorage::open_readonly(const std::string& path) {
@@ -100,43 +69,13 @@ MmapStorage MmapStorage::open_readonly(const std::string& path) {
   if (storage.fd_ < 0) fail_errno("cannot open " + path);
   struct stat st{};
   if (::fstat(storage.fd_, &st) != 0) fail_errno("cannot stat " + path);
-  if (st.st_size == 0) {
-    throw std::runtime_error("mmap_arena: " + path + " is empty");
-  }
+  if (st.st_size == 0) return storage;  // mmap rejects zero-length maps
   storage.bytes_ = static_cast<std::size_t>(st.st_size);
   void* address =
       ::mmap(nullptr, storage.bytes_, PROT_READ, MAP_PRIVATE, storage.fd_, 0);
   if (address == MAP_FAILED) fail_errno("cannot map " + path);
   storage.address_ = address;
-  storage.writable_ = false;
   return storage;
-}
-
-void MmapStorage::grow(std::size_t bytes) {
-  if (!writable_) {
-    throw std::runtime_error("mmap_arena: grow on a read-only mapping");
-  }
-  const std::size_t target = detail::round_up_64(bytes);
-  if (target <= bytes_) return;
-  if (fd_ >= 0 && ::ftruncate(fd_, static_cast<off_t>(target)) != 0) {
-    fail_errno("cannot extend backing file");
-  }
-#ifdef __linux__
-  void* moved = ::mremap(address_, bytes_, target, MREMAP_MAYMOVE);
-  if (moved == MAP_FAILED) fail_errno("mremap");
-  address_ = moved;
-#else
-  // Portable fallback: map a fresh region and copy. (Linux — the target
-  // platform — always takes the mremap path above.)
-  void* fresh = ::mmap(nullptr, target, PROT_READ | PROT_WRITE,
-                       fd_ >= 0 ? MAP_SHARED : (MAP_PRIVATE | MAP_ANONYMOUS),
-                       fd_, 0);
-  if (fresh == MAP_FAILED) fail_errno("mmap (grow)");
-  if (fd_ < 0) std::memcpy(fresh, address_, bytes_);
-  ::munmap(address_, bytes_);
-  address_ = fresh;
-#endif
-  bytes_ = target;
 }
 
 }  // namespace imc

@@ -5,6 +5,7 @@
 // the epoch bump (carrier/staging invalidation), the snapshot interplay
 // and ImcEngine::apply_delta end to end.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -229,7 +230,8 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
   pool.grow(150, kSeed, /*parallel=*/false);
 
   const std::string path =
-      (std::filesystem::temp_directory_path() / "imc_repair_epoch.snap")
+      (std::filesystem::temp_directory_path() /
+       ("imc_repair_epoch." + std::to_string(::getpid()) + ".snap"))
           .string();
   save_ric_pool_snapshot(path, pool);  // saved with repairs == 0
 
@@ -243,14 +245,14 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
   // against the stale pre-repair snapshot: the loaded epoch still says
   // repairs == 0.
   const RicPool loaded =
-      load_ric_pool_snapshot(path, old_graph, old_communities);
+      attach_ric_pool_snapshot(path, old_graph, old_communities);
   EXPECT_THROW((void)loaded.samples_since(repaired), std::invalid_argument);
 
   // And a snapshot of the repaired pool round-trips the repairs counter,
   // so the same carrier DOES validate after a save → load cycle.
   save_ric_pool_snapshot(path, pool);
   const RicPool reloaded =
-      load_ric_pool_snapshot(path, graph, communities);
+      attach_ric_pool_snapshot(path, graph, communities);
   EXPECT_EQ(reloaded.samples_since(repaired), 0U);
   test::expect_same_pool(pool, reloaded);
   std::filesystem::remove(path);

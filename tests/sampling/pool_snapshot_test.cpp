@@ -2,20 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
 #include "community/threshold_policy.h"
 #include "core/engine.h"
-#include "sampling/pool_io.h"
 #include "core/maxr_solver.h"
+#include "core/ubg.h"
 #include "test_support.h"
 #include "util/mathx.h"
+#include "util/thread_pool.h"
 
 namespace imc {
 namespace {
@@ -79,37 +86,32 @@ std::string snapshot_bytes(const RicPool& pool) {
   return out.str();
 }
 
+/// A temp path unique to this test and process: ctest runs the same test
+/// from several binaries at once.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "." + std::to_string(::getpid()) + "." + name;
+}
+
 std::string temp_snapshot(const RicPool& pool, const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = temp_path(name);
   save_ric_pool_snapshot(path, pool);
   return path;
 }
 
-TEST(PoolSnapshot, StreamedRoundTripIsBitIdentical) {
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(250, 41);
-
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
-  const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
-  EXPECT_FALSE(loaded.attached());
-  expect_pools_bit_identical(loaded, original);
-
-  const std::vector<NodeId> seeds{0, 5, 9};
-  EXPECT_DOUBLE_EQ(loaded.c_hat(seeds), original.c_hat(seeds));
-  EXPECT_DOUBLE_EQ(loaded.nu(seeds), original.nu(seeds));
+/// Writes raw bytes (a crafted or corrupted snapshot) to a temp file.
+std::string temp_file(const std::string& bytes, const std::string& name) {
+  const std::string path = temp_path(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
 }
 
-TEST(PoolSnapshot, StreamedRoundTripIntoMmapBackend) {
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(120, 7);
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
-  const RicPool loaded = read_ric_pool_snapshot(
-      in, fixture.graph, fixture.communities, ArenaBackend::kMmap);
-  EXPECT_EQ(loaded.backend(), ArenaBackend::kMmap);
-  expect_pools_bit_identical(loaded, original);
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
@@ -122,6 +124,32 @@ TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
   EXPECT_TRUE(attached.attached());
   expect_pools_bit_identical(attached, original);
+  std::remove(path.c_str());
+}
+
+TEST(PoolSnapshot, ConstReadersServeTheAttachedIndexZeroCopy) {
+  // The CSR index fields used to be mutable, so touches_of() on an
+  // attached pool called the non-const accessors and copied the whole
+  // touch arena out of the mapping: a write inside a const reader, racing
+  // when parallel selection read the pool from several threads.
+  const Fixture fixture;
+  RicPool original(fixture.graph, fixture.communities);
+  original.grow(120, 17);
+  const std::string path = temp_snapshot(original, "const_readers.bin");
+  const RicPool attached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  const RicPool::Touch* mapped = attached.touch_arena().data();
+  const std::uint64_t* offsets = attached.touch_offsets().data();
+
+  for (NodeId v = 0; v < fixture.graph.node_count(); ++v) {
+    (void)attached.touches_of(v);
+  }
+  ThreadPool workers(4);
+  const GreedyOptions parallel{/*parallel=*/true, &workers,
+                               /*min_parallel_candidates=*/1};
+  (void)ubg_solve(attached, 3, parallel);
+  EXPECT_EQ(attached.touch_arena().data(), mapped);
+  EXPECT_EQ(attached.touch_offsets().data(), offsets);
   std::remove(path.c_str());
 }
 
@@ -168,40 +196,77 @@ TEST(PoolSnapshot, RestoredEpochValidatesWarmStartWatermarks) {
   original.grow(80, 5);
   original.grow(40, 5);
   const RicPool::PoolEpoch epoch = original.grow_epoch();
+  const std::string path = temp_snapshot(original, "epoch.bin");
 
-  std::istringstream in(snapshot_bytes(original), std::ios::binary);
   const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
   EXPECT_EQ(loaded.grow_epoch(), epoch);
   EXPECT_EQ(loaded.samples_since(epoch), 0U);
+  std::remove(path.c_str());
 }
 
-TEST(PoolSnapshot, LoadAnyDispatchesOnMagic) {
+TEST(PoolSnapshot, SavingOverTheAttachedFileKeepsBothPoolsIntact) {
+  // Saving used to truncate the file in place, under the pages the
+  // attached pool was still mapped from: its next read died with SIGBUS
+  // and the file was left empty. Save now renames a fresh file over the
+  // old one, and the live mapping keeps the old inode.
   const Fixture fixture;
-  RicPool pool(fixture.graph, fixture.communities);
-  pool.grow(30, 5);
+  RicPool original(fixture.graph, fixture.communities);
+  original.grow(150, 41);
+  const std::string path = temp_snapshot(original, "resave.bin");
 
-  const std::string binary = temp_snapshot(pool, "imc_snap_any.bin");
-  const RicPool from_binary =
-      load_ric_pool_any(binary, fixture.graph, fixture.communities);
-  EXPECT_TRUE(from_binary.attached());
-  expect_pools_bit_identical(from_binary, pool);
+  const RicPool attached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  ASSERT_TRUE(attached.attached());
+  save_ric_pool_snapshot(path, attached);
+  expect_pools_bit_identical(attached, original);
 
-  const std::string text = ::testing::TempDir() + "/imc_snap_any.txt";
-  save_ric_pool(text, pool);
-  EXPECT_FALSE(is_pool_snapshot_file(text));
-  const RicPool from_text =
-      load_ric_pool_any(text, fixture.graph, fixture.communities);
-  EXPECT_FALSE(from_text.attached());
-  // The text v1 format does not persist the epoch watermark (its loader
-  // replays one append per sample), so compare content, not the epoch.
-  ASSERT_EQ(from_text.size(), pool.size());
-  const std::vector<NodeId> probe{0, 5, 9};
-  EXPECT_DOUBLE_EQ(from_text.c_hat(probe), pool.c_hat(probe));
-  EXPECT_DOUBLE_EQ(from_text.nu(probe), pool.nu(probe));
+  const RicPool reattached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  expect_pools_bit_identical(reattached, original);
+  std::remove(path.c_str());
+}
 
-  std::remove(binary.c_str());
-  std::remove(text.c_str());
+TEST(PoolSnapshot, FailedSaveLeavesTheExistingFileIntact) {
+  const Fixture fixture;
+  RicPool small(fixture.graph, fixture.communities);
+  small.grow(30, 5);
+  const std::string path = temp_snapshot(small, "failed_save.bin");
+  const std::string before = file_bytes(path);
+
+  // Cap this process's file size below the larger snapshot so its write
+  // fails part-way (EFBIG instead of SIGXFSZ), then restore the limit.
+  RicPool large(fixture.graph, fixture.communities);
+  large.grow(800, 6);
+  ASSERT_GT(snapshot_bytes(large).size(), 2 * before.size());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(before.size());
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(save_ric_pool_snapshot(path, large), std::runtime_error);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_EQ(file_bytes(path), before);
+  const std::filesystem::path file(path);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(file.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  file.filename().string() + ".tmp.", 0),
+              0U)
+        << "temp file left behind: " << entry.path();
+  }
+  // The attach still sees the original pool.
+  const RicPool kept =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  expect_pools_bit_identical(kept, small);
+  std::remove(path.c_str());
+
+  // A save into a missing directory fails cleanly too.
+  EXPECT_THROW(save_ric_pool_snapshot("/no/such/dir/pool.bin", small),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,29 +328,13 @@ void reseal_checksum(std::string& blob) {
   reseal_header(blob);
 }
 
-std::string streamed_error(const Fixture& fixture, const std::string& blob) {
-  std::istringstream in(blob, std::ios::binary);
-  try {
-    (void)read_ric_pool_snapshot(in, fixture.graph, fixture.communities);
-  } catch (const std::runtime_error& error) {
-    return error.what();
-  }
-  ADD_FAILURE() << "snapshot loader accepted corrupt input";
-  return "";
-}
-
-std::string attach_error(const Fixture& fixture, const std::string& blob,
-                         const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  }
+std::string attach_error(const Fixture& fixture, const std::string& blob) {
+  const std::string path = temp_file(blob, "corpus.bin");
   std::string message;
   try {
     (void)attach_ric_pool_snapshot(path, fixture.graph,
                                    fixture.communities);
-    ADD_FAILURE() << "snapshot attach accepted corrupt input: " << name;
+    ADD_FAILURE() << "snapshot attach accepted corrupt input";
   } catch (const std::runtime_error& error) {
     message = error.what();
   }
@@ -313,34 +362,44 @@ class PoolSnapshotCorpus : public ::testing::Test {
 
 TEST_F(PoolSnapshotCorpus, BadMagic) {
   blob_[0] = 'X';
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: bad magic (not an imcpool2 snapshot)");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_magic.bin"),
+}
+
+TEST_F(PoolSnapshotCorpus, TextV1AndEmptyFilesFailWithTheSnapshotDiagnostic) {
+  // A file in the old text v1 pool format, or an empty file, gets the
+  // snapshot loader's own diagnostic.
+  std::string text = "imc-ric-pool v1\nnodes 12 samples 12 model ic\n";
+  for (int g = 0; g < 12; ++g) text += "sample 0 2 1 0 1\n";
+  ASSERT_GE(text.size(), sizeof(PoolSnapshotHeader));
+  EXPECT_EQ(attach_error(fixture_, text),
             "ric pool snapshot: bad magic (not an imcpool2 snapshot)");
+  EXPECT_EQ(attach_error(fixture_, "imc-ric-pool v1\nnodes 12 samples 0\n"),
+            "ric pool snapshot: truncated header");
+  EXPECT_EQ(attach_error(fixture_, ""),
+            "ric pool snapshot: truncated header");
 }
 
 TEST_F(PoolSnapshotCorpus, UnsupportedVersion) {
   patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, version), 9);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: unsupported version 9");
 }
 
 TEST_F(PoolSnapshotCorpus, RngContractMismatch) {
   patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, rng_contract),
                               kRicSamplerRngContract + 1);
-  const std::string expected =
-      "ric pool snapshot: rng contract mismatch (snapshot " +
-      std::to_string(kRicSamplerRngContract + 1) + ", sampler " +
-      std::to_string(kRicSamplerRngContract) + ")";
-  EXPECT_EQ(streamed_error(fixture_, blob_), expected);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_rng.bin"), expected);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: rng contract mismatch (snapshot " +
+                std::to_string(kRicSamplerRngContract + 1) + ", sampler " +
+                std::to_string(kRicSamplerRngContract) + ")");
 }
 
 TEST_F(PoolSnapshotCorpus, WrongGraphFingerprint) {
   // Same node count, different weights: only the fingerprint can tell.
   Fixture other;
   other.graph = test::cycle_graph(12, 0.9);
-  EXPECT_EQ(streamed_error(other, blob_),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: graph fingerprint mismatch");
 }
 
@@ -349,9 +408,7 @@ TEST_F(PoolSnapshotCorpus, WrongCommunityFingerprint) {
   // would silently poison ν/MAF if attach accepted it.
   Fixture other;
   apply_constant_thresholds(other.communities, 3);
-  EXPECT_EQ(streamed_error(other, blob_),
-            "ric pool snapshot: community fingerprint mismatch");
-  EXPECT_EQ(attach_error(other, blob_, "corpus_coms.bin"),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: community fingerprint mismatch");
 }
 
@@ -359,7 +416,7 @@ TEST_F(PoolSnapshotCorpus, WrongNodeCount) {
   Fixture other;
   other.graph = test::cycle_graph(20, 0.5);
   other.communities = test::chunk_communities(20, 4);
-  EXPECT_EQ(streamed_error(other, blob_),
+  EXPECT_EQ(attach_error(other, blob_),
             "ric pool snapshot: node count does not match the supplied "
             "graph");
 }
@@ -367,7 +424,7 @@ TEST_F(PoolSnapshotCorpus, WrongNodeCount) {
 TEST_F(PoolSnapshotCorpus, EpochWatermarkDisagreesWithSampleCount) {
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_samples),
                               51);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: epoch watermark disagrees with the sample "
             "count");
 }
@@ -379,49 +436,47 @@ TEST_F(PoolSnapshotCorpus, ForgedRepairsEpochFailsHeaderChecksum) {
   // trusted attach path.
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_repairs),
                               7);
-  const std::string expected =
-      "ric pool snapshot: header checksum mismatch (tampered or corrupt "
-      "header)";
-  EXPECT_EQ(streamed_error(fixture_, blob_), expected);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_repairs.bin"), expected);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: header checksum mismatch (tampered or "
+            "corrupt header)");
 
   // Resealed, the same epoch loads fine and surfaces through the pool's
   // watermark — the counter genuinely round-trips.
   reseal_header(blob_);
-  std::istringstream in(blob_, std::ios::binary);
+  const std::string path = temp_file(blob_, "resealed.bin");
   const RicPool loaded =
-      read_ric_pool_snapshot(in, fixture_.graph, fixture_.communities);
+      attach_ric_pool_snapshot(path, fixture_.graph, fixture_.communities);
   EXPECT_EQ(loaded.grow_epoch().repairs, 7U);
+  std::remove(path.c_str());
 }
 
 TEST_F(PoolSnapshotCorpus, TruncatedHeader) {
   blob_.resize(100);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: truncated header");
 }
 
 TEST_F(PoolSnapshotCorpus, TruncatedArenaSection) {
   blob_.resize(blob_.size() - 64);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: truncated arena section");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_trunc.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: snapshot file size disagrees with its "
             "declared payload");
 }
 
 TEST_F(PoolSnapshotCorpus, TrailingGarbage) {
   blob_ += "garbage";
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: trailing bytes after the last arena "
-            "section");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_trail.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: snapshot file size disagrees with its "
             "declared payload");
 }
 
 TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsChecksum) {
-  blob_[200] = static_cast<char>(blob_[200] ^ 0x40);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  // The last raw byte of the last section (the CSR touch arena): the
+  // checksum covers the whole payload, not just its head.
+  const Layout layout(header_of(blob_));
+  const std::size_t last = layout.offset[6] + layout.bytes[6] - 1;
+  blob_[last] = static_cast<char>(blob_[last] ^ 0x01);
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: payload checksum mismatch (corrupt "
             "snapshot)");
 }
@@ -433,11 +488,7 @@ TEST_F(PoolSnapshotCorpus, OutOfRangeCommunityBehindValidChecksum) {
   const CommunityId bogus = 7;
   std::memcpy(blob_.data() + layout.offset[1], &bogus, sizeof(bogus));
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: sample 0: community id out of range");
-  // The attach path verifies payloads by default, so the same corruption
-  // dies at load time there too.
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_community.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 0: community id out of range");
 }
 
@@ -446,15 +497,13 @@ TEST_F(PoolSnapshotCorpus, TouchingNodeOutOfRangeBehindValidChecksum) {
   const NodeId bogus = 99;  // > node_count = 12
   std::memcpy(blob_.data() + layout.offset[4], &bogus, sizeof(bogus));
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: sample 0: touching node out of range");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_node.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 0: touching node out of range");
 }
 
 TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsAttachChecksum) {
   blob_[200] = static_cast<char>(blob_[200] ^ 0x40);
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_attach_checksum.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: payload checksum mismatch (corrupt "
             "snapshot)");
 }
@@ -469,9 +518,7 @@ TEST_F(PoolSnapshotCorpus, NonMonotoneSampleOffsetsBehindValidChecksum) {
   std::memcpy(blob_.data() + layout.offset[3] + sizeof(std::uint64_t),
               &huge, sizeof(huge));
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: sample 1: offsets not monotone");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_monotone.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample 1: offsets not monotone");
 }
 
@@ -485,7 +532,7 @@ TEST_F(PoolSnapshotCorpus, SampleOffsetsMustSpanTheArena) {
                   header.sample_count * sizeof(std::uint64_t),
               &bogus_end, sizeof(bogus_end));
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: sample-major offsets do not span the "
             "sample arena");
 }
@@ -496,7 +543,7 @@ TEST_F(PoolSnapshotCorpus, NonMonotoneTouchOffsetsBehindValidChecksum) {
   std::memcpy(blob_.data() + layout.offset[5] + sizeof(std::uint64_t),
               &huge, sizeof(huge));
   reseal_checksum(blob_);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: csr: touch offsets not monotone");
 }
 
@@ -507,9 +554,7 @@ TEST_F(PoolSnapshotCorpus, HugePairCountOverflowsTheLayout) {
   patch_header<std::uint64_t>(
       offsetof(PoolSnapshotHeader, sample_pair_count), std::uint64_t{1}
                                                            << 60);
-  EXPECT_EQ(streamed_error(fixture_, blob_),
-            "ric pool snapshot: header counts overflow the section layout");
-  EXPECT_EQ(attach_error(fixture_, blob_, "corpus_overflow.bin"),
+  EXPECT_EQ(attach_error(fixture_, blob_),
             "ric pool snapshot: header counts overflow the section layout");
 }
 
@@ -520,11 +565,7 @@ TEST_F(PoolSnapshotCorpus, TrustedAttachSkipsContentButBoundsOffsets) {
   const CommunityId bogus = 7;
   std::memcpy(blob_.data() + layout.offset[1], &bogus, sizeof(bogus));
   reseal_checksum(blob_);
-  const std::string path = ::testing::TempDir() + "/corpus_trusted.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(blob_.data(), static_cast<std::streamsize>(blob_.size()));
-  }
+  const std::string path = temp_file(blob_, "trusted.bin");
   const RicPool trusted = attach_ric_pool_snapshot(
       path, fixture_.graph, fixture_.communities,
       SnapshotTrust::kTrustPayload);
@@ -538,12 +579,7 @@ TEST_F(PoolSnapshotCorpus, TrustedAttachSkipsContentButBoundsOffsets) {
   std::memcpy(bent.data() + layout.offset[3] + sizeof(std::uint64_t),
               &huge, sizeof(huge));
   reseal_checksum(bent);
-  const std::string bent_path =
-      ::testing::TempDir() + "/corpus_trusted_monotone.bin";
-  {
-    std::ofstream out(bent_path, std::ios::binary | std::ios::trunc);
-    out.write(bent.data(), static_cast<std::streamsize>(bent.size()));
-  }
+  const std::string bent_path = temp_file(bent, "trusted_monotone.bin");
   try {
     (void)attach_ric_pool_snapshot(bent_path, fixture_.graph,
                                    fixture_.communities,
@@ -569,9 +605,7 @@ TEST(PoolSnapshotEngine, AttachPoolRestoresTheEngineState) {
   // Cold engine: solve grows the pool; snapshot the result.
   ImcEngine cold(fixture.graph, fixture.communities, config);
   const ImcafResult cold_result = cold.solve(2, *solver);
-  const std::string path =
-      ::testing::TempDir() + "/imc_engine_attach.bin";
-  save_ric_pool_snapshot(path, cold.pool());
+  const std::string path = temp_snapshot(cold.pool(), "engine.bin");
 
   // Warm engine: attach the saved pool, then solve the same query. The
   // attached pool is the cold engine's final pool, so the solve sees the
@@ -591,8 +625,7 @@ TEST(PoolSnapshotEngine, AttachPoolRejectsModelMismatch) {
   RicPool lt_pool(fixture.graph, fixture.communities,
                   DiffusionModel::kLinearThreshold);
   lt_pool.grow(20, 3);
-  const std::string path = ::testing::TempDir() + "/imc_engine_lt.bin";
-  save_ric_pool_snapshot(path, lt_pool);
+  const std::string path = temp_snapshot(lt_pool, "engine_lt.bin");
 
   ImcEngine engine(fixture.graph, fixture.communities, {});  // IC config
   EXPECT_THROW(engine.attach_pool(path), std::invalid_argument);
@@ -601,53 +634,30 @@ TEST(PoolSnapshotEngine, AttachPoolRejectsModelMismatch) {
   std::remove(path.c_str());
 }
 
-TEST(PoolSnapshotEngine, AttachPoolHonorsConfiguredBackend) {
-  // Attaching used to leave the pool on the loaded arenas' backend (kMmap
-  // for snapshots), silently overriding --pool-backend for all later
-  // growth. The configured backend must survive the attach.
-  const Fixture fixture;
-  RicPool original(fixture.graph, fixture.communities);
-  original.grow(40, 9);
-  const std::string path = temp_snapshot(original, "imc_engine_backend.bin");
+TEST(PoolAppend, ValidatesInput) {
+  const Graph graph = test::cycle_graph(12, 0.5);
+  CommunitySet communities = test::chunk_communities(12, 3);
+  apply_population_benefits(communities);
+  apply_constant_thresholds(communities, 2);
+  RicPool pool(graph, communities);
+  RicSample bad_community;
+  bad_community.community = 99;
+  bad_community.threshold = 1;
+  EXPECT_THROW(pool.append(bad_community), std::invalid_argument);
 
-  ImcafConfig ram_config;  // pool_backend defaults to kRam
-  ImcEngine engine(fixture.graph, fixture.communities, ram_config);
-  engine.attach_pool(path);
-  EXPECT_EQ(engine.pool().backend(), ArenaBackend::kRam);
-  EXPECT_TRUE(engine.pool().attached());
+  RicSample bad_threshold;
+  bad_threshold.community = 0;
+  bad_threshold.threshold = 0;
+  EXPECT_THROW(pool.append(bad_threshold), std::invalid_argument);
 
-  ImcafConfig mmap_config;
-  mmap_config.pool_backend = ArenaBackend::kMmap;
-  ImcEngine mmap_engine(fixture.graph, fixture.communities, mmap_config);
-  mmap_engine.attach_pool(path, SnapshotTrust::kTrustPayload);
-  EXPECT_EQ(mmap_engine.pool().backend(), ArenaBackend::kMmap);
-
-  // The text v1 path routes the backend through load_ric_pool too.
-  const std::string text = ::testing::TempDir() + "/imc_engine_backend.txt";
-  save_ric_pool(text, original);
-  mmap_engine.attach_pool(text);
-  EXPECT_EQ(mmap_engine.pool().backend(), ArenaBackend::kMmap);
-  EXPECT_FALSE(mmap_engine.pool().attached());
-
-  std::remove(path.c_str());
-  std::remove(text.c_str());
-}
-
-TEST(PoolSnapshotEngine, MmapBackendConfigIsBitIdenticalToRam) {
-  const Fixture fixture;
-  const auto solver = make_maxr_solver(MaxrAlgorithm::kUbg, {});
-  ImcafConfig ram_config;
-  ram_config.max_samples = 300;
-  ImcafConfig mmap_config = ram_config;
-  mmap_config.pool_backend = ArenaBackend::kMmap;
-
-  ImcEngine ram_engine(fixture.graph, fixture.communities, ram_config);
-  ImcEngine mmap_engine(fixture.graph, fixture.communities, mmap_config);
-  const ImcafResult ram_result = ram_engine.solve(2, *solver);
-  const ImcafResult mmap_result = mmap_engine.solve(2, *solver);
-  EXPECT_EQ(ram_result.seeds, mmap_result.seeds);
-  EXPECT_DOUBLE_EQ(ram_result.c_hat, mmap_result.c_hat);
-  expect_pools_bit_identical(mmap_engine.pool(), ram_engine.pool());
+  RicSample good;
+  good.community = 0;
+  good.threshold = 2;
+  good.member_count = 3;
+  good.touching = {{0, 0b1ULL}, {1, 0b10ULL}};
+  pool.append(good);
+  EXPECT_EQ(pool.size(), 1U);
+  EXPECT_EQ(pool.appearance_count(0), 1U);
 }
 
 }  // namespace

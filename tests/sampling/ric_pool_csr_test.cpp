@@ -116,8 +116,8 @@ TEST_F(RicPoolCsrTest, InterleavedGrowAndAppendMatchesReference) {
   Rng rng(7);
 
   // Interleave serial growth, parallel growth, and single appends; the
-  // index must match the reference after every step, exercising both the
-  // eager merge (grow) and the materialize-on-demand path (append).
+  // index must match the reference after every step, exercising the
+  // merge after both grow() and append().
   pool.grow(60, 11, /*parallel=*/false);
   expect_matches_reference(pool);
 
@@ -128,7 +128,7 @@ TEST_F(RicPoolCsrTest, InterleavedGrowAndAppendMatchesReference) {
   expect_matches_reference(pool);
 
   for (int i = 0; i < 5; ++i) pool.append(sampler.generate(rng));
-  pool.grow(40, 23, /*parallel=*/true);  // merge with appends pending
+  pool.grow(40, 23, /*parallel=*/true);  // merge right after appends
   expect_matches_reference(pool);
 
   pool.grow(25, 31, /*parallel=*/false);

@@ -191,8 +191,8 @@ TEST(RicPool, AppendZeroTouchSampleAfterGrowKeepsIndexConsistent) {
   const std::uint32_t frequency_before = pool.community_frequency(0);
 
   // A realization can reach no node at all; such samples carry an empty
-  // touching list and must flow through append + the deferred CSR merge
-  // without corrupting offsets or counters.
+  // touching list and must flow through append + the CSR merge without
+  // corrupting offsets or counters.
   RicSample empty;
   empty.community = 0;
   empty.threshold = 1;

@@ -4,58 +4,54 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 namespace imc {
 namespace {
 
-TEST(MmapStorage, AnonymousMappingIsZeroFilledAndWritable) {
-  MmapStorage storage = MmapStorage::anonymous(100);
-  ASSERT_TRUE(storage.valid());
-  EXPECT_TRUE(storage.writable());
-  EXPECT_GE(storage.size(), 100U);
-  EXPECT_EQ(storage.size() % 64, 0U);
-  for (std::size_t i = 0; i < storage.size(); ++i) {
-    EXPECT_EQ(std::to_integer<int>(storage.data()[i]), 0) << "byte " << i;
-  }
-  storage.data()[0] = std::byte{42};
-  EXPECT_EQ(std::to_integer<int>(storage.data()[0]), 42);
-}
-
-TEST(MmapStorage, GrowPreservesContentsAcrossRemap) {
-  MmapStorage storage = MmapStorage::anonymous(4096);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    storage.data()[i] = static_cast<std::byte>(i % 251);
-  }
-  // Large enough that the kernel may well have to move the mapping — the
-  // contract is "contents travel", wherever the base ends up.
-  storage.grow(1 << 22);
-  ASSERT_GE(storage.size(), std::size_t{1} << 22);
-  for (std::size_t i = 0; i < 4096; ++i) {
-    ASSERT_EQ(std::to_integer<int>(storage.data()[i]),
-              static_cast<int>(i % 251))
-        << "byte " << i << " lost in grow";
-  }
-}
-
-TEST(MmapStorage, FileBackedMappingPersistsToDisk) {
-  const std::string path = ::testing::TempDir() + "/imc_mmap_file_test.bin";
+/// Writes `bytes` to a temp file, maps it read-only and unlinks it: the
+/// mapping alone keeps the contents alive, as for an attached snapshot.
+std::shared_ptr<const MmapStorage> map_bytes(const std::string& name,
+                                             const void* bytes,
+                                             std::size_t size) {
+  const std::string path = ::testing::TempDir() + "/" + name;
   {
-    MmapStorage storage = MmapStorage::create_file(path, 256);
-    ASSERT_TRUE(storage.valid());
-    std::memcpy(storage.data(), "persisted-through-the-page-cache", 32);
-  }  // unmap + close flush the shared mapping
-  MmapStorage reopened = MmapStorage::open_readonly(path);
-  ASSERT_TRUE(reopened.valid());
-  EXPECT_FALSE(reopened.writable());
-  ASSERT_GE(reopened.size(), 32U);
-  EXPECT_EQ(std::memcmp(reopened.data(),
-                        "persisted-through-the-page-cache", 32),
-            0);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(static_cast<const char*>(bytes),
+              static_cast<std::streamsize>(size));
+  }
+  auto map =
+      std::make_shared<const MmapStorage>(MmapStorage::open_readonly(path));
   std::remove(path.c_str());
+  return map;
+}
+
+/// Borrowed view over a mapped file holding `values`.
+template <typename T>
+ArenaVector<T> borrowed_copy_of(const std::vector<T>& values,
+                                const std::string& name) {
+  auto map = map_bytes(name, values.data(), values.size() * sizeof(T));
+  const auto* base = reinterpret_cast<const T*>(map->data());
+  return ArenaVector<T>::borrowed(base, values.size(), std::move(map));
+}
+
+TEST(MmapStorage, OpenReadonlyServesTheFileBytes) {
+  const char text[] = "persisted-through-the-page-cache";
+  const auto map = map_bytes("imc_mmap_read_test.bin", text, 32);
+  ASSERT_TRUE(map->valid());
+  ASSERT_EQ(map->size(), 32U);
+  EXPECT_EQ(std::memcmp(map->data(), text, 32), 0);
+}
+
+TEST(MmapStorage, OpenReadonlyOnEmptyFileIsEmptyNotMapped) {
+  const auto map = map_bytes("imc_mmap_empty_test.bin", "", 0);
+  EXPECT_FALSE(map->valid());
+  EXPECT_EQ(map->size(), 0U);
 }
 
 TEST(MmapStorage, OpenReadonlyRejectsMissingFile) {
@@ -63,28 +59,37 @@ TEST(MmapStorage, OpenReadonlyRejectsMissingFile) {
                std::runtime_error);
 }
 
-TEST(MmapStorage, GrowOnReadonlyMappingThrows) {
-  const std::string path = ::testing::TempDir() + "/imc_mmap_ro_test.bin";
-  { (void)MmapStorage::create_file(path, 64); }
-  MmapStorage storage = MmapStorage::open_readonly(path);
-  EXPECT_THROW(storage.grow(128), std::runtime_error);
-  std::remove(path.c_str());
+/// How a vector starts out before the operations under test: an owned
+/// heap slab (kRam), or a borrowed view into a read-only file mapping
+/// (kMmap) that the first mutation must copy-on-write into a heap slab.
+enum class Start { kRam, kMmap };
+
+template <typename T>
+ArenaVector<T> start_with(Start start, const std::vector<T>& prefix) {
+  if (start == Start::kMmap) {
+    return borrowed_copy_of(prefix, "imc_arena_start.bin");
+  }
+  ArenaVector<T> arena;
+  arena.append(prefix.data(), prefix.data() + prefix.size());
+  return arena;
 }
 
-class ArenaVectorBackends
-    : public ::testing::TestWithParam<ArenaBackend> {};
+class ArenaVectorBackends : public ::testing::TestWithParam<Start> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, ArenaVectorBackends,
-                         ::testing::Values(ArenaBackend::kRam,
-                                           ArenaBackend::kMmap),
+                         ::testing::Values(Start::kRam, Start::kMmap),
                          [](const auto& info) {
-                           return info.param == ArenaBackend::kRam ? "Ram"
-                                                                   : "Mmap";
+                           return info.param == Start::kRam ? "Ram" : "Mmap";
                          });
 
 TEST_P(ArenaVectorBackends, PushBackGrowthPreservesContents) {
-  ArenaVector<std::uint64_t> arena(GetParam());
-  for (std::uint64_t i = 0; i < 10'000; ++i) arena.push_back(i * i);
+  std::vector<std::uint64_t> prefix(100);
+  for (std::uint64_t i = 0; i < prefix.size(); ++i) prefix[i] = i * i;
+  ArenaVector<std::uint64_t> arena = start_with(GetParam(), prefix);
+  for (std::uint64_t i = prefix.size(); i < 10'000; ++i) {
+    arena.push_back(i * i);
+  }
+  EXPECT_FALSE(arena.is_borrowed());
   ASSERT_EQ(arena.size(), 10'000U);
   for (std::uint64_t i = 0; i < 10'000; ++i) {
     ASSERT_EQ(arena[i], i * i) << "slot " << i;
@@ -93,11 +98,11 @@ TEST_P(ArenaVectorBackends, PushBackGrowthPreservesContents) {
 }
 
 TEST_P(ArenaVectorBackends, VectorShapedOperations) {
-  ArenaVector<int> arena(GetParam());
-  arena.assign(5, 7);
+  ArenaVector<int> arena = start_with(GetParam(), std::vector<int>(5, 7));
   ASSERT_EQ(arena.size(), 5U);
-  EXPECT_EQ(arena[4], 7);
+  EXPECT_EQ(std::as_const(arena)[4], 7);
   arena.resize(8, -1);
+  EXPECT_FALSE(arena.is_borrowed());
   EXPECT_EQ(arena[4], 7);
   EXPECT_EQ(arena[7], -1);
   arena.clear();
@@ -108,13 +113,21 @@ TEST_P(ArenaVectorBackends, VectorShapedOperations) {
   EXPECT_EQ(arena[2], 3);
   EXPECT_EQ(arena.span().size(), 3U);
   EXPECT_EQ(arena.span()[0], 1);
+  arena.assign(4, 9);
+  ASSERT_EQ(arena.size(), 4U);
+  EXPECT_EQ(arena[3], 9);
 }
 
 TEST_P(ArenaVectorBackends, PairElementsSurviveGrowth) {
   // The sample arena's element type — the one that motivated kArenaSafe
   // (libstdc++ std::pair is not trivially copyable, but is memcpy-safe).
-  ArenaVector<std::pair<std::uint32_t, std::uint64_t>> arena(GetParam());
-  for (std::uint32_t i = 0; i < 5'000; ++i) {
+  using Pair = std::pair<std::uint32_t, std::uint64_t>;
+  std::vector<Pair> prefix;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    prefix.emplace_back(i, ~std::uint64_t{i});
+  }
+  ArenaVector<Pair> arena = start_with(GetParam(), prefix);
+  for (std::uint32_t i = 10; i < 5'000; ++i) {
     arena.emplace_back(i, ~std::uint64_t{i});
   }
   for (std::uint32_t i = 0; i < 5'000; ++i) {
@@ -124,38 +137,26 @@ TEST_P(ArenaVectorBackends, PairElementsSurviveGrowth) {
 }
 
 TEST_P(ArenaVectorBackends, MoveTransfersOwnership) {
-  ArenaVector<int> arena(GetParam());
-  arena.assign(100, 9);
-  const int* before = arena.data();
+  ArenaVector<int> arena = start_with(GetParam(), std::vector<int>(100, 9));
+  const bool borrowed = arena.is_borrowed();
+  EXPECT_EQ(borrowed, GetParam() == Start::kMmap);
+  const int* before = std::as_const(arena).data();
   ArenaVector<int> moved = std::move(arena);
-  EXPECT_EQ(moved.data(), before);
+  EXPECT_EQ(std::as_const(moved).data(), before);
+  EXPECT_EQ(moved.is_borrowed(), borrowed);
   ASSERT_EQ(moved.size(), 100U);
-  EXPECT_EQ(moved[99], 9);
+  EXPECT_EQ(std::as_const(moved)[99], 9);
   EXPECT_EQ(arena.size(), 0U);  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(ArenaVector, RamAndMmapProduceIdenticalContents) {
-  ArenaVector<std::uint64_t> ram(ArenaBackend::kRam);
-  ArenaVector<std::uint64_t> mapped(ArenaBackend::kMmap);
-  for (std::uint64_t i = 0; i < 4'097; ++i) {
-    ram.push_back(i * 2654435761ULL);
-    mapped.push_back(i * 2654435761ULL);
-  }
-  ASSERT_EQ(ram.size(), mapped.size());
-  EXPECT_EQ(std::memcmp(ram.data(), mapped.data(),
-                        ram.size() * sizeof(std::uint64_t)),
-            0);
-}
-
 TEST(ArenaVector, BorrowedViewServesReadsZeroCopy) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      64 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  std::iota(slab, slab + 64, 100);
-
-  ArenaVector<std::uint64_t> view = ArenaVector<std::uint64_t>::borrowed(
-      slab, 64, map, ArenaBackend::kRam);
+  std::vector<std::uint64_t> values(64);
+  std::iota(values.begin(), values.end(), 100);
+  auto map = map_bytes("imc_arena_zero_copy.bin", values.data(),
+                       values.size() * sizeof(std::uint64_t));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
+  ArenaVector<std::uint64_t> view =
+      ArenaVector<std::uint64_t>::borrowed(slab, 64, std::move(map));
   EXPECT_TRUE(view.is_borrowed());
   // Const access is genuinely zero-copy (non-const data() would
   // copy-on-write materialize — that is the next test).
@@ -165,15 +166,15 @@ TEST(ArenaVector, BorrowedViewServesReadsZeroCopy) {
 }
 
 TEST(ArenaVector, BorrowedViewMaterializesOnFirstMutation) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      16 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  std::iota(slab, slab + 16, 0);
+  std::vector<std::uint64_t> values(16);
+  std::iota(values.begin(), values.end(), 0);
+  auto map = map_bytes("imc_arena_cow.bin", values.data(),
+                       values.size() * sizeof(std::uint64_t));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
   std::weak_ptr<const MmapStorage> watcher = map;
 
-  ArenaVector<std::uint64_t> view = ArenaVector<std::uint64_t>::borrowed(
-      slab, 16, std::move(map), ArenaBackend::kRam);
+  ArenaVector<std::uint64_t> view =
+      ArenaVector<std::uint64_t>::borrowed(slab, 16, std::move(map));
   view.push_back(16);  // first mutation: copy-on-write
   EXPECT_FALSE(view.is_borrowed());
   EXPECT_NE(view.data(), slab);
@@ -184,11 +185,11 @@ TEST(ArenaVector, BorrowedViewMaterializesOnFirstMutation) {
 }
 
 TEST(ArenaVector, BorrowedKeepaliveOutlivesTheSourceHandle) {
-  auto map = std::make_shared<const MmapStorage>(MmapStorage::anonymous(
-      8 * sizeof(std::uint64_t)));
-  auto* slab =
-      reinterpret_cast<std::uint64_t*>(const_cast<std::byte*>(map->data()));
-  slab[7] = 777;
+  std::vector<std::uint64_t> values(8, 0);
+  values[7] = 777;
+  auto map = map_bytes("imc_arena_keepalive.bin", values.data(),
+                       values.size() * sizeof(std::uint64_t));
+  const auto* slab = reinterpret_cast<const std::uint64_t*>(map->data());
   ArenaVector<std::uint64_t> view =
       ArenaVector<std::uint64_t>::borrowed(slab, 8, map);
   map.reset();  // the view's keepalive must keep the mapping alive

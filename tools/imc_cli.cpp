@@ -8,8 +8,7 @@
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
 //                       [--metrics-json FILE] [--no-warm-start]
-//                       [--no-pipeline] [--pool-backend ram|mmap]
-//                       [--save-pool FILE]
+//                       [--no-pipeline] [--save-pool FILE]
 //                       [--load-pool FILE [--trust-pool]]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
@@ -208,14 +207,6 @@ int cmd_solve(const ArgParser& args) {
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
   config.warm_start = !args.get_bool("no-warm-start", false);
   config.pipeline = !args.get_bool("no-pipeline", false);
-  const std::string backend = args.get_string("pool-backend", "ram");
-  if (backend == "ram") {
-    config.pool_backend = ArenaBackend::kRam;
-  } else if (backend == "mmap") {
-    config.pool_backend = ArenaBackend::kMmap;
-  } else {
-    throw UsageError("--pool-backend must be ram or mmap");
-  }
 
   const double time_budget = args.get_double("time-budget-s", 0.0);
   if (args.has("time-budget-s") && !(time_budget > 0.0)) {
@@ -398,12 +389,9 @@ void print_usage() {
       "  --no-pipeline       serial grow/solve/estimate schedule instead of\n"
       "                      overlapping the next stage's sampling with the\n"
       "                      solve (results are bit-identical either way)\n"
-      "  --pool-backend B    ram (default) or mmap arena storage for the\n"
-      "                      RIC pool (bit-identical content either way)\n"
-      "  --save-pool F       write the final pool as a binary v2 snapshot\n"
-      "  --load-pool F       start from a saved pool (binary snapshots are\n"
-      "                      attached zero-copy via mmap and fully verified\n"
-      "                      by default; text v1 accepted)\n"
+      "  --save-pool F       write the final pool as a binary v3 snapshot\n"
+      "  --load-pool F       start from a v3 snapshot, attached zero-copy\n"
+      "                      via mmap and fully verified by default\n"
       "  --trust-pool        skip the O(pool) checksum + payload checks on\n"
       "                      --load-pool (for snapshots this host wrote;\n"
       "                      attach cost becomes independent of pool size)\n"
@@ -426,8 +414,7 @@ int main(int argc, char** argv) {
   try {
     if (command != "solve") {
       for (const char* flag : {"time-budget-s", "metrics-json",
-                               "no-warm-start", "no-pipeline", "pool-backend",
-                               "save-pool", "load-pool", "trust-pool",
+                               "no-warm-start", "no-pipeline", "save-pool", "load-pool", "trust-pool",
                                "apply-deltas"}) {
         if (args.has(flag)) {
           throw UsageError(std::string("--") + flag +
