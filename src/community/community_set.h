@@ -16,6 +16,11 @@
 
 namespace imc {
 
+/// Largest community population the RIC sampler supports: a sample records
+/// the members it reached as one 64-bit mask. The sampler rejects larger
+/// communities, and apply_delta rejects moves that would create one.
+inline constexpr std::uint32_t kMaxCommunityPopulation = 64;
+
 class CommunitySet {
  public:
   CommunitySet() = default;

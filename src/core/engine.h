@@ -99,11 +99,13 @@ class ImcEngine {
   /// invalidates every outstanding warm-start carrier (solvers fall back
   /// cold via their samples_since guard) and any staged speculative batch
   /// (the pipeline's commit check rejects it and regrows synchronously).
-  /// Basic guarantee only: if the repair itself throws (sampler invariant
-  /// broken by the delta, e.g. a community grown past 64 members or LT
-  /// in-weights summing past 1), the graph/communities are already
-  /// mutated but the pool is untouched — and now inconsistent with them;
-  /// the engine must not be used further. Not thread-safe against a
+  /// A move that would grow a community past kMaxCommunityPopulation is
+  /// rejected by the free apply_delta() before anything mutates. One case
+  /// still gives only the basic guarantee: on an LT engine, an edge update
+  /// that pushes a node's in-weight sum past 1 passes apply_delta() and
+  /// makes the repair throw — the graph is then already mutated but the
+  /// pool is untouched, and now inconsistent with it; the engine must not
+  /// be used further. Not thread-safe against a
   /// concurrent solve(). Returns the repair statistics (samples
   /// regenerated vs pool size).
   RicPool::RepairStats apply_delta(Graph& graph, CommunitySet& communities,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "community/community_set.h"
@@ -14,7 +15,8 @@ namespace {
 
 /// Replays the move sequence against the CURRENT community set without
 /// touching it, throwing on the first move that could not apply. Mirrors
-/// CommunitySet::move_member's checks exactly, but accounts for earlier
+/// CommunitySet::move_member's checks exactly, plus the sampler's
+/// kMaxCommunityPopulation cap on the target, and accounts for earlier
 /// moves in the same batch, so a mid-batch failure is detected before
 /// anything mutates.
 void validate_moves(const CommunitySet& communities,
@@ -50,6 +52,15 @@ void validate_moves(const CommunitySet& communities,
       throw std::invalid_argument(
           "apply_delta: source threshold would exceed its shrunken "
           "population");
+    }
+    const std::int64_t target_population =
+        static_cast<std::int64_t>(communities.population(m.to)) +
+        drift[m.to];
+    if (target_population + 1 > kMaxCommunityPopulation) {
+      throw std::invalid_argument(
+          "apply_delta: target community would exceed " +
+          std::to_string(kMaxCommunityPopulation) +
+          " members (the sampler's mask width)");
     }
     where[m.node] = m.to;
     --drift[from];

@@ -78,10 +78,10 @@ struct DeltaEffects {
 /// the graph; the move sequence simulated against the community set so a
 /// mid-batch failure cannot leave a half-applied state), then applies edge
 /// updates and membership moves. Throws std::invalid_argument without
-/// mutating anything when validation fails. Note the ≤64-member community
-/// cap lives in RicSampler, not here — a move that overfills a community
-/// for sampling purposes passes apply_delta and is rejected by the pool
-/// repair's sampler rebuild instead.
+/// mutating anything when validation fails — including a move that would
+/// push a community past the sampler's kMaxCommunityPopulation members.
+/// LT in-weight sums are not checked here: the pool repair's sampler probe
+/// rejects them.
 DeltaEffects apply_delta(Graph& graph, CommunitySet& communities,
                          const GraphDelta& delta);
 

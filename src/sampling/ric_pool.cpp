@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/mathx.h"
 #include "util/thread_pool.h"
@@ -94,6 +97,121 @@ EvalScratch& accumulate_masks(const RicPool& pool,
   }
   return scratch;
 }
+
+/// In-place patch of one row-major arena — `offsets` (rows + 1 entries)
+/// over the flat `arena` — the one helper delta repair applies to both the
+/// sample-major arena (rows = samples) and the CSR index (rows = nodes).
+/// See DESIGN.md §16. Construction is the only step that may throw: it
+/// makes room for both the old and the new size. An owned arena reserves
+/// it (growth past capacity reallocates here, doubling like push_back). A
+/// borrowed arena of an attached pool gets a fresh owned slab instead,
+/// which pass 1 fills straight from the mapping, so copy-on-write costs no
+/// separate pass. apply() then rewrites the arena without allocating.
+template <typename T>
+class RowPatch {
+ public:
+  RowPatch(ArenaVector<std::uint64_t>& offsets, ArenaVector<T>& arena,
+           std::uint64_t dropped, std::uint64_t inserted)
+      : offsets_(offsets.data()),  // materializes a borrowed table
+        rows_(offsets.size() - 1),
+        arena_(arena),
+        old_size_(arena.size()),
+        new_size_(arena.size() - dropped + inserted),
+        inserted_(inserted) {
+    const std::uint64_t needed = std::max(old_size_, new_size_);
+    if (arena.is_borrowed()) {
+      slab_.resize_for_overwrite(needed);
+    } else {
+      arena.reserve(needed);
+    }
+  }
+
+  /// Pass 1, left to right: compacts every row to the elements
+  /// keep(row, element) accepts. Pass 2, right to left: merges
+  /// inserted(row) — a span sorted under `less`, as the row's survivors
+  /// are — into the row's final offsets. Each row ends at or right of
+  /// where pass 1 left it and rows are finished from the right, so pass 2
+  /// never overwrites a survivor it has yet to move.
+  template <typename Keep, typename Inserted, typename Less>
+  void apply(const Keep& keep, const Inserted& inserted,
+             const Less& less) {
+    const bool borrowed = arena_.is_borrowed();
+    const T* src = nullptr;
+    T* dst = nullptr;
+    if (borrowed) {
+      src = std::as_const(arena_).data();  // the mapping
+      dst = slab_.data();
+    } else {
+      arena_.resize_for_overwrite(std::max(old_size_, new_size_));
+      dst = arena_.data();
+      src = dst;
+    }
+
+    // Reading a borrowed arena out of its mapping, pass 1 lets go of each
+    // copied megabyte (drop_pages is a no-op on an owned arena), so the
+    // mapping and the new slab are never both resident in full.
+    constexpr std::uint64_t kDropSpan = (std::uint64_t{1} << 20) / sizeof(T);
+    std::uint64_t dropped_to = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t out = 0;
+    for (std::uint64_t r = 0; r < rows_; ++r) {
+      const std::uint64_t end = offsets_[r + 1];
+      for (std::uint64_t i = begin; i < end; ++i) {
+        if (keep(r, src[i])) dst[out++] = src[i];
+      }
+      offsets_[r + 1] = out;  // compacted end of row r
+      begin = end;
+      if (end - dropped_to >= kDropSpan) {
+        arena_.drop_pages(dropped_to, end);
+        dropped_to = end;
+      }
+    }
+    arena_.drop_pages(dropped_to, old_size_);
+
+    std::uint64_t remaining = inserted_;
+    for (std::uint64_t r = rows_; r-- > 0 && remaining > 0;) {
+      const std::uint64_t kept_begin = offsets_[r];
+      const std::uint64_t kept_end = offsets_[r + 1];
+      const std::span<const T> add = inserted(r);
+      const std::uint64_t final_end = kept_end + remaining;
+      remaining -= add.size();
+      offsets_[r + 1] = final_end;
+      T* out_it = dst + final_end;
+      const T* kept_it = dst + kept_end;
+      const T* add_it = add.data() + add.size();
+      while (add_it != add.data()) {
+        if (kept_it != dst + kept_begin && less(add_it[-1], kept_it[-1])) {
+          *--out_it = *--kept_it;
+        } else {
+          *--out_it = *--add_it;
+        }
+      }
+      const std::size_t survivors =
+          static_cast<std::size_t>(kept_it - (dst + kept_begin));
+      if (out_it != kept_it && survivors > 0) {
+        std::memmove(static_cast<void*>(out_it - survivors),
+                     static_cast<const void*>(dst + kept_begin),
+                     survivors * sizeof(T));
+      }
+    }
+
+    if (borrowed) {
+      slab_.resize(new_size_);
+      arena_ = std::move(slab_);
+    } else {
+      arena_.resize(new_size_);
+    }
+  }
+
+ private:
+  std::uint64_t* offsets_;
+  std::uint64_t rows_;
+  ArenaVector<T>& arena_;
+  std::uint64_t old_size_;
+  std::uint64_t new_size_;
+  std::uint64_t inserted_;
+  ArenaVector<T> slab_;  // the owned target of a borrowed arena
+};
 
 }  // namespace
 
@@ -728,7 +846,6 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     ++repairs_;  // future samples may differ: stale stagers must not commit
     return stats;
   }
-  ensure_mutable();
 
   // Affected = samples touching a changed in-adjacency head (their walk
   // examined that node's in-edges — see the header's identification rule)
@@ -797,7 +914,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   }
 
   // Flatten the parts (contiguous runs of repair order, so concatenation
-  // IS repair order) into per-repaired-sample views for the splice.
+  // IS repair order) into per-repaired-sample views for the patches.
   std::vector<const std::pair<NodeId, std::uint64_t>*> repaired_data(count);
   std::vector<const RicSampleMeta*> repaired_meta(count);
   {
@@ -813,59 +930,103 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     }
   }
 
-  // Serial splice into a fresh sample-major arena: bulk-copy each
-  // unaffected run, drop in the regenerated touches at the affected ids,
-  // and overwrite the repaired samples' SoA metadata in place.
-  const std::span<const std::uint64_t> old_offsets = sample_offsets_.span();
-  const std::span<const std::pair<NodeId, std::uint64_t>> old_arena =
-      sample_arena_.span();
-  std::uint64_t new_pairs = old_arena.size();
-  for (std::uint64_t j = 0; j < count; ++j) {
-    const std::uint64_t r = repair_ids[j];
-    new_pairs += repaired_meta[j]->touch_count -
-                 (old_offsets[r + 1] - old_offsets[r]);
+  // Every repaired sample's old pairs leave both arenas (each pair is one
+  // CSR touch) and its regenerated pairs arrive in both.
+  std::uint64_t dropped = 0;
+  std::uint64_t inserted = 0;
+  {
+    const std::span<const std::uint64_t> offsets = sample_offsets_.span();
+    for (std::uint64_t j = 0; j < count; ++j) {
+      dropped += offsets[repair_ids[j] + 1] - offsets[repair_ids[j]];
+      inserted += repaired_meta[j]->touch_count;
+    }
   }
-  ArenaVector<std::uint64_t> new_offsets;
-  new_offsets.reserve(stats.total + 1);
-  new_offsets.push_back(0);
-  ArenaVector<std::pair<NodeId, std::uint64_t>> new_arena;
-  new_arena.reserve(new_pairs);
-  std::uint64_t run_begin = 0;
-  for (std::uint64_t j = 0; j <= count; ++j) {
-    const std::uint64_t run_end = j < count ? repair_ids[j] : stats.total;
-    if (run_end > run_begin) {
-      new_arena.append(
-          old_arena.data() + old_offsets[run_begin],
-          old_arena.data() + old_offsets[run_end]);
-      for (std::uint64_t g = run_begin; g < run_end; ++g) {
-        new_offsets.push_back(new_offsets.back() +
-                              (old_offsets[g + 1] - old_offsets[g]));
+
+  // Everything that allocates happens here, before the first write into
+  // the pool: a throw up to this point leaves the pool as it was (the
+  // ensure_owned copies only change where identical bytes live).
+  thresholds_.ensure_owned();
+  source_community_.ensure_owned();
+  community_frequency_.ensure_owned();
+  RowPatch<std::pair<NodeId, std::uint64_t>> sample_patch(
+      sample_offsets_, sample_arena_, dropped, inserted);
+  RowPatch<Touch> index_patch(touch_offsets_, touches_, dropped, inserted);
+  const NodeId n = graph_->node_count();
+  std::vector<std::uint64_t> fresh_offsets(n + 1, 0);
+  std::vector<std::uint64_t> fresh_cursor(n, 0);
+  std::vector<Touch> fresh_touches(inserted);
+
+  // From here on nothing throws. The two arenas' patches are independent,
+  // so one runs on a worker while the calling thread runs the other.
+  const auto patch_samples = [&] {
+    // A row is either kept whole or replaced whole, so the helper's merge
+    // never compares two pairs.
+    sample_patch.apply(
+        [&](std::uint64_t g, const std::pair<NodeId, std::uint64_t>&) {
+          return affected[g] == 0;
+        },
+        [&](std::uint64_t g) -> std::span<const std::pair<NodeId,
+                                                          std::uint64_t>> {
+          if (affected[g] == 0) return {};
+          const std::uint64_t j = static_cast<std::uint64_t>(
+              std::lower_bound(repair_ids.begin(), repair_ids.end(), g) -
+              repair_ids.begin());
+          return {repaired_data[j], repaired_meta[j]->touch_count};
+        },
+        [](const std::pair<NodeId, std::uint64_t>& a,
+           const std::pair<NodeId, std::uint64_t>& b) {
+          return a.first < b.first;
+        });
+    for (std::uint64_t j = 0; j < count; ++j) {
+      thresholds_[repair_ids[j]] = repaired_meta[j]->threshold;
+      source_community_[repair_ids[j]] = repaired_meta[j]->community;
+    }
+  };
+  const auto patch_index = [&] {
+    // Bucket the regenerated touches by node straight from the part
+    // arenas. Repair order is ascending sample id, so every bucket comes
+    // out sorted, as the CSR rows are.
+    for (std::uint64_t j = 0; j < count; ++j) {
+      for (std::uint64_t i = 0; i < repaired_meta[j]->touch_count; ++i) {
+        ++fresh_offsets[repaired_data[j][i].first + 1];
       }
     }
-    if (j == count) break;
-    const RicSampleMeta& meta = *repaired_meta[j];
-    new_arena.append(repaired_data[j], repaired_data[j] + meta.touch_count);
-    new_offsets.push_back(new_offsets.back() + meta.touch_count);
-    thresholds_[run_end] = meta.threshold;
-    source_community_[run_end] = meta.community;
-    run_begin = run_end + 1;
+    for (NodeId v = 0; v < n; ++v) {
+      fresh_offsets[v + 1] += fresh_offsets[v];
+      fresh_cursor[v] = fresh_offsets[v];
+    }
+    for (std::uint64_t j = 0; j < count; ++j) {
+      const RicSampleMeta& meta = *repaired_meta[j];
+      for (std::uint64_t i = 0; i < meta.touch_count; ++i) {
+        const auto& [node, mask] = repaired_data[j][i];
+        fresh_touches[fresh_cursor[node]++] =
+            Touch{repair_ids[j], meta.threshold, mask};
+      }
+    }
+    index_patch.apply(
+        [&](std::uint64_t, const Touch& touch) {
+          return affected[touch.sample] == 0;
+        },
+        [&](std::uint64_t v) -> std::span<const Touch> {
+          return {fresh_touches.data() + fresh_offsets[v],
+                  fresh_offsets[v + 1] - fresh_offsets[v]};
+        },
+        [](const Touch& a, const Touch& b) { return a.sample < b.sample; });
+  };
+  if (pool == nullptr) {
+    patch_samples();
+    patch_index();
+  } else {
+    std::future<void> index_lane = pool->submit(patch_index);
+    patch_samples();
+    help_wait(*pool, index_lane);
   }
-  sample_offsets_ = std::move(new_offsets);
-  sample_arena_ = std::move(new_arena);
 
   // Counters recomputed from the repaired metadata, never drifted.
   community_frequency_.assign(communities_->size(), 0);
   for (const CommunityId c : source_community_.span()) {
     ++community_frequency_[c];
   }
-
-  // Full CSR rebuild through the regular two-pass merge: with a zeroed
-  // offset table and an empty arena, merging [0, size()) is exactly the
-  // fresh-build path — byte-identical for any chunk count.
-  touch_offsets_.assign(graph_->node_count() + 1, 0);
-  touches_ = ArenaVector<Touch>();
-  indexed_samples_ = 0;
-  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
 
   ++repairs_;
   return stats;

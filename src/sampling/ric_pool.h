@@ -18,6 +18,7 @@
 // `commit_staged()`, `append()`) merges its fresh samples with a two-pass
 // build (per-chunk count, exclusive prefix-sum, parallel scatter) before
 // returning, so the index is never stale and const readers never write.
+// A delta repair instead patches both arenas in place (DESIGN.md §16).
 #pragma once
 
 #include <cassert>
@@ -179,16 +180,23 @@ class RicPool {
   /// repaired pool is BIT-IDENTICAL to a from-scratch rebuild on the
   /// mutated structures with the same seed — `seed` must therefore be the
   /// same base seed every grow() of this pool used (the engine's
-  /// config_.seed discipline). Metadata (thresholds, source communities),
-  /// the community_frequency counters and the CSR index are rebuilt, not
-  /// drifted. Bumps PoolEpoch::repairs when any sample was regenerated OR
-  /// any future sample could differ (i.e. whenever `effects` is
-  /// non-empty), invalidating warm-start carriers and staged arenas.
-  /// Returns how many samples were repaired. Not safe to run concurrently
-  /// with readers or stagers of this pool. Throws std::invalid_argument
-  /// (pool untouched) when the mutated structures violate sampling
-  /// invariants — community population > 64 members, LT in-weight sums
-  /// > 1.
+  /// config_.seed discipline). Both arenas are patched in place, with one
+  /// two-pass row patch each: pass 1 compacts out the repaired samples'
+  /// pairs (sample-major) and every touch of a repaired sample (CSR), pass
+  /// 2 merges the regenerated ones in at their final offsets, in sample-id
+  /// order within each CSR row — the same bytes a rebuild produces. With
+  /// a thread pool the two patches run side by side, one on a worker and
+  /// one on the calling thread. Every allocation (including the owned
+  /// slab a borrowed, attached arena is patched into) happens before the
+  /// first write, so nothing throws once the pool is being rewritten. The
+  /// community_frequency counters are recounted, not drifted. Bumps
+  /// PoolEpoch::repairs when any sample was regenerated OR any future
+  /// sample could differ (i.e. whenever `effects` is non-empty),
+  /// invalidating warm-start carriers and staged arenas. Returns how many
+  /// samples were repaired. Not safe to run concurrently with readers or
+  /// stagers of this pool. Throws std::invalid_argument (pool untouched)
+  /// when the mutated structures violate sampling invariants — community
+  /// population > kMaxCommunityPopulation, LT in-weight sums > 1.
   RepairStats invalidate_and_repair(const DeltaEffects& effects,
                                     std::uint64_t seed, bool parallel = true,
                                     ThreadPool* workers = nullptr);
@@ -387,11 +395,13 @@ class RicPool {
   void register_metadata(CommunityId community, std::uint32_t threshold,
                          std::uint64_t touch_count);
 
-  /// Copy-on-write gate for attached pools: the first mutation after a
+  /// Copy-on-write gate for attached pools: the first growth after a
   /// zero-copy snapshot attach materializes the borrowed sample-side
   /// arenas into owned storage (one O(pool) copy, then never again). The
   /// CSR arenas are replaced wholesale by the next index merge, so they
-  /// need no eager copy. No-op for pools that own their arenas.
+  /// need no eager copy. A delta repair skips this gate: its patch reads
+  /// the borrowed arenas and writes owned slabs in the same pass. No-op
+  /// for pools that own their arenas.
   void ensure_mutable();
 
   /// Merges samples [indexed_samples_, size()) into the CSR via the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "diffusion/lt_model.h"
 #include "util/mmap_arena.h"
@@ -41,8 +42,9 @@ RicSampler::RicSampler(const Graph& graph, const CommunitySet& communities,
   for (CommunityId c = 0; c < communities.size(); ++c) {
     if (communities.population(c) > kMaxCommunityPopulation) {
       throw std::invalid_argument(
-          "RicSampler: community population exceeds 64 (mask width); "
-          "split communities first (community/size_cap.h)");
+          "RicSampler: community population exceeds " +
+          std::to_string(kMaxCommunityPopulation) +
+          " (mask width); split communities first (community/size_cap.h)");
     }
   }
   rho_ = DiscreteDistribution(communities.benefits());

@@ -40,9 +40,6 @@
 
 namespace imc {
 
-/// Maximum community population supported by the mask representation.
-inline constexpr std::uint32_t kMaxCommunityPopulation = 64;
-
 /// Version of the sampler's RNG-consumption contract. The determinism unit
 /// is unchanged — one substream per global sample index, derived as
 /// splitmix_of(seed, base + i) — but the number of draws consumed PER

@@ -886,19 +886,22 @@ GraphDelta random_delta(const Graph& graph, const CommunitySet& communities,
   return delta;
 }
 
-/// Random delta streams interleaved with solves: three live pools repaired
-/// at threads {1, 2, 8} must each stay bit-identical to a from-scratch
-/// rebuild on the mutated structures — arenas, counters AND the CSR index
-/// — and UBG/MAF selections on the repaired pools must match the rebuilt
-/// pool seed-for-seed, ĉ- and ν-exactly, at every parallelism level. This
-/// is the differential certificate behind RicPool::invalidate_and_repair
-/// (DESIGN.md §16).
+/// Random delta streams interleaved with solves: live pools repaired
+/// serially and on pools of {1, 2, 8} workers must each stay bit-identical
+/// to a from-scratch rebuild on the mutated structures — arenas, counters
+/// AND the CSR index — after every one of three rounds, so in-place
+/// patches stack on earlier patches. UBG/MAF selections on the repaired
+/// pools must match the rebuilt pool seed-for-seed, ĉ- and ν-exactly, at
+/// every parallelism level. One worker is the caller-plus-worker
+/// configuration the benchmarks run. This is the differential certificate
+/// behind RicPool::invalidate_and_repair (DESIGN.md §16).
 std::optional<std::string> check_delta_vs_rebuild(const InstanceSpec& spec,
                                                   std::uint64_t case_seed) {
   Graph graph = spec.build_graph();
   CommunitySet communities = spec.build_communities();
   const std::uint64_t count = pool_size_for(case_seed);
 
+  ThreadPool one(1);
   ThreadPool two(2);
   ThreadPool eight(8);
   struct Leg {
@@ -909,7 +912,10 @@ std::optional<std::string> check_delta_vs_rebuild(const InstanceSpec& spec,
     RicPool pool;
   };
   Leg legs[] = {
-      {"threads=1", false, nullptr, GreedyOptions{},
+      {"serial", false, nullptr, GreedyOptions{},
+       RicPool(graph, communities, spec.model)},
+      {"threads=1", true, &one,
+       GreedyOptions{/*parallel=*/true, &one, /*min_parallel_candidates=*/1},
        RicPool(graph, communities, spec.model)},
       {"threads=2", true, &two,
        GreedyOptions{/*parallel=*/true, &two, /*min_parallel_candidates=*/1},
@@ -926,22 +932,22 @@ std::optional<std::string> check_delta_vs_rebuild(const InstanceSpec& spec,
   Rng rng(case_seed ^ 0xde17a5ULL);
   const auto k = static_cast<std::uint32_t>(
       rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-  for (int round = 0; round < 2; ++round) {
+  for (int round = 0; round < 3; ++round) {
     const std::string at = " (round " + std::to_string(round + 1) + ")";
     const GraphDelta delta = random_delta(graph, communities, rng);
     const DeltaEffects effects = apply_delta(graph, communities, delta);
 
-    std::uint64_t repaired[3];
-    for (std::size_t i = 0; i < 3; ++i) {
-      repaired[i] = legs[i]
-                        .pool
-                        .invalidate_and_repair(effects, case_seed,
-                                               legs[i].parallel,
-                                               legs[i].workers)
-                        .repaired;
-    }
-    if (repaired[1] != repaired[0] || repaired[2] != repaired[0]) {
-      return "repair count diverged across thread counts" + at;
+    std::optional<std::uint64_t> repaired;
+    for (Leg& leg : legs) {
+      const std::uint64_t count =
+          leg.pool
+              .invalidate_and_repair(effects, case_seed, leg.parallel,
+                                     leg.workers)
+              .repaired;
+      if (repaired && *repaired != count) {
+        return "repair count diverged across thread counts" + at;
+      }
+      repaired = count;
     }
 
     RicPool rebuilt(graph, communities, spec.model);

@@ -24,8 +24,9 @@
 //                     seed-for-seed equality.
 //   * delta_vs_rebuild — random GraphDelta streams (edge upserts/removals
 //                     and membership moves) interleaved with solves: pools
-//                     repaired in place at threads {1, 2, 8} vs a
-//                     from-scratch rebuild on the mutated structures,
+//                     repaired in place serially and on {1, 2, 8} workers,
+//                     three stacked rounds, vs a from-scratch rebuild on
+//                     the mutated structures,
 //                     compared bit-for-bit (arenas, counters, CSR index)
 //                     plus UBG/MAF seed/ĉ/ν equality (DESIGN.md §16).
 //   * sampler_distribution — on enumerably small instances, the naive

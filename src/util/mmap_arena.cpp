@@ -1,6 +1,7 @@
 #include "util/mmap_arena.h"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -17,6 +18,18 @@ namespace detail {
 void throw_bad_arena_alloc(std::size_t bytes) {
   throw std::runtime_error("mmap_arena: allocation of " +
                            std::to_string(bytes) + " bytes failed");
+}
+
+void drop_mapped_pages(const void* begin, const void* end) noexcept {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t first =
+      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
+  const std::uintptr_t last =
+      reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
+  if (last > first) {
+    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                    MADV_DONTNEED);
+  }
 }
 
 void* aligned_slab(std::size_t bytes) {

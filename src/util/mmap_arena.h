@@ -70,6 +70,10 @@ namespace detail {
 template <typename T>
 inline constexpr bool kArenaSafe = std::is_trivially_copy_constructible_v<T> &&
                                    std::is_trivially_destructible_v<T>;
+
+/// Drops the whole pages inside [begin, end) of a read-only file mapping
+/// from the resident set (madvise MADV_DONTNEED). Best effort.
+void drop_mapped_pages(const void* begin, const void* end) noexcept;
 }  // namespace detail
 
 template <typename T>
@@ -160,6 +164,14 @@ class ArenaVector {
     size_ = count;
   }
 
+  /// resize() without the fill: elements past the old size are left
+  /// uninitialised for the caller to overwrite. Shrinking never allocates.
+  void resize_for_overwrite(std::size_t count) {
+    ensure_owned();
+    if (count > capacity_) grow_capacity(count);
+    size_ = count;
+  }
+
   void assign(std::size_t count, const T& value) {
     ensure_owned();
     size_ = 0;
@@ -194,6 +206,14 @@ class ArenaVector {
                   static_cast<const void*>(first), count * sizeof(T));
     }
     size_ += count;
+  }
+
+  /// Residency hint for a streaming reader of a borrowed view that is done
+  /// with elements [first, last): their whole pages leave the resident
+  /// set. The view stays valid — a later read refaults the unchanged bytes
+  /// from the file. No-op for owned vectors.
+  void drop_pages(std::size_t first, std::size_t last) const noexcept {
+    if (borrowed_) detail::drop_mapped_pages(data_ + first, data_ + last);
   }
 
   /// Copy-on-write materialization: after this call the contents live in

@@ -1,20 +1,26 @@
 // GraphDelta streaming updates (DESIGN.md §16): apply_edge_updates against
 // a from-scratch rebuild, community membership moves, batch validation
-// (strong guarantee) and the replay-file parser.
+// (strong guarantee, including the sampler's member cap) and the
+// replay-file parser.
 #include "graph/delta.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
+#include "core/ubg.h"
 #include "graph/builder.h"
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
 #include "graph/weights.h"
+#include "sampling/pool_equality.h"
+#include "sampling/ric_pool.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -186,6 +192,52 @@ TEST(GraphDelta, ApplyDeltaIsAtomicAcrossTheBatch) {
                std::invalid_argument);
   EXPECT_EQ(graph.fingerprint(), graph_before);
   EXPECT_EQ(communities.fingerprint(), comm_before);
+}
+
+TEST(GraphDelta, OverCapMoveIsRejectedBeforeAnythingMutates) {
+  // Community 0 sits one member below the sampler's cap. The batch's first
+  // move fills it, the second would push it past the cap: the simulation
+  // must reject the whole batch before the edge update or either move
+  // mutates anything, so an engine over these structures keeps a pool that
+  // still matches them.
+  constexpr NodeId kNodes = kMaxCommunityPopulation + 16;
+  Graph graph = random_graph(5, kNodes);
+  std::vector<NodeId> nearly_full(kMaxCommunityPopulation - 1);
+  std::iota(nearly_full.begin(), nearly_full.end(), 0);
+  std::vector<NodeId> rest(kNodes - nearly_full.size());
+  std::iota(rest.begin(), rest.end(), kMaxCommunityPopulation - 1);
+  CommunitySet communities(kNodes, {nearly_full, rest});
+
+  ImcafConfig config;
+  config.max_samples = 400;
+  config.seed = 7;
+  config.parallel_sampling = false;
+  ImcEngine engine(graph, communities, config);
+  (void)engine.solve(2, UbgSolver{});
+  const RicPool::PoolEpoch epoch = engine.pool().grow_epoch();
+  const std::uint64_t graph_before = graph.fingerprint();
+  const std::uint64_t comm_before = communities.fingerprint();
+
+  GraphDelta delta;
+  delta.upsert_edge(0, kNodes - 1, 0.25)
+      .move_member(kNodes - 1, 0)
+      .move_member(kNodes - 2, 0);
+  EXPECT_THROW((void)apply_delta(graph, communities, delta),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.apply_delta(graph, communities, delta),
+               std::invalid_argument);
+  EXPECT_EQ(graph.fingerprint(), graph_before);
+  EXPECT_EQ(communities.fingerprint(), comm_before);
+  EXPECT_EQ(engine.pool().grow_epoch(), epoch);
+  RicPool rebuilt(graph, communities);
+  rebuilt.grow(engine.pool().size(), config.seed, /*parallel=*/false);
+  test::expect_same_pool(engine.pool(), rebuilt);
+
+  // Filling the community exactly to the cap is still allowed.
+  GraphDelta fill;
+  fill.move_member(kNodes - 1, 0);
+  (void)engine.apply_delta(graph, communities, fill);
+  EXPECT_EQ(communities.population(0), kMaxCommunityPopulation);
 }
 
 TEST(GraphDelta, ApplyDeltaReportsSortedUniqueEffects) {

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,6 +53,30 @@ CommunitySet make_communities(NodeId nodes = 120, std::uint32_t h = 2) {
 
 constexpr std::uint64_t kSeed = 2024;
 constexpr std::uint64_t kPoolSize = 1200;
+
+std::string temp_snapshot(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("imc_repair_" + name + "." + std::to_string(::getpid()) + ".snap"))
+      .string();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Repairs `pool` for `delta` (applied to the structures first) and checks
+/// it against a from-scratch rebuild of the same size.
+void repair_and_compare(Graph& graph, CommunitySet& communities,
+                        RicPool& pool, const GraphDelta& delta,
+                        ThreadPool* workers = nullptr) {
+  const DeltaEffects effects = apply_delta(graph, communities, delta);
+  (void)pool.invalidate_and_repair(effects, kSeed, workers != nullptr,
+                                   workers);
+  RicPool rebuilt(graph, communities);
+  rebuilt.grow(pool.size(), kSeed, /*parallel=*/false);
+  test::expect_same_pool(pool, rebuilt);
+}
 
 TEST(PoolRepair, EdgeDeltaRepairEqualsRebuild) {
   Graph graph = make_graph();
@@ -95,7 +123,9 @@ TEST(PoolRepair, MembershipMoveRepairEqualsRebuild) {
 }
 
 TEST(PoolRepair, ParallelRepairMatchesSerialAndRebuild) {
-  for (const unsigned threads : {2U, 8U}) {
+  // One worker is the caller-plus-worker configuration: the two arena
+  // patches then run on different threads.
+  for (const unsigned threads : {1U, 2U, 8U}) {
     Graph graph = make_graph();
     CommunitySet communities = make_communities();
     ThreadPool workers(threads);
@@ -256,6 +286,152 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
   EXPECT_EQ(reloaded.samples_since(repaired), 0U);
   test::expect_same_pool(pool, reloaded);
   std::filesystem::remove(path);
+}
+
+TEST(PoolRepair, AttachedPoolRepairEqualsRebuildAndLeavesTheFileAlone) {
+  // The first repair after an attach reads both big arenas out of the
+  // mapping and writes owned slabs; the snapshot file must not change.
+  for (const SnapshotTrust trust :
+       {SnapshotTrust::kVerifyPayload, SnapshotTrust::kTrustPayload}) {
+    for (const unsigned threads : {0U, 1U}) {
+      Graph graph = make_graph();
+      CommunitySet communities = make_communities();
+      const std::string path = temp_snapshot(
+          "attached_" + std::to_string(static_cast<int>(trust)) + "_" +
+          std::to_string(threads));
+      {
+        RicPool pool(graph, communities);
+        pool.grow(kPoolSize, kSeed, /*parallel=*/false);
+        save_ric_pool_snapshot(path, pool);
+      }
+      const std::string before = file_bytes(path);
+      RicPool attached =
+          attach_ric_pool_snapshot(path, graph, communities, trust);
+      ASSERT_TRUE(attached.attached());
+
+      std::unique_ptr<ThreadPool> workers;
+      if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+      GraphDelta delta;
+      delta.upsert_edge(0, 57, 0.4).remove_edge(1, 0).move_member(19, 1);
+      repair_and_compare(graph, communities, attached, delta,
+                         workers.get());
+      EXPECT_FALSE(attached.attached());
+      EXPECT_EQ(file_bytes(path), before);
+      std::filesystem::remove(path);
+    }
+  }
+}
+
+TEST(PoolRepair, DeltaThenInverseRestoresThePoolByteForByte) {
+  Graph graph = make_graph();
+  CommunitySet communities = make_communities();
+  RicPool original(graph, communities);
+  original.grow(kPoolSize, kSeed, /*parallel=*/false);
+  ThreadPool workers(1);
+  RicPool pool(graph, communities);
+  pool.grow(kPoolSize, kSeed, /*parallel=*/true, &workers);
+  const std::uint64_t graph_before = graph.fingerprint();
+
+  // Moving a community's last member out and back restores its member
+  // order, and with it the mask-bit layout.
+  const Neighbor removed = graph.in_neighbors(30)[0];
+  const NodeId mover = communities.members(2).back();
+  GraphDelta forward;
+  forward.upsert_edge(5, 90, 0.7)
+      .remove_edge(removed.node, 30)
+      .move_member(mover, 4);
+  GraphDelta inverse;
+  inverse.remove_edge(5, 90)
+      .upsert_edge(removed.node, 30, static_cast<double>(removed.weight))
+      .move_member(mover, 2);
+  ASSERT_FALSE(graph.has_edge(5, 90));
+
+  repair_and_compare(graph, communities, pool, forward, &workers);
+  repair_and_compare(graph, communities, pool, inverse, &workers);
+  ASSERT_EQ(graph.fingerprint(), graph_before);
+  test::expect_same_pool(pool, original);
+}
+
+TEST(PoolRepair, RepairsThatGrowAndShrinkTheArenasEqualRebuild) {
+  // Cutting every in-edge of the busiest nodes shortens the walks through
+  // them: the repaired samples shrink both arenas overall. Restoring the
+  // edges at full weight makes them longer than before: both arenas grow
+  // past their original size — here past their capacity too, so both
+  // reallocate before the patch (the small deltas above grow the arenas
+  // within it).
+  Graph graph = make_graph();
+  CommunitySet communities = make_communities();
+  RicPool pool(graph, communities);
+  pool.grow(kPoolSize, kSeed, /*parallel=*/false);
+  const std::uint64_t original_pairs = pool.sample_arena().size();
+
+  std::vector<NodeId> hubs(graph.node_count());
+  for (NodeId v = 0; v < graph.node_count(); ++v) hubs[v] = v;
+  std::sort(hubs.begin(), hubs.end(), [&](NodeId a, NodeId b) {
+    return pool.appearance_count(a) > pool.appearance_count(b);
+  });
+  hubs.resize(4);
+  GraphDelta cut;
+  GraphDelta restore;
+  for (const NodeId hub : hubs) {
+    for (const Neighbor& in : graph.in_neighbors(hub)) {
+      cut.remove_edge(in.node, hub);
+      restore.upsert_edge(in.node, hub, 1.0);
+    }
+  }
+
+  repair_and_compare(graph, communities, pool, cut);
+  EXPECT_LT(pool.sample_arena().size(), original_pairs);
+  EXPECT_EQ(pool.touch_arena().size(), pool.sample_arena().size());
+  repair_and_compare(graph, communities, pool, restore);
+  EXPECT_GT(pool.sample_arena().size(), original_pairs);
+  EXPECT_EQ(pool.touch_arena().size(), pool.sample_arena().size());
+}
+
+TEST(PoolRepair, RepairOfTheFirstAndLastSamplesEqualsRebuild) {
+  // The patch's boundary rows: sample 0 and the last sample in the
+  // sample-major arena, node 0 and the last node in the CSR.
+  Graph graph = make_graph();
+  CommunitySet communities = make_communities();
+  RicPool pool(graph, communities);
+  pool.grow(kPoolSize, kSeed, /*parallel=*/false);
+  const CommunityId first = pool.source_communities().front();
+  const CommunityId last = pool.source_communities().back();
+  const CommunityId other =
+      first == last ? (first + 1) % communities.size() : last;
+
+  const NodeId n = graph.node_count();
+  GraphDelta delta;
+  delta.move_member(communities.members(first).back(), other)
+      .upsert_edge(0, n - 1, 1.0)
+      .upsert_edge(n - 1, 0, 1.0);
+  const DeltaEffects effects = apply_delta(graph, communities, delta);
+  (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
+  RicPool rebuilt(graph, communities);
+  rebuilt.grow(kPoolSize, kSeed, /*parallel=*/false);
+  test::expect_same_pool(pool, rebuilt);
+  EXPECT_GT(pool.appearance_count(0), 0U);
+  EXPECT_GT(pool.appearance_count(n - 1), 0U);
+}
+
+TEST(PoolRepair, GrowAfterRepairEqualsRebuildAtTheLargerSize) {
+  for (const unsigned threads : {0U, 1U, 8U}) {
+    Graph graph = make_graph();
+    CommunitySet communities = make_communities();
+    std::unique_ptr<ThreadPool> workers;
+    if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+    RicPool pool(graph, communities);
+    pool.grow(kPoolSize, kSeed, threads > 0, workers.get());
+
+    GraphDelta delta;
+    delta.upsert_edge(4, 11, 0.6).remove_edge(0, 2).move_member(19, 1);
+    repair_and_compare(graph, communities, pool, delta, workers.get());
+    pool.grow(kPoolSize / 2, kSeed, threads > 0, workers.get());
+
+    RicPool rebuilt(graph, communities);
+    rebuilt.grow(kPoolSize + kPoolSize / 2, kSeed, /*parallel=*/false);
+    test::expect_same_pool(pool, rebuilt);
+  }
 }
 
 TEST(PoolRepair, WarmCarrierFallsBackColdAfterRepair) {

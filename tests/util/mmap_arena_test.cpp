@@ -7,6 +7,7 @@
 #include <fstream>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -182,6 +183,22 @@ TEST(ArenaVector, BorrowedViewMaterializesOnFirstMutation) {
   for (std::uint64_t i = 0; i < 17; ++i) ASSERT_EQ(view[i], i);
   // The keepalive was released with the borrow — nothing pins the mapping.
   EXPECT_TRUE(watcher.expired());
+}
+
+TEST(ArenaVector, DroppedPagesOfABorrowedViewRefaultUnchanged) {
+  // Sixteen pages or more, so whole pages fall inside every dropped range.
+  std::vector<std::uint64_t> values(8192);
+  std::iota(values.begin(), values.end(), 5);
+  ArenaVector<std::uint64_t> view =
+      borrowed_copy_of(values, "imc_arena_drop_pages.bin");
+  view.drop_pages(100, 5000);
+  view.drop_pages(0, values.size());
+  EXPECT_TRUE(view.is_borrowed());
+  const std::span<const std::uint64_t> reread = view.span();
+  ASSERT_EQ(reread.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(reread[i], values[i]) << i;
+  }
 }
 
 TEST(ArenaVector, BorrowedKeepaliveOutlivesTheSourceHandle) {

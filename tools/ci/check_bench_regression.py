@@ -53,6 +53,7 @@ ALLOWLIST = [
     "BM_CelfGreedyNuSelectLarge/0",
     "BM_Louvain",
     "BM_DagumEstimate",
+    "BM_DeltaRepairVsRebuild/0/0",
 ]
 
 # Counters every end-to-end Alg. 5 row must report. The serial-schedule

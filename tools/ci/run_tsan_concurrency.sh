@@ -26,7 +26,9 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # pool readers, then the boundary join + commit_staged — which is exactly
 # the surface TSan must prove clean. The delta label rides along because
 # invalidate_and_repair fans regeneration chunks out over the same thread
-# pool and then merges them into one CSR index rebuild (DESIGN.md §16).
+# pool and then patches the sample-major arena and the CSR index in place
+# side by side, one on a worker and one on the calling thread (DESIGN.md
+# §16).
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
   ctest --test-dir "${build_dir}" -L 'concurrency|engine|delta' \
   --output-on-failure -j "${jobs}"
