@@ -468,6 +468,33 @@ void BM_CelfGreedyNuSelectLarge(benchmark::State& state) {
 BENCHMARK(BM_CelfGreedyNuSelectLarge)->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// UBG (Alg. 2) on the large fixture. Arg 0 runs the two greedies back to
+// back on the calling thread; Arg 1 is ubg_solve on a one-worker pool,
+// the ν branch on the worker beside the caller's ĉ branch (DESIGN.md §5).
+// Same seeds either way. Read the wall time (ns_per_op in the JSON): the
+// caller's CPU time misses the branch that ran on the worker.
+void BM_UbgSolveLarge(benchmark::State& state) {
+  const RicPool& pool = large_pool();
+  const bool lanes = state.range(0) != 0;
+  ThreadPool worker(1);
+  GreedyOptions options;
+  options.pool = &worker;
+  for (auto _ : state) {
+    if (lanes) {
+      benchmark::DoNotOptimize(ubg_solve(pool, 10, options).c_hat);
+    } else {
+      const GreedyResult c_hat = greedy_c_hat(pool, 10);
+      const GreedyResult nu = celf_greedy_nu(pool, 10);
+      benchmark::DoNotOptimize(std::max(c_hat.c_hat, nu.c_hat));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pool.size()));
+  state.counters["pool_size"] = static_cast<double>(pool.size());
+  state.counters["threads"] = lanes ? 1.0 : 0.0;
+}
+BENCHMARK(BM_UbgSolveLarge)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Huge fixture: ≥10⁶ samples (~25x the covered/arena working set of the
 // large fixture — firmly DRAM-resident) on the same full-scale graph. This
 // is the scale where the sharded slab sweep and the SIMD kernels are
@@ -536,7 +563,8 @@ const CommunitySet& ba_hub_communities() {
 }
 
 // End-to-end Alg. 5 runs, arguments {warm_start, threads}. threads == 0 is
-// the serial schedule (pipeline off, no worker pool); threads > 0 runs the
+// the serial schedule (pipeline off, no engine worker pool; UBG's ν lane
+// still runs on default_pool(), DESIGN.md §5); threads > 0 runs the
 // pipelined engine (DESIGN.md §15) with that many workers overlapping each
 // stage's solve/estimate with the next stage's sample generation.
 // Sampling itself stays SERIAL in the rows with 0 or >= 2 threads

@@ -1,11 +1,17 @@
 // Explicitly vectorized marginal-gain kernels for the MAXR selection hot
 // loops (DESIGN.md §14, "Gain kernels & slab sharding").
 //
-// Every greedy/CELF round reduces to one of three sweep primitives:
+// Every greedy/CELF round reduces to one of four sweep primitives:
 //
 //   * accumulate_influenced_gains — sample-major ĉ pass: for each live
 //     (non-saturated) sample, bump gains[v] for every toucher v whose mask
 //     lifts the sample past its threshold (popcount(cov | mask) >= h).
+//   * update_influenced_gains — the ĉ row update after one pick s: for
+//     each live sample whose covered mask s grows (cov -> cov' = cov | m_s),
+//     walk the sample's touchers once and apply the change of their
+//     contribution, [g stays live ∧ popcount(cov' | m_v) >= h] −
+//     [popcount(cov | m_v) >= h]. Lets greedy keep the round-0 row instead
+//     of re-running the pass above every round.
 //   * accumulate_nu_gains — sample-major ν pass: add each touch's
 //     fraction-table delta row[popcount(cov | mask)] - base_g into
 //     gains[v], where base_g is the PRECOMPUTED per-sample base fraction
@@ -14,7 +20,7 @@
 //   * marginal_nu — node-major CSR probe: one node's ν gain, accumulated
 //     left-to-right over its (sample-sorted) touch span.
 //
-// All three are memory/popcount-bound over 64-bit member masks, so this
+// All four are memory/popcount-bound over 64-bit member masks, so this
 // layer provides explicit SIMD variants selected once at runtime:
 //
 //   kScalar  portable baseline — THE reference implementation every other
@@ -92,6 +98,13 @@ struct GainKernelOps {
                                 std::uint64_t* gains) = nullptr;
   void (*accumulate_nu)(const SampleGainView& view, std::uint32_t begin,
                         std::uint32_t end, double* gains) = nullptr;
+  /// `touches` is (a contiguous chunk of) the picked seed's CSR span and
+  /// `view` the coverage BEFORE the seed joins. Adds every affected node's
+  /// change of influenced gain into gains[v] modulo 2^64, so a row that
+  /// starts at zero collects two's-complement signed deltas.
+  void (*update_influenced)(const SampleGainView& view,
+                            const RicPool::Touch* touches,
+                            std::size_t count, std::uint64_t* gains) = nullptr;
   double (*marginal_nu)(const TouchGainView& view,
                         const RicPool::Touch* touches,
                         std::size_t count) = nullptr;

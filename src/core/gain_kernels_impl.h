@@ -122,53 +122,115 @@ template <typename Body>
 
 #endif  // IMC_GK_VECTOR
 
+/// Over one sample's arena run, adds `delta` into gains[v] for every pair
+/// (v, mask) with popcount(hit_cov | mask) >= h and — when kExclude —
+/// popcount(miss_cov | mask) < h. `delta` is 1 or 2^64 - 1 (a decrement).
+/// Node ids within one run are distinct, so the batched loops apply their
+/// lanes' adds unconditionally (0 for misses) instead of branching per hit;
+/// only an all-miss batch is skipped.
+template <bool kExclude>
+[[gnu::always_inline]] inline void add_hits(const ArenaPair* pairs,
+                                            std::size_t count,
+                                            std::uint64_t hit_cov,
+                                            std::uint64_t miss_cov,
+                                            std::uint32_t h,
+                                            std::uint64_t delta,
+                                            std::uint64_t* gains) {
+  std::size_t i = 0;
+#if IMC_GK_VECTOR == 256
+  const __m256i hit_v = _mm256_set1_epi64x(static_cast<long long>(hit_cov));
+  const __m256i miss_v =
+      _mm256_set1_epi64x(static_cast<long long>(miss_cov));
+  // counts >= h  ⇔  counts > h - 1 (both sides fit well inside i64).
+  const __m256i h_minus_1 =
+      _mm256_set1_epi64x(static_cast<long long>(h) - 1);
+  const __m256i delta_v = _mm256_set1_epi64x(static_cast<long long>(delta));
+  alignas(32) std::uint64_t adds[4];
+  for (; i + 4 <= count; i += 4) {
+    const __m256i masks = load_arena_masks_x4(pairs + i);
+    __m256i hits = _mm256_cmpgt_epi64(
+        popcount_epi64_x4(_mm256_or_si256(hit_v, masks)), h_minus_1);
+    if constexpr (kExclude) {
+      hits = _mm256_andnot_si256(
+          _mm256_cmpgt_epi64(
+              popcount_epi64_x4(_mm256_or_si256(miss_v, masks)), h_minus_1),
+          hits);
+    }
+    if (_mm256_testz_si256(hits, hits) != 0) continue;
+    _mm256_store_si256(reinterpret_cast<__m256i*>(adds),
+                       _mm256_and_si256(hits, delta_v));
+    for (unsigned j = 0; j < 4; ++j) gains[pairs[i + j].first] += adds[j];
+  }
+#elif IMC_GK_VECTOR == 512
+  const __m512i hit_v = _mm512_set1_epi64(static_cast<long long>(hit_cov));
+  const __m512i miss_v = _mm512_set1_epi64(static_cast<long long>(miss_cov));
+  const __m512i h_v = _mm512_set1_epi64(static_cast<long long>(h));
+  const __m512i delta_v = _mm512_set1_epi64(static_cast<long long>(delta));
+  alignas(64) std::uint64_t adds[8];
+  for (; i + 8 <= count; i += 8) {
+    const __m512i masks = load_arena_masks_x8(pairs + i);
+    __mmask8 hits = _mm512_cmpge_epu64_mask(
+        _mm512_popcnt_epi64(_mm512_or_si512(hit_v, masks)), h_v);
+    if constexpr (kExclude) {
+      hits &= _mm512_cmplt_epu64_mask(
+          _mm512_popcnt_epi64(_mm512_or_si512(miss_v, masks)), h_v);
+    }
+    if (hits == 0) continue;
+    _mm512_store_si512(adds, _mm512_maskz_mov_epi64(hits, delta_v));
+    for (unsigned j = 0; j < 8; ++j) gains[pairs[i + j].first] += adds[j];
+  }
+#endif
+  for (; i < count; ++i) {
+    bool hit = static_cast<std::uint32_t>(
+                   popcount64(hit_cov | pairs[i].second)) >= h;
+    if constexpr (kExclude) {
+      hit = hit && static_cast<std::uint32_t>(
+                       popcount64(miss_cov | pairs[i].second)) < h;
+    }
+    gains[pairs[i].first] += delta & (0 - static_cast<std::uint64_t>(hit));
+  }
+}
+
 void accumulate_influenced(const SampleGainView& view, std::uint32_t begin,
                            std::uint32_t end, std::uint64_t* gains) {
   for_each_live_sample(view.saturated, begin, end, [&](std::uint32_t g) {
+    const std::uint64_t first = view.sample_offsets[g];
+    add_hits<false>(view.sample_arena + first,
+                    static_cast<std::size_t>(view.sample_offsets[g + 1] -
+                                             first),
+                    view.covered[g], 0, view.thresholds[g], 1, gains);
+  });
+}
+
+void update_influenced(const SampleGainView& view,
+                       const RicPool::Touch* touches, std::size_t count,
+                       std::uint64_t* gains) {
+  for (std::size_t t = 0; t < count; ++t) {
+    if (t + kCoveredPrefetchDistance < count) {
+      prefetch_read(
+          &view.covered[touches[t + kCoveredPrefetchDistance].sample]);
+    }
+    const RicPool::Touch& touch = touches[t];
+    const std::uint32_t g = touch.sample;
+    if ((view.saturated[g >> 6] >> (g & 63)) & 1ULL) continue;  // dead
     const std::uint64_t cov = view.covered[g];
-    const std::uint32_t h = view.thresholds[g];
+    const std::uint64_t after = cov | touch.mask;
+    if (after == cov) continue;  // the pick reaches no new member here
+    const std::uint32_t h = touch.threshold;
     const std::uint64_t first = view.sample_offsets[g];
     const ArenaPair* pairs = view.sample_arena + first;
-    const std::size_t count =
+    const auto size =
         static_cast<std::size_t>(view.sample_offsets[g + 1] - first);
-    std::size_t i = 0;
-#if IMC_GK_VECTOR == 256
-    const __m256i cov_v = _mm256_set1_epi64x(static_cast<long long>(cov));
-    const __m256i h_minus_1 =
-        _mm256_set1_epi64x(static_cast<long long>(h) - 1);
-    for (; i + 4 <= count; i += 4) {
-      const __m256i counts = popcount_epi64_x4(
-          _mm256_or_si256(cov_v, load_arena_masks_x4(pairs + i)));
-      // counts >= h  ⇔  counts > h - 1 (both sides fit well inside i64).
-      unsigned hits = static_cast<unsigned>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(counts, h_minus_1))));
-      while (hits != 0) {
-        const unsigned j = static_cast<unsigned>(__builtin_ctz(hits));
-        hits &= hits - 1;
-        ++gains[pairs[i + j].first];
-      }
+    if (static_cast<std::uint32_t>(popcount64(after)) >= h) {
+      // g becomes influenced: every toucher that would have lifted it
+      // loses it (the pick included — its own gain ends at zero).
+      add_hits<false>(pairs, size, cov, 0, h, ~std::uint64_t{0}, gains);
+    } else {
+      // g stays live but nearer its threshold: touchers that lift it from
+      // cov' but not from cov gain it; cov' ⊇ cov, so none loses it.
+      add_hits<true>(pairs, size, after, cov, h, 1, gains);
     }
-#elif IMC_GK_VECTOR == 512
-    const __m512i cov_v = _mm512_set1_epi64(static_cast<long long>(cov));
-    const __m512i h_v = _mm512_set1_epi64(static_cast<long long>(h));
-    for (; i + 8 <= count; i += 8) {
-      const __m512i counts = _mm512_popcnt_epi64(
-          _mm512_or_si512(cov_v, load_arena_masks_x8(pairs + i)));
-      unsigned hits = _mm512_cmpge_epu64_mask(counts, h_v);
-      while (hits != 0) {
-        const unsigned j = static_cast<unsigned>(__builtin_ctz(hits));
-        hits &= hits - 1;
-        ++gains[pairs[i + j].first];
-      }
-    }
-#endif
-    for (; i < count; ++i) {
-      if (static_cast<std::uint32_t>(popcount64(cov | pairs[i].second)) >=
-          h) {
-        ++gains[pairs[i].first];
-      }
-    }
-  });
+  }
 }
 
 void accumulate_nu(const SampleGainView& view, std::uint32_t begin,
@@ -298,9 +360,9 @@ double marginal_nu(const TouchGainView& view,
 }  // namespace
 
 const GainKernelOps& ops() {
-  static const GainKernelOps kOps{IMC_GK_KIND, IMC_GK_NAME,
+  static const GainKernelOps kOps{IMC_GK_KIND,        IMC_GK_NAME,
                                   &accumulate_influenced, &accumulate_nu,
-                                  &marginal_nu};
+                                  &update_influenced,     &marginal_nu};
   return kOps;
 }
 

@@ -57,93 +57,56 @@ GreedyResult finish(const RicPool& pool, std::vector<NodeId> seeds) {
   return options.pool != nullptr ? options.pool : &default_pool();
 }
 
-using BestFn = CandidateScore (CoverageState::*)(std::span<const NodeId>,
-                                                 std::size_t,
-                                                 std::size_t) const;
-using BeatsFn = bool (*)(const CandidateScore&,
-                         const CandidateScore&) noexcept;
-
-/// One argmax sweep over `candidates`, serial or chunked on `pool`. The
-/// per-chunk winners are merged under `beats` — a strict total order — so
-/// the merged winner is chunking-independent and equals the serial result.
-[[nodiscard]] CandidateScore sweep_best(const CoverageState& state,
-                                        std::span<const NodeId> candidates,
-                                        ThreadPool* pool, BestFn best_of,
-                                        BeatsFn beats) {
+/// One ν argmax sweep over `candidates`, serial or chunked on `pool`. The
+/// per-chunk winners are merged under `beats_nu` — a strict total order —
+/// so the merged winner is chunking-independent and equals the serial one.
+[[nodiscard]] CandidateScore sweep_best_nu(
+    const CoverageState& state, std::span<const NodeId> candidates,
+    ThreadPool* pool) {
   if (pool == nullptr) {
-    return (state.*best_of)(candidates, 0, candidates.size());
+    return state.best_candidate_nu(candidates, 0, candidates.size());
   }
   CandidateScore best;
   std::mutex merge_mutex;
   parallel_for(*pool, candidates.size(),
                [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-                 const CandidateScore chunk_best = (state.*best_of)(
+                 const CandidateScore chunk_best = state.best_candidate_nu(
                      candidates, static_cast<std::size_t>(begin),
                      static_cast<std::size_t>(end));
                  const std::lock_guard<std::mutex> lock(merge_mutex);
-                 if (beats(chunk_best, best)) best = chunk_best;
+                 if (beats_nu(chunk_best, best)) best = chunk_best;
                });
   return best;
 }
 
-/// One ĉ argmax round, sample-major: accumulate every node's influenced
-/// gain in one sequential pass over the samples (or over per-shard slabs
-/// reduced in slab order — integer adds, so the totals are identical for
-/// any sharding), then run the ν/appearance tie-break only on the nodes
-/// that achieve the maximum gain. Equivalent to the candidate-major sweep:
-/// `beats_c_hat` orders by influenced gain first, so the winner is always
-/// among the max-gain candidates, and their ν gains / appearance counts are
-/// computed exactly as the serial sweep computes them.
-///
-/// Parallel path (DESIGN.md §14): the pool is cut into 64-aligned sample
-/// slabs (RicPool::selection_shards, one per worker by default so slab ->
-/// worker affinity is stable round over round), each slab sweeps into its
-/// own private gain row via the active gain kernel, and the rows are
-/// folded node-by-node in ascending slab order — a fixed left-to-right
-/// accumulation sequence independent of execution timing — with the fold
-/// itself parallelized across the node dimension.
-void compute_c_hat_gains(const CoverageState& state, ThreadPool* sweep,
-                         std::size_t shard_count,
-                         std::vector<std::uint64_t>& gains,
-                         std::vector<std::uint64_t>& scratch) {
-  const RicPool& pool = state.pool();
-  const auto samples = static_cast<std::uint32_t>(pool.size());
-  const std::size_t n = pool.graph().node_count();
-  gains.assign(n, 0);
-  if (sweep == nullptr) {
-    state.accumulate_influenced_gains(0, samples, gains.data());
-    return;
-  }
-  const std::vector<RicPool::SampleShard> shards =
-      RicPool::selection_shards(
-          samples, shard_count != 0 ? static_cast<unsigned>(shard_count)
-                                    : sweep->size());
-  if (shards.size() <= 1) {
-    state.accumulate_influenced_gains(0, samples, gains.data());
-    return;
-  }
-  scratch.assign(shards.size() * n, 0);
-  parallel_for_shards(
-      *sweep, static_cast<unsigned>(shards.size()), [&](unsigned s) {
-        state.accumulate_influenced_gains(
-            shards[s].begin, shards[s].end,
-            scratch.data() + static_cast<std::size_t>(s) * n);
-      });
+/// Shard count for the parallel row work: the override, else one per
+/// worker.
+[[nodiscard]] unsigned shard_target(const ThreadPool& sweep,
+                                    std::size_t shards) {
+  return shards != 0 ? static_cast<unsigned>(shards) : sweep.size();
+}
+
+/// Adds the `shards` per-shard rows of `scratch` into `gains`, ascending
+/// shard, ascending node. The rows hold integers (modulo 2^64), so the
+/// totals are the same for any decomposition.
+void fold_shard_rows(ThreadPool& sweep, std::size_t shards,
+                     const std::vector<std::uint64_t>& scratch,
+                     std::vector<std::uint64_t>& gains) {
+  const std::size_t n = gains.size();
   // The fold is a handful of streaming adds per node — below this many
-  // cells the submit/wake/wait round trip of a second parallel_for costs
-  // more than the fold itself, so run it inline. Either way the order is
-  // ascending slab, ascending node: bit-identical totals.
+  // cells the submit/wake/wait round trip of a parallel_for costs more
+  // than the fold itself, so run it inline.
   constexpr std::size_t kSerialFoldCells = std::size_t{1} << 22;
-  if (shards.size() * n <= kSerialFoldCells) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
+  if (shards * n <= kSerialFoldCells) {
+    for (std::size_t s = 0; s < shards; ++s) {
       const std::uint64_t* slab = scratch.data() + s * n;
       for (std::size_t v = 0; v < n; ++v) gains[v] += slab[v];
     }
     return;
   }
-  parallel_for(*sweep, n,
+  parallel_for(sweep, n,
                [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-                 for (std::size_t s = 0; s < shards.size(); ++s) {
+                 for (std::size_t s = 0; s < shards; ++s) {
                    const std::uint64_t* slab = scratch.data() + s * n;
                    for (std::uint64_t v = begin; v < end; ++v) {
                      gains[v] += slab[v];
@@ -153,7 +116,10 @@ void compute_c_hat_gains(const CoverageState& state, ThreadPool* sweep,
 }
 
 /// The ν/appearance tie-break over the max-gain candidates, given every
-/// node's influenced gain for the round.
+/// node's influenced gain for the round. Equivalent to a candidate-major
+/// sweep under `beats_c_hat`: it orders by influenced gain first, so the
+/// winner is always among the max-gain candidates, and their ν gains and
+/// appearance counts are computed exactly as such a sweep computes them.
 [[nodiscard]] CandidateScore best_from_gains(
     const CoverageState& state, std::span<const NodeId> candidates,
     const std::vector<std::uint64_t>& gains) {
@@ -179,80 +145,27 @@ void compute_c_hat_gains(const CoverageState& state, ThreadPool* sweep,
   return best;
 }
 
-[[nodiscard]] CandidateScore best_c_hat_sample_major(
-    const CoverageState& state, std::span<const NodeId> candidates,
-    ThreadPool* sweep, std::size_t shard_count,
-    std::vector<std::uint64_t>& gains,
-    std::vector<std::uint64_t>& scratch) {
-  compute_c_hat_gains(state, sweep, shard_count, gains, scratch);
-  return best_from_gains(state, candidates, gains);
-}
-
-GreedyResult greedy_rounds(const RicPool& pool, std::uint32_t k,
-                           const GreedyOptions& options, BestFn best_of,
-                           BeatsFn beats) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-
-  for (std::uint32_t round = 0;
-       round < k && state.seeds().size() < candidates.size(); ++round) {
-    const CandidateScore best =
-        sweep_best(state, candidates, sweep, best_of, beats);
-    if (!best.valid()) break;
-    state.add_seed(best.node);
-  }
-
-  std::vector<NodeId> seeds = state.seeds();
-  fill_to_k(pool, k, seeds);
-  return finish(pool, std::move(seeds));
-}
-
-}  // namespace
-
-GreedyResult greedy_c_hat(const RicPool& pool, std::uint32_t k,
-                          const GreedyOptions& options) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-  std::vector<std::uint64_t> gains;
-  std::vector<std::uint64_t> scratch;
-
-  for (std::uint32_t round = 0;
-       round < k && state.seeds().size() < candidates.size(); ++round) {
-    const CandidateScore best = best_c_hat_sample_major(
-        state, candidates, sweep, options.shards, gains, scratch);
-    if (!best.valid()) break;
-    state.add_seed(best.node);
-  }
-
-  std::vector<NodeId> seeds = state.seeds();
-  fill_to_k(pool, k, seeds);
-  return finish(pool, std::move(seeds));
-}
-
-namespace {
-
 /// Snapshot-matrix memory cap for CHatResume: k rows of n 8-byte gains.
 /// Past this, recording is skipped and every stage solves cold — warm
 /// start is a time/space trade, never a correctness requirement.
 inline constexpr std::size_t kCHatSnapshotCapBytes = 256u << 20;
 
-}  // namespace
-
-GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
-                                    const GreedyOptions& options,
-                                    CHatResume& resume) {
+/// The ĉ round loop behind greedy_c_hat (local carrier, `record` off) and
+/// greedy_c_hat_resumable. Each round takes its gain row from one of three
+/// places: a warm round copies its snapshot row and adds the grown tail;
+/// round 0 of a cold run sweeps the pool; every other round uses the row
+/// the previous pick's update left behind.
+GreedyResult c_hat_rounds(const RicPool& pool, std::uint32_t k,
+                          const GreedyOptions& options, CHatResume& resume,
+                          bool record) {
   check_k(pool, k);
   CoverageState state(pool);
   const std::vector<NodeId> candidates = candidate_nodes(pool);
   ThreadPool* sweep = sweep_pool(options, candidates.size());
   const std::size_t n = pool.graph().node_count();
-  const bool record =
-      static_cast<std::size_t>(k) * n * sizeof(std::uint64_t) <=
-      kCHatSnapshotCapBytes;
+  record = record && static_cast<std::size_t>(k) * n *
+                             sizeof(std::uint64_t) <=
+                         kCHatSnapshotCapBytes;
 
   // A resume from a different graph, a reset pool, or an overwritten epoch
   // is silently discarded — the cold path below is always correct.
@@ -272,34 +185,34 @@ GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
     resume.gain_snapshots.clear();
   }
 
-  std::vector<std::uint64_t> gains;
-  std::vector<std::uint64_t> scratch;
+  CHatGainRow row;
   const std::size_t stored = resume.winners.size();
   std::size_t rounds_done = 0;
   bool diverged = false;
   for (std::uint32_t round = 0;
        round < k && state.seeds().size() < candidates.size(); ++round) {
-    if (!diverged && round < stored) {
-      // Warm round: the snapshot row already holds the [0, old) portion of
-      // every node's gain against this exact seed prefix (append never
-      // alters old samples' touches or coverage), so only the grown tail
-      // is accumulated. Integer adds over any sample partition reproduce
-      // the cold full-range totals exactly.
-      gains.assign(resume.gain_snapshots.begin() + round * n,
-                   resume.gain_snapshots.begin() + (round + 1) * n);
+    const bool warm_round = !diverged && round < stored;
+    if (warm_round) {
+      // The snapshot row already holds the [0, old) portion of every
+      // node's gain against this exact seed prefix (append never alters
+      // old samples' touches or coverage), so only the grown tail is
+      // accumulated. Integer adds over any sample partition reproduce the
+      // cold full-range totals exactly.
+      row.gains.assign(resume.gain_snapshots.begin() + round * n,
+                       resume.gain_snapshots.begin() + (round + 1) * n);
       state.accumulate_influenced_gains(
           static_cast<std::uint32_t>(old_samples),
-          static_cast<std::uint32_t>(pool.size()), gains.data());
-    } else {
-      compute_c_hat_gains(state, sweep, options.shards, gains, scratch);
+          static_cast<std::uint32_t>(pool.size()), row.gains.data());
+    } else if (round == 0) {
+      row.compute(state, sweep, options.shards);
     }
-    const CandidateScore best = best_from_gains(state, candidates, gains);
+    const CandidateScore best = best_from_gains(state, candidates, row.gains);
     if (!best.valid()) break;
-    if (!diverged && round < stored && resume.winners[round] != best.node) {
+    if (warm_round && resume.winners[round] != best.node) {
       // ĉ is non-submodular: the grown pool legitimately reorders winners
       // here. The stale tail was computed against the old prefix — drop it
-      // and continue cold (the gains just computed are still this round's
-      // snapshot).
+      // and continue cold (the row just computed is still exact for this
+      // round, so it is this round's snapshot and the next round's base).
       diverged = true;
       resume.winners.resize(round);
       resume.gain_snapshots.resize(round * n);
@@ -307,14 +220,19 @@ GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
     if (record) {
       if (round < resume.winners.size()) {
         resume.winners[round] = best.node;
-        std::copy(gains.begin(), gains.end(),
+        std::copy(row.gains.begin(), row.gains.end(),
                   resume.gain_snapshots.begin() + round * n);
       } else {
         resume.winners.push_back(best.node);
         resume.gain_snapshots.insert(resume.gain_snapshots.end(),
-                                     gains.begin(), gains.end());
+                                     row.gains.begin(), row.gains.end());
       }
       rounds_done = round + 1;
+    }
+    // The next round reads this row unless it is the last or a warm round
+    // (which replaces the row with its snapshot).
+    if (round + 1 < k && (diverged || round + 1 >= stored)) {
+      row.update(state, best.node, sweep, options.shards);
     }
     state.add_seed(best.node);
   }
@@ -335,10 +253,88 @@ GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
   return finish(pool, std::move(seeds));
 }
 
+}  // namespace
+
+void CHatGainRow::compute(const CoverageState& state, ThreadPool* sweep,
+                          std::size_t shards) {
+  const RicPool& pool = state.pool();
+  const auto samples = static_cast<std::uint32_t>(pool.size());
+  const std::size_t n = pool.graph().node_count();
+  gains.assign(n, 0);
+  if (sweep == nullptr) {
+    state.accumulate_influenced_gains(0, samples, gains.data());
+    return;
+  }
+  // 64-aligned sample slabs, one per worker by default so slab -> worker
+  // affinity holds; each slab sweeps into its own private row.
+  const std::vector<RicPool::SampleShard> slabs =
+      RicPool::selection_shards(samples, shard_target(*sweep, shards));
+  if (slabs.size() <= 1) {
+    state.accumulate_influenced_gains(0, samples, gains.data());
+    return;
+  }
+  scratch.assign(slabs.size() * n, 0);
+  parallel_for_shards(
+      *sweep, static_cast<unsigned>(slabs.size()), [&](unsigned s) {
+        state.accumulate_influenced_gains(
+            slabs[s].begin, slabs[s].end,
+            scratch.data() + static_cast<std::size_t>(s) * n);
+      });
+  fold_shard_rows(*sweep, slabs.size(), scratch, gains);
+}
+
+void CHatGainRow::update(const CoverageState& state, NodeId seed,
+                         ThreadPool* sweep, std::size_t shards) {
+  const std::size_t touches = state.pool().appearance_count(seed);
+  const std::size_t chunks =
+      sweep == nullptr
+          ? 1
+          : std::min<std::size_t>(touches, shard_target(*sweep, shards));
+  if (chunks <= 1) {
+    state.update_influenced_gains(seed, 0, touches, gains.data());
+    return;
+  }
+  // One contiguous chunk of the seed's CSR span per shard. The span holds
+  // each sample at most once, so no two chunks touch the same sample and
+  // each chunk's signed deltas are independent of the others'.
+  const std::size_t n = gains.size();
+  scratch.assign(chunks * n, 0);
+  parallel_for_shards(
+      *sweep, static_cast<unsigned>(chunks), [&](unsigned s) {
+        state.update_influenced_gains(
+            seed, touches * s / chunks, touches * (s + 1) / chunks,
+            scratch.data() + static_cast<std::size_t>(s) * n);
+      });
+  fold_shard_rows(*sweep, chunks, scratch, gains);
+}
+
+GreedyResult greedy_c_hat(const RicPool& pool, std::uint32_t k,
+                          const GreedyOptions& options) {
+  CHatResume local;
+  return c_hat_rounds(pool, k, options, local, /*record=*/false);
+}
+
+GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
+                                    const GreedyOptions& options,
+                                    CHatResume& resume) {
+  return c_hat_rounds(pool, k, options, resume, /*record=*/true);
+}
+
 GreedyResult plain_greedy_nu(const RicPool& pool, std::uint32_t k,
                              const GreedyOptions& options) {
-  return greedy_rounds(pool, k, options, &CoverageState::best_candidate_nu,
-                       &beats_nu);
+  check_k(pool, k);
+  CoverageState state(pool);
+  const std::vector<NodeId> candidates = candidate_nodes(pool);
+  ThreadPool* sweep = sweep_pool(options, candidates.size());
+  for (std::uint32_t round = 0;
+       round < k && state.seeds().size() < candidates.size(); ++round) {
+    const CandidateScore best = sweep_best_nu(state, candidates, sweep);
+    if (!best.valid()) break;
+    state.add_seed(best.node);
+  }
+  std::vector<NodeId> seeds = state.seeds();
+  fill_to_k(pool, k, seeds);
+  return finish(pool, std::move(seeds));
 }
 
 namespace {

@@ -215,27 +215,6 @@ std::uint64_t CoverageState::marginal_influenced(NodeId v) const {
   return gain;
 }
 
-CandidateScore CoverageState::best_candidate_c_hat(
-    std::span<const NodeId> candidates, std::size_t begin,
-    std::size_t end) const {
-  CandidateScore best;
-  for (std::size_t i = begin; i < end && i < candidates.size(); ++i) {
-    const NodeId v = candidates[i];
-    if (is_seed_[v]) continue;
-    CandidateScore score;
-    score.node = v;
-    score.influenced_gain = marginal_influenced(v);
-    // Cheap reject before the ν sweep, mirroring the serial early-exit.
-    if (best.valid() && score.influenced_gain < best.influenced_gain) {
-      continue;
-    }
-    score.nu_gain = marginal_nu(v);
-    score.appearance = pool_->appearance_count(v);
-    if (beats_c_hat(score, best)) best = score;
-  }
-  return best;
-}
-
 CandidateScore CoverageState::best_candidate_nu(
     std::span<const NodeId> candidates, std::size_t begin,
     std::size_t end) const {
@@ -264,9 +243,7 @@ double CoverageState::marginal_nu(NodeId v) const {
                                               touches.size());
 }
 
-void CoverageState::accumulate_influenced_gains(std::uint32_t begin,
-                                                std::uint32_t end,
-                                                std::uint64_t* gains) const {
+SampleGainView CoverageState::sample_view() const noexcept {
   SampleGainView view;
   view.covered = covered_.data();
   view.saturated = saturated_.data();
@@ -275,21 +252,29 @@ void CoverageState::accumulate_influenced_gains(std::uint32_t begin,
   view.sample_offsets = pool_->sample_offsets().data();
   view.sample_arena = pool_->sample_arena().data();
   view.fraction_table = fraction_table_;
-  active_gain_kernel_ops().accumulate_influenced(view, begin, end, gains);
+  return view;
+}
+
+void CoverageState::accumulate_influenced_gains(std::uint32_t begin,
+                                                std::uint32_t end,
+                                                std::uint64_t* gains) const {
+  active_gain_kernel_ops().accumulate_influenced(sample_view(), begin, end,
+                                                 gains);
+}
+
+void CoverageState::update_influenced_gains(NodeId seed, std::size_t begin,
+                                            std::size_t end,
+                                            std::uint64_t* gains) const {
+  const std::span<const RicPool::Touch> touches = pool_->touches_of(seed);
+  assert(begin <= end && end <= touches.size());
+  active_gain_kernel_ops().update_influenced(
+      sample_view(), touches.data() + begin, end - begin, gains);
 }
 
 void CoverageState::accumulate_nu_gains(std::uint32_t begin,
                                         std::uint32_t end,
                                         double* gains) const {
-  SampleGainView view;
-  view.covered = covered_.data();
-  view.saturated = saturated_.data();
-  view.thresholds = pool_->thresholds().data();
-  view.nu_base = nu_base_.data();
-  view.sample_offsets = pool_->sample_offsets().data();
-  view.sample_arena = pool_->sample_arena().data();
-  view.fraction_table = fraction_table_;
-  active_gain_kernel_ops().accumulate_nu(view, begin, end, gains);
+  active_gain_kernel_ops().accumulate_nu(sample_view(), begin, end, gains);
 }
 
 }  // namespace imc

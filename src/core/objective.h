@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "core/gain_kernels.h"
 #include "graph/types.h"
 #include "sampling/ric_pool.h"
 #include "util/mathx.h"
@@ -102,14 +103,10 @@ class CoverageState {
 
   // -- batch chunk evaluation (no mutation) ---------------------------------
   /// Scores candidates[begin, end) (current seeds skipped) and returns the
-  /// slice winner under `beats_c_hat`; invalid when the slice is empty or
-  /// all seeds. Each parallel_for chunk runs this over its slice; gains are
+  /// slice winner under `beats_nu`; invalid when the slice is empty or all
+  /// seeds. Each parallel_for chunk runs this over its slice; gains are
   /// computed per node independent of the chunking, so reducing chunk
-  /// winners with `beats_c_hat` reproduces the serial sweep bit-for-bit.
-  [[nodiscard]] CandidateScore best_candidate_c_hat(
-      std::span<const NodeId> candidates, std::size_t begin,
-      std::size_t end) const;
-  /// Same contract for the ν objective under `beats_nu`.
+  /// winners with `beats_nu` reproduces the serial sweep bit-for-bit.
   [[nodiscard]] CandidateScore best_candidate_nu(
       std::span<const NodeId> candidates, std::size_t begin,
       std::size_t end) const;
@@ -127,6 +124,16 @@ class CoverageState {
   /// bit-identical to scalar, so the dispatch never affects results.
   void accumulate_influenced_gains(std::uint32_t begin, std::uint32_t end,
                                    std::uint64_t* gains) const;
+
+  /// ĉ row update for picking `seed` next, over touches_of(seed)[begin,
+  /// end): adds, modulo 2^64, the change every node's influenced gain
+  /// undergoes once `seed` joins. Call BEFORE add_seed(seed). A row that
+  /// held accumulate_influenced_gains over the full pool then holds it for
+  /// the grown seed set, exactly; each sample appears once in the seed's
+  /// span, so chunks over disjoint touch ranges sum to the same row.
+  /// Executed by the active gain kernel, same bit-identity guarantee.
+  void update_influenced_gains(NodeId seed, std::size_t begin,
+                               std::size_t end, std::uint64_t* gains) const;
 
   /// Sample-major ν marginal pass over samples [begin, end): adds each
   /// touch's fraction-table delta into gains[v]. Over the FULL range
@@ -156,6 +163,9 @@ class CoverageState {
   friend bool operator==(const CoverageState& a, const CoverageState& b);
 
  private:
+  /// Borrowed view of the per-sample state for the sample-major kernels.
+  [[nodiscard]] SampleGainView sample_view() const noexcept;
+
   /// (Re)derives nu_base_[from, pool size) from the current covered masks
   /// (row_h[popcount(covered)]; row_h[0] for untouched samples).
   void init_nu_base(std::size_t from);

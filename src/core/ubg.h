@@ -5,6 +5,13 @@
 // Lemma 4), and returns whichever seed set scores higher under ĉ_R. The
 // data-dependent guarantee is (ĉ_R(S_ν) / ν_R(S_ν)) · (1 − 1/e)
 // (Theorem 2); `sandwich_ratio` of the result reports that leading factor.
+//
+// Two lanes (DESIGN.md §5): the two greedies share only the const pool, so
+// `fork_join` runs the ν branch on a free worker of GreedyOptions::pool
+// (default_pool() when unset) while the caller runs the ĉ branch. Each
+// branch is serial in itself, so results are identical to running them
+// back to back. With every worker busy, the caller runs ν after ĉ — the
+// serial schedule; it never help-runs unrelated queued work.
 #pragma once
 
 #include "core/greedy.h"
@@ -18,7 +25,9 @@ struct UbgSolution : MaxrSolution {
   GreedyResult from_nu;         // S_ν of Alg. 2
 };
 
-/// `options` drives both greedy sweeps (serial or deterministic-parallel).
+/// `options` drives both greedy sweeps (serial or deterministic-parallel)
+/// and names the pool the ν lane runs on. Throws std::invalid_argument for
+/// k outside [1, node count] before any job is submitted.
 [[nodiscard]] UbgSolution ubg_solve(const RicPool& pool, std::uint32_t k,
                                     const GreedyOptions& options = {});
 
@@ -34,7 +43,8 @@ struct UbgResume final : MaxrResume {
 
 /// ubg_solve via the warm-startable greedies; bit-identical to ubg_solve
 /// on the same pool for any `state` (see greedy_c_hat_resumable /
-/// celf_greedy_nu_resumable).
+/// celf_greedy_nu_resumable). The ĉ lane owns `state.c_hat`, the ν lane
+/// `state.nu`.
 [[nodiscard]] UbgSolution ubg_resume(const RicPool& pool, std::uint32_t k,
                                      const GreedyOptions& options,
                                      UbgResume& state);

@@ -62,6 +62,11 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+bool ThreadPool::has_idle_worker() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return running_ + queue_.size() < workers_.size();
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -71,10 +76,12 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop();
+      ++running_;
     }
     task();  // packaged_task captures exceptions into the future
     {
       const std::lock_guard<std::mutex> lock(mutex_);
+      --running_;
       if (--in_flight_ == 0) idle_.notify_all();
     }
   }
@@ -179,6 +186,49 @@ BackgroundJob submit_job(
     body(state->cancel);
   });
   return job;
+}
+
+void fork_join(ThreadPool& pool, const std::function<void()>& main,
+               const std::function<void()>& side) {
+  if (!pool.has_idle_worker()) {
+    main();
+    side();
+    return;
+  }
+  // `claimed` decides who runs `side`; a queued copy that loses is a no-op
+  // that touches only this shared state, so the caller may return before
+  // a worker pops it.
+  struct Side {
+    std::atomic<bool> claimed{false};
+    std::promise<void> done;
+  };
+  auto state = std::make_shared<Side>();
+  std::future<void> side_done = state->done.get_future();
+  pool.submit([state, &side] {
+    if (state->claimed.exchange(true)) return;
+    try {
+      side();
+      state->done.set_value();
+    } catch (...) {
+      state->done.set_exception(std::current_exception());
+    }
+  });
+  std::exception_ptr main_error;
+  try {
+    main();
+  } catch (...) {
+    main_error = std::current_exception();
+  }
+  if (!state->claimed.exchange(true)) {
+    if (main_error) std::rethrow_exception(main_error);
+    side();
+    return;
+  }
+  // Another thread started `side` and finishes it on its own, so a plain
+  // blocking wait cannot deadlock.
+  side_done.wait();
+  if (main_error) std::rethrow_exception(main_error);
+  side_done.get();
 }
 
 void parallel_for(ThreadPool& pool, std::uint64_t count,

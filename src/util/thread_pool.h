@@ -47,6 +47,10 @@ class ThreadPool {
   /// Blocks until all tasks submitted so far have finished.
   void wait_idle();
 
+  /// True when a task submitted now would start at once: more workers
+  /// are free than tasks are queued. A snapshot — only a hint.
+  [[nodiscard]] bool has_idle_worker();
+
  private:
   void worker_loop();
 
@@ -56,6 +60,7 @@ class ThreadPool {
   std::condition_variable task_ready_;
   std::condition_variable idle_;
   std::size_t in_flight_ = 0;
+  std::size_t running_ = 0;  // tasks workers (not helpers) are running
   bool stopping_ = false;
 };
 
@@ -131,6 +136,21 @@ class BackgroundJob {
 /// not-yet-started skip).
 [[nodiscard]] BackgroundJob submit_job(
     ThreadPool& pool, std::function<void(const std::atomic<bool>& cancel)> body);
+
+/// Two-lane fork/join: runs `main` on the caller and `side` beside it on
+/// a free worker of `pool`, if there is one; with every worker busy the
+/// caller runs `side` itself after `main` — the serial schedule, so the
+/// pair is never slower than running both in turn, and a busy pool keeps
+/// its workers on the work they have. `side` is also run by the caller
+/// when no worker has started it by the time `main` returns. A caller
+/// that finds `side` running on a worker waits for it without
+/// help-running other queued tasks: that worker finishes `side` on its
+/// own, and the call's wall time never absorbs unrelated queued work. If
+/// `main` throws, a `side` nobody started is skipped, one already running
+/// is waited out, and `main`'s exception propagates; otherwise `side`'s
+/// exception does.
+void fork_join(ThreadPool& pool, const std::function<void()>& main,
+               const std::function<void()>& side);
 
 /// Splits [0, count) into contiguous chunks and runs
 /// `body(begin, end, chunk_index)` on pool workers; blocks until done.

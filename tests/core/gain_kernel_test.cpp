@@ -6,7 +6,9 @@
 // multiple of any vector width (SIMD tail handling). Also pins the
 // dispatch API itself: parse/name round trips, unsupported kinds are
 // rejected, and the sharded parallel selection is invariant under kernel
-// x shard-count x thread-count.
+// x shard-count x thread-count. The ĉ row greedy keeps across rounds
+// (CHatGainRow) must equal a fresh sweep after every pick, under the same
+// kernel x shard x thread matrix.
 #include "core/gain_kernels.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "community/threshold_policy.h"
@@ -143,6 +147,7 @@ TEST_F(GainKernelTest, OpsTableMatchesKind) {
     EXPECT_STREQ(ops.name, gain_kernel_name(kind));
     EXPECT_NE(ops.accumulate_influenced, nullptr);
     EXPECT_NE(ops.accumulate_nu, nullptr);
+    EXPECT_NE(ops.update_influenced, nullptr);
     EXPECT_NE(ops.marginal_nu, nullptr);
   }
 }
@@ -215,48 +220,163 @@ TEST_F(GainKernelTest, SweepGainsBitIdenticalAcrossKernels) {
 
 // Selection end to end: greedy_c_hat and celf_greedy_nu must pick the
 // bit-identical seed sets (and ν/ĉ values) under every kernel variant,
-// thread count, and shard override.
+// thread count, and shard override — also at k = n on a small pool,
+// where the selection runs past exhaustion and fill_to_k tops up the
+// seeds.
 TEST_F(GainKernelTest, SelectionInvariantUnderKernelShardsThreads) {
-  const RicPool pool = make_pool(graph_, 1200, 2, 9);
-  GreedyResult ref_c_hat;
-  GreedyResult ref_celf;
-  {
-    const KernelGuard guard(GainKernelKind::kScalar);
-    ref_c_hat = greedy_c_hat(pool, 8, GreedyOptions{});
-    ref_celf = celf_greedy_nu(pool, 8, GreedyOptions{});
+  const auto n = static_cast<std::uint32_t>(graph_.node_count());
+  struct Case {
+    std::uint64_t samples;
+    std::uint32_t k;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{1200, 8, 9}, Case{65, n, 86}}) {
+    const std::uint64_t samples = c.samples;
+    const std::uint32_t k = c.k;
+    const RicPool pool = make_pool(graph_, samples, 2, c.seed);
+    GreedyResult ref_c_hat;
+    GreedyResult ref_celf;
+    {
+      const KernelGuard guard(GainKernelKind::kScalar);
+      ref_c_hat = greedy_c_hat(pool, k, GreedyOptions{});
+      ref_celf = celf_greedy_nu(pool, k, GreedyOptions{});
+    }
+    ASSERT_EQ(ref_c_hat.seeds.size(), k);
+    for (const GainKernelKind kind : supported_kernels()) {
+      const KernelGuard guard(kind);
+      SCOPED_TRACE(::testing::Message() << gain_kernel_name(kind)
+                                        << " samples=" << samples
+                                        << " k=" << k);
+      const GreedyResult serial_c = greedy_c_hat(pool, k, GreedyOptions{});
+      EXPECT_EQ(serial_c.seeds, ref_c_hat.seeds);
+      EXPECT_EQ(serial_c.c_hat, ref_c_hat.c_hat);
+      EXPECT_EQ(serial_c.nu, ref_c_hat.nu);
+      const GreedyResult serial_nu =
+          celf_greedy_nu(pool, k, GreedyOptions{});
+      EXPECT_EQ(serial_nu.seeds, ref_celf.seeds);
+      EXPECT_EQ(serial_nu.nu, ref_celf.nu);
+      for (const unsigned threads : {2U, 8U}) {
+        ThreadPool workers(threads);
+        for (const std::size_t shards : {0UL, 1UL, 3UL, 7UL}) {
+          GreedyOptions options;
+          options.parallel = true;
+          options.pool = &workers;
+          options.min_parallel_candidates = 1;
+          options.shards = shards;
+          const GreedyResult par_c = greedy_c_hat(pool, k, options);
+          EXPECT_EQ(par_c.seeds, ref_c_hat.seeds)
+              << "threads=" << threads << " shards=" << shards;
+          EXPECT_EQ(par_c.c_hat, ref_c_hat.c_hat)
+              << "threads=" << threads << " shards=" << shards;
+          const GreedyResult par_nu = celf_greedy_nu(pool, k, options);
+          EXPECT_EQ(par_nu.seeds, ref_celf.seeds)
+              << "threads=" << threads << " shards=" << shards;
+          EXPECT_EQ(par_nu.nu, ref_celf.nu)
+              << "threads=" << threads << " shards=" << shards;
+        }
+      }
+    }
   }
-  ASSERT_EQ(ref_c_hat.seeds.size(), 8U);
-  for (const GainKernelKind kind : supported_kernels()) {
-    const KernelGuard guard(kind);
-    const GreedyResult serial_c = greedy_c_hat(pool, 8, GreedyOptions{});
-    EXPECT_EQ(serial_c.seeds, ref_c_hat.seeds) << gain_kernel_name(kind);
-    EXPECT_EQ(serial_c.c_hat, ref_c_hat.c_hat) << gain_kernel_name(kind);
-    EXPECT_EQ(serial_c.nu, ref_c_hat.nu) << gain_kernel_name(kind);
-    const GreedyResult serial_nu = celf_greedy_nu(pool, 8, GreedyOptions{});
-    EXPECT_EQ(serial_nu.seeds, ref_celf.seeds) << gain_kernel_name(kind);
-    EXPECT_EQ(serial_nu.nu, ref_celf.nu) << gain_kernel_name(kind);
-    for (const unsigned threads : {2U, 8U}) {
-      ThreadPool workers(threads);
-      for (const std::size_t shards : {0UL, 1UL, 3UL, 7UL}) {
-        GreedyOptions options;
-        options.parallel = true;
-        options.pool = &workers;
-        options.min_parallel_candidates = 1;
-        options.shards = shards;
-        const GreedyResult par_c = greedy_c_hat(pool, 8, options);
-        EXPECT_EQ(par_c.seeds, ref_c_hat.seeds)
-            << gain_kernel_name(kind) << " threads=" << threads
-            << " shards=" << shards;
-        EXPECT_EQ(par_c.c_hat, ref_c_hat.c_hat)
-            << gain_kernel_name(kind) << " threads=" << threads
-            << " shards=" << shards;
-        const GreedyResult par_nu = celf_greedy_nu(pool, 8, options);
-        EXPECT_EQ(par_nu.seeds, ref_celf.seeds)
-            << gain_kernel_name(kind) << " threads=" << threads
-            << " shards=" << shards;
-        EXPECT_EQ(par_nu.nu, ref_celf.nu)
-            << gain_kernel_name(kind) << " threads=" << threads
-            << " shards=" << shards;
+}
+
+/// Full-range scalar sweep: the reference the kept row must equal.
+std::vector<std::uint64_t> fresh_gains(const CoverageState& state) {
+  const KernelGuard guard(GainKernelKind::kScalar);
+  std::vector<std::uint64_t> gains(state.pool().graph().node_count(), 0);
+  state.accumulate_influenced_gains(
+      0, static_cast<std::uint32_t>(state.pool().size()), gains.data());
+  return gains;
+}
+
+// Every variant's update entry must produce the scalar entry's row bit for
+// bit, for every possible next pick — over unaligned chunks of the pick's
+// touch span too — and applying it must land exactly on a fresh sweep of
+// the grown seed set.
+TEST_F(GainKernelTest, UpdateEntryBitIdenticalToScalar) {
+  const auto n = static_cast<std::size_t>(graph_.node_count());
+  for (const std::uint64_t samples : {1ULL, 63ULL, 64ULL, 65ULL, 600ULL}) {
+    const RicPool pool = make_pool(graph_, samples, 2, samples + 11);
+    for (const int seeded : {0, 1}) {
+      CoverageState state(pool);
+      if (seeded != 0) {
+        for (const NodeId v : {3U, 11U, 42U}) state.add_seed(v);
+      }
+      const std::vector<std::uint64_t> before = fresh_gains(state);
+      for (NodeId s = 0; s < n; ++s) {
+        if (state.is_seed(s)) continue;
+        const std::size_t touches = pool.appearance_count(s);
+        std::vector<std::uint64_t> ref = before;
+        {
+          const KernelGuard guard(GainKernelKind::kScalar);
+          state.update_influenced_gains(s, 0, touches, ref.data());
+        }
+        CoverageState grown = state;
+        grown.add_seed(s);
+        ASSERT_TRUE(bits_equal(fresh_gains(grown), ref))
+            << "scalar update, samples=" << samples << " seed=" << s;
+        for (const GainKernelKind kind : supported_kernels()) {
+          const KernelGuard guard(kind);
+          std::vector<std::uint64_t> row = before;
+          state.update_influenced_gains(s, 0, touches, row.data());
+          EXPECT_TRUE(bits_equal(ref, row))
+              << gain_kernel_name(kind) << " samples=" << samples
+              << " seed=" << s;
+          std::vector<std::uint64_t> chunked = before;
+          const std::size_t cut = touches / 3;
+          state.update_influenced_gains(s, 0, cut, chunked.data());
+          state.update_influenced_gains(s, cut, touches, chunked.data());
+          EXPECT_TRUE(bits_equal(ref, chunked))
+              << gain_kernel_name(kind) << " chunked, samples=" << samples
+              << " seed=" << s;
+        }
+      }
+    }
+  }
+}
+
+// The row greedy_c_hat keeps across rounds: after every pick — through
+// k = n, past the point where the pool is exhausted and the picks touch
+// nothing — it must equal a fresh full sweep, under every kernel, serial
+// and sharded (threads x shard overrides), at the slab-boundary sizes.
+TEST_F(GainKernelTest, KeptRowEqualsFreshSweepEveryRound) {
+  const auto n = static_cast<std::uint32_t>(graph_.node_count());
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const unsigned threads : {2U, 8U}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const std::uint64_t samples : {1ULL, 63ULL, 64ULL, 65ULL, 300ULL}) {
+    const RicPool pool = make_pool(graph_, samples, 2, samples + 3);
+    std::vector<NodeId> picks;
+    {
+      const KernelGuard guard(GainKernelKind::kScalar);
+      picks = greedy_c_hat(pool, n).seeds;  // k = n: every node, in order
+    }
+    ASSERT_EQ(picks.size(), n);
+    for (const GainKernelKind kind : supported_kernels()) {
+      const KernelGuard guard(kind);
+      std::vector<std::pair<ThreadPool*, std::size_t>> configs = {
+          {nullptr, 0}};
+      for (const auto& workers : pools) {
+        for (const std::size_t shards : {0UL, 1UL, 3UL, 7UL}) {
+          configs.emplace_back(workers.get(), shards);
+        }
+      }
+      for (const auto& [sweep, shards] : configs) {
+        const unsigned threads = sweep != nullptr ? sweep->size() : 0;
+        CoverageState state(pool);
+        CHatGainRow row;
+        row.compute(state, sweep, shards);
+        ASSERT_TRUE(bits_equal(fresh_gains(state), row.gains))
+            << gain_kernel_name(kind) << " round 0, samples=" << samples
+            << " threads=" << threads << " shards=" << shards;
+        for (std::size_t round = 0; round < picks.size(); ++round) {
+          row.update(state, picks[round], sweep, shards);
+          state.add_seed(picks[round]);
+          ASSERT_TRUE(bits_equal(fresh_gains(state), row.gains))
+              << gain_kernel_name(kind) << " after pick " << round
+              << ", samples=" << samples << " threads=" << threads
+              << " shards=" << shards;
+        }
       }
     }
   }

@@ -6,7 +6,9 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace imc {
@@ -180,6 +182,171 @@ TEST(ThreadPool, TryRunOneDrainsQueue) {
   parked.get();
   for (auto& f : futures) f.get();
   EXPECT_FALSE(pool.try_run_one());
+}
+
+/// Occupies the one worker of `pool` until `release` flips; returns once
+/// the worker owns the parked task, so later submissions stay queued.
+std::future<void> park_worker(ThreadPool& pool, std::atomic<bool>& release) {
+  std::atomic<bool> started{false};
+  auto parked = pool.submit([&started, &release] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+  return parked;
+}
+
+TEST(ThreadPool, HasIdleWorkerCountsRunningTasks) {
+  ThreadPool pool(2);
+  EXPECT_TRUE(pool.has_idle_worker());
+  std::atomic<bool> release{false};
+  auto first = park_worker(pool, release);
+  EXPECT_TRUE(pool.has_idle_worker());  // one running, one free
+  auto second = park_worker(pool, release);
+  EXPECT_FALSE(pool.has_idle_worker());
+  auto queued = pool.submit([] {});
+  EXPECT_FALSE(pool.has_idle_worker());
+  release.store(true);
+  first.get();
+  second.get();
+  queued.get();
+  pool.wait_idle();
+  EXPECT_TRUE(pool.has_idle_worker());
+}
+
+TEST(ForkJoin, WorkerRunsSideBesideMain) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id side_thread;
+  std::atomic<bool> side_started{false};
+  fork_join(
+      pool,
+      [&] {
+        // Returns only once the idle worker took `side`.
+        while (!side_started.load()) std::this_thread::yield();
+      },
+      [&] {
+        side_thread = std::this_thread::get_id();
+        side_started.store(true);
+      });
+  EXPECT_NE(side_thread, caller);
+}
+
+TEST(ForkJoin, CallerRunsSideWhenEveryWorkerIsBusy) {
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  auto parked = park_worker(pool, release);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id main_thread;
+  std::thread::id side_thread;
+  fork_join(
+      pool, [&] { main_thread = std::this_thread::get_id(); },
+      [&] { side_thread = std::this_thread::get_id(); });
+  EXPECT_EQ(main_thread, caller);
+  EXPECT_EQ(side_thread, caller);
+  EXPECT_FALSE(pool.try_run_one());  // nothing was queued
+  release.store(true);
+  parked.get();
+}
+
+// The waiting caller must not absorb unrelated queued work: a task queued
+// behind the running `side` stays for the worker.
+TEST(ForkJoin, CallerWaitsForRunningSideWithoutHelpRunning) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> side_started{false};
+  std::atomic<bool> main_done{false};
+  std::thread::id unrelated_thread;
+  std::future<void> unrelated;
+  fork_join(
+      pool,
+      [&] {
+        while (!side_started.load()) std::this_thread::yield();
+        unrelated = pool.submit(
+            [&] { unrelated_thread = std::this_thread::get_id(); });
+        main_done.store(true);
+      },
+      [&] {
+        side_started.store(true);
+        while (!main_done.load()) std::this_thread::yield();
+        // Long enough for a help-running caller to pop `unrelated`.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      });
+  unrelated.get();
+  EXPECT_NE(unrelated_thread, caller);
+}
+
+TEST(ForkJoin, MainExceptionSkipsOrWaitsOutSide) {
+  {
+    // Worker busy: `side` never runs.
+    ThreadPool pool(1);
+    std::atomic<bool> release{false};
+    auto parked = park_worker(pool, release);
+    std::atomic<int> side_runs{0};
+    EXPECT_THROW(fork_join(
+                     pool, [] { throw std::runtime_error("main failed"); },
+                     [&side_runs] { ++side_runs; }),
+                 std::runtime_error);
+    release.store(true);
+    parked.get();
+    pool.wait_idle();
+    EXPECT_EQ(side_runs.load(), 0);
+  }
+  {
+    // Worker free: `side` is either skipped or finished before the throw.
+    ThreadPool pool(1);
+    std::atomic<bool> side_started{false};
+    std::atomic<bool> side_finished{false};
+    EXPECT_THROW(fork_join(
+                     pool, [] { throw std::runtime_error("main failed"); },
+                     [&] {
+                       side_started.store(true);
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(10));
+                       side_finished.store(true);
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(side_started.load(), side_finished.load());
+    pool.wait_idle();
+  }
+}
+
+TEST(ForkJoin, SideExceptionPropagatesFromEitherLane) {
+  const auto failing_side = [] { throw std::runtime_error("side failed"); };
+  {
+    // Worker parked: the caller runs `side`.
+    ThreadPool pool(1);
+    std::atomic<bool> release{false};
+    auto parked = park_worker(pool, release);
+    EXPECT_THROW(fork_join(pool, [] {}, failing_side), std::runtime_error);
+    release.store(true);
+    parked.get();
+  }
+  {
+    // Worker idle: `side` runs there and its exception crosses over.
+    ThreadPool pool(1);
+    std::atomic<bool> side_started{false};
+    EXPECT_THROW(fork_join(
+                     pool,
+                     [&] {
+                       while (!side_started.load()) std::this_thread::yield();
+                     },
+                     [&] {
+                       side_started.store(true);
+                       throw std::runtime_error("side failed");
+                     }),
+                 std::runtime_error);
+  }
+}
+
+TEST(ForkJoin, CalledFromTheOnlyWorkerDoesNotDeadlock) {
+  ThreadPool pool(1);
+  std::atomic<int> runs{0};
+  auto outer = pool.submit([&] {
+    fork_join(pool, [&runs] { ++runs; }, [&runs] { ++runs; });
+  });
+  outer.get();
+  EXPECT_EQ(runs.load(), 2);
 }
 
 TEST(DefaultPool, IsSingleton) {

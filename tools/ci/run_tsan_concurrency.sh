@@ -28,7 +28,11 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # invalidate_and_repair fans regeneration chunks out over the same thread
 # pool and then patches the sample-major arena and the CSR index in place
 # side by side, one on a worker and one on the calling thread (DESIGN.md
-# §16).
+# §16). The concurrency label also covers UBG's two lanes: the ν greedy
+# on a pool worker beside the caller's ĉ greedy over the same const
+# pool, including the caller running ν itself when the worker is busy
+# (`fork_join`, DESIGN.md §5, parallel_greedy_test.cpp and
+# thread_pool_test.cpp).
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
   ctest --test-dir "${build_dir}" -L 'concurrency|engine|delta' \
   --output-on-failure -j "${jobs}"
