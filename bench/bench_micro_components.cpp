@@ -8,8 +8,9 @@
 //   IMC_MICRO_LARGE_SCALE  large-fixture dataset scale       (default 1.0)
 //   IMC_MICRO_POOL         large-fixture RIC pool size       (default 40000)
 //   IMC_MICRO_HUGE_POOL    huge-fixture RIC pool size      (default 1000000)
-// Kernel selection: IMC_KERNEL=scalar|popcnt|avx2|avx512 pins the gain
-// kernel the selection benches run on (default: best supported).
+// Kernel selection: IMC_KERNEL=scalar|avx2|avx512 pins the SIMD width of
+// the gain kernels the selection benches run on (default: best
+// supported); hardware popcount is in the build baseline either way.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -1,9 +1,8 @@
-// Runtime dispatch for the gain-kernel variants. Unlike the
-// IMC_POPCNT_CLONES target_clones mechanism (which relies on ifunc
-// resolution and is therefore disabled under sanitizers), dispatch here is
-// an explicit atomic ops-table pointer guarded by __builtin_cpu_supports —
-// it works identically in ASan/TSan builds, and tests can flip the active
-// kernel with set_gain_kernel().
+// Runtime dispatch for the gain-kernel variants: an explicit atomic
+// ops-table pointer guarded by __builtin_cpu_supports. It decides only the
+// SIMD width (hardware popcount is in the build baseline), works the same
+// in sanitizer builds, and tests can flip the active kernel with
+// set_gain_kernel().
 #include "core/gain_kernels.h"
 
 #include <atomic>
@@ -24,17 +23,13 @@ bool host_supports(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return true;
-    case GainKernelKind::kPopcnt:
-      return __builtin_cpu_supports("popcnt") != 0;
     case GainKernelKind::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+      return __builtin_cpu_supports("avx2") != 0;
     case GainKernelKind::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
-             __builtin_cpu_supports("popcnt") != 0;
+             __builtin_cpu_supports("avx512vpopcntdq") != 0;
   }
   return false;
 }
@@ -49,8 +44,6 @@ const GainKernelOps* built_ops(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return gain_detail::scalar_ops();
-    case GainKernelKind::kPopcnt:
-      return gain_detail::popcnt_ops();
     case GainKernelKind::kAvx2:
       return gain_detail::avx2_ops();
     case GainKernelKind::kAvx512:
@@ -59,9 +52,9 @@ const GainKernelOps* built_ops(GainKernelKind kind) noexcept {
   return nullptr;
 }
 
+/// Every variant the library knows, in ascending strength.
 constexpr GainKernelKind kAllKinds[] = {
-    GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-    GainKernelKind::kAvx2, GainKernelKind::kAvx512};
+    GainKernelKind::kScalar, GainKernelKind::kAvx2, GainKernelKind::kAvx512};
 
 /// Strongest supported variant — scalar is always built and supported.
 const GainKernelOps* best_supported() noexcept {
@@ -97,6 +90,14 @@ bool gain_kernel_supported(GainKernelKind kind) noexcept {
   return built_ops(kind) != nullptr && host_supports(kind);
 }
 
+std::vector<GainKernelKind> supported_gain_kernels() {
+  std::vector<GainKernelKind> kinds;
+  for (const GainKernelKind kind : kAllKinds) {
+    if (gain_kernel_supported(kind)) kinds.push_back(kind);
+  }
+  return kinds;
+}
+
 const GainKernelOps& gain_kernel_ops(GainKernelKind kind) {
   if (!gain_kernel_supported(kind)) {
     throw std::invalid_argument(
@@ -109,8 +110,10 @@ const GainKernelOps& gain_kernel_ops(GainKernelKind kind) {
 const GainKernelOps& active_gain_kernel_ops() noexcept {
   const GainKernelOps* ops = g_active.load(std::memory_order_acquire);
   if (ops == nullptr) {
-    // Benign race: concurrent first uses resolve to the same table.
-    ops = resolve_initial();
+    // Resolved once (thread-safe static), so concurrent first uses agree
+    // and the IMC_KERNEL note prints once.
+    static const GainKernelOps* const initial = resolve_initial();
+    ops = initial;
     g_active.store(ops, std::memory_order_release);
   }
   return *ops;
@@ -130,8 +133,6 @@ const char* gain_kernel_name(GainKernelKind kind) noexcept {
   switch (kind) {
     case GainKernelKind::kScalar:
       return "scalar";
-    case GainKernelKind::kPopcnt:
-      return "popcnt";
     case GainKernelKind::kAvx2:
       return "avx2";
     case GainKernelKind::kAvx512:
@@ -143,7 +144,6 @@ const char* gain_kernel_name(GainKernelKind kind) noexcept {
 std::optional<GainKernelKind> parse_gain_kernel(
     std::string_view name) noexcept {
   if (name == "scalar") return GainKernelKind::kScalar;
-  if (name == "popcnt") return GainKernelKind::kPopcnt;
   if (name == "avx2") return GainKernelKind::kAvx2;
   if (name == "avx512") return GainKernelKind::kAvx512;
   return std::nullopt;

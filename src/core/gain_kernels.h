@@ -20,14 +20,14 @@
 //   * marginal_nu — node-major CSR probe: one node's ν gain, accumulated
 //     left-to-right over its (sample-sorted) touch span.
 //
-// All four are memory/popcount-bound over 64-bit member masks, so this
-// layer provides explicit SIMD variants selected once at runtime:
+// All four are memory/popcount-bound over 64-bit member masks. Hardware
+// popcount is part of the build baseline (POPCNT on x86-64, see
+// util/mathx.h), so the only thing decided at runtime is the SIMD width:
 //
-//   kScalar  portable baseline — THE reference implementation every other
-//            variant is pinned against (bit-identical, enforced by
-//            tests/core/gain_kernel_test.cpp and the differential fuzzer)
-//   kPopcnt  same code compiled with the POPCNT ISA extension (hardware
-//            popcount instead of the ~12-op SWAR sequence)
+//   kScalar  one sample per iteration, baseline flags only — THE reference
+//            implementation every other variant is pinned against
+//            (bit-identical, enforced by tests/core/gain_kernel_test.cpp
+//            and the differential fuzzer)
 //   kAvx2    cov | mask + popcount batched 4 samples per iteration via the
 //            vpshufb nibble-LUT popcount
 //   kAvx512  8 per iteration via native vpopcntq (requires AVX-512
@@ -39,7 +39,7 @@
 // 64 samples instead of one test per sample.
 //
 // Dispatch: the best supported variant wins by default; the IMC_KERNEL
-// environment variable (scalar|popcnt|avx2|avx512) overrides it for
+// environment variable (scalar|avx2|avx512) overrides it for
 // testing, and set_gain_kernel() overrides it programmatically. Variants
 // are bit-identical by construction — integer popcounts are exact, the ν
 // deltas are the same table doubles subtracted in the same per-node
@@ -51,6 +51,7 @@
 #include <optional>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "graph/types.h"
 #include "sampling/ric_pool.h"
@@ -61,9 +62,8 @@ namespace imc {
 /// dispatch picks the highest supported value.
 enum class GainKernelKind : std::uint8_t {
   kScalar = 0,
-  kPopcnt = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 /// Sample-major sweep inputs: per-sample state owned by CoverageState plus
@@ -113,6 +113,11 @@ struct GainKernelOps {
 /// Whether `kind` can run on this host (kScalar is always true).
 [[nodiscard]] bool gain_kernel_supported(GainKernelKind kind) noexcept;
 
+/// Every variant this host can run, in ascending strength: kScalar first,
+/// the dispatch default last. The one list of kinds the tests, the
+/// differential fuzzer and the dispatcher iterate.
+[[nodiscard]] std::vector<GainKernelKind> supported_gain_kernels();
+
 /// The ops table of a SPECIFIC variant. Precondition: supported — throws
 /// std::invalid_argument otherwise (tests exercise exactly the supported
 /// set via gain_kernel_supported).
@@ -132,7 +137,7 @@ struct GainKernelOps {
 /// between selections, as the tests do.
 bool set_gain_kernel(GainKernelKind kind) noexcept;
 
-/// Display name ("scalar", "popcnt", "avx2", "avx512").
+/// Display name ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* gain_kernel_name(GainKernelKind kind) noexcept;
 
 /// Parses an IMC_KERNEL-style name; nullopt for anything unrecognized.

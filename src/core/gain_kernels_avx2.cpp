@@ -1,10 +1,11 @@
 // AVX2 gain-kernel variant: cov | mask + popcount batched 4 samples per
-// iteration using the vpshufb nibble-LUT popcount. Compiled with
-// -mavx2 -mpopcnt (see src/CMakeLists.txt); the dispatcher only selects
-// this table after __builtin_cpu_supports("avx2") confirms the host.
+// iteration using the vpshufb nibble-LUT popcount. Compiled with -mavx2
+// on top of the POPCNT baseline (see src/CMakeLists.txt); the dispatcher
+// only selects this table after __builtin_cpu_supports("avx2") confirms
+// the host.
 #include "core/gain_kernels_registry.h"
 
-#if defined(__AVX2__) && defined(__POPCNT__)
+#if defined(__AVX2__)
 
 #define IMC_GK_NAMESPACE avx2
 #define IMC_GK_NAME "avx2"

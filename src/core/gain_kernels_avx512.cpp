@@ -1,8 +1,8 @@
 // AVX-512 gain-kernel variant: 8 samples per iteration with native
 // vpopcntq, plus a gather-based marginal_nu batch. Compiled with
-// -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq -mpopcnt (see
-// src/CMakeLists.txt); the dispatcher only selects this table after
-// __builtin_cpu_supports confirms all four AVX-512 features.
+// -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq on top of the POPCNT
+// baseline (see src/CMakeLists.txt); the dispatcher only selects this
+// table after __builtin_cpu_supports confirms all four AVX-512 features.
 #include "core/gain_kernels_registry.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \

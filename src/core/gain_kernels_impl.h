@@ -1,11 +1,10 @@
 // Implementation template for ONE gain-kernel variant. This header is
 // textually included by the per-variant translation units
-// (gain_kernels_{scalar,popcnt,avx2,avx512}.cpp), each of which is
-// compiled with exactly the ISA flags its variant requires — that is what
-// lets the batched loops use intrinsics and lets the compiler lower
-// popcount64 to the hardware instruction, without making the rest of the
-// library machine-specific. The dispatcher (gain_kernels.cpp) only calls
-// into a variant after __builtin_cpu_supports confirms the host.
+// (gain_kernels_{scalar,avx2,avx512}.cpp), each of which adds exactly the
+// vector ISA flags its variant requires to the POPCNT baseline — that is
+// what lets the batched loops use intrinsics without making the rest of
+// the library machine-specific. The dispatcher (gain_kernels.cpp) only
+// calls into a variant after __builtin_cpu_supports confirms the host.
 //
 // The includer must define:
 //   IMC_GK_NAMESPACE  token  — variant namespace under imc::gain_detail

@@ -13,7 +13,6 @@ namespace imc {
 namespace gain_detail {
 
 const GainKernelOps* scalar_ops() noexcept;  // never nullptr
-const GainKernelOps* popcnt_ops() noexcept;
 const GainKernelOps* avx2_ops() noexcept;
 const GainKernelOps* avx512_ops() noexcept;
 

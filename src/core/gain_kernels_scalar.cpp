@@ -1,6 +1,7 @@
 // Scalar gain-kernel variant: compiled with the project's baseline flags
-// only, so it is the portable reference implementation every SIMD variant
-// is pinned against. See gain_kernels_impl.h for the shared code.
+// only (hardware popcount on x86-64), so it is the reference
+// implementation every SIMD variant is pinned against. See
+// gain_kernels_impl.h for the shared code.
 #include "core/gain_kernels_registry.h"
 
 #define IMC_GK_NAMESPACE scalar

@@ -53,23 +53,6 @@ class CoverageState {
   /// Adds one seed (idempotent — re-adding is a no-op).
   void add_seed(NodeId v);
 
-  /// Catches the state up with samples grown into the pool since
-  /// `from_epoch` (the RicPool::grow_epoch() captured when this state was
-  /// last constructed/extended). `pool` must be the state's own pool and
-  /// `from_epoch.samples` must equal the sample count the state currently
-  /// covers; a stale or foreign epoch throws std::invalid_argument.
-  ///
-  /// ν accumulation-order contract: the extended state is BITWISE equal
-  /// (operator==) to a fresh CoverageState on the grown pool replaying
-  /// add_seed over the same seeds in insertion order. Kahan compensation
-  /// makes nu_sum_ sensitive to summation order, so extend() does not
-  /// splice "new-sample deltas" into the old sum — it replays every seed's
-  /// full CSR touch run seed-major (exactly the rebuild's accumulation
-  /// sequence) and REPLACES influenced_/nu_sum_ with the replayed values.
-  /// Cost is O(Σ touches of the seeds), independent of |R|, via the
-  /// epoch-marked scratch below.
-  void extend(const RicPool& pool, RicPool::PoolEpoch from_epoch);
-
   [[nodiscard]] const std::vector<NodeId>& seeds() const noexcept {
     return seeds_;
   }
@@ -96,8 +79,6 @@ class CoverageState {
   [[nodiscard]] double nu() const noexcept;
 
   // -- candidate marginals (no mutation) ------------------------------------
-  /// Increase of influenced() if v were added.
-  [[nodiscard]] std::uint64_t marginal_influenced(NodeId v) const;
   /// Increase of nu_sum() if v were added.
   [[nodiscard]] double marginal_nu(NodeId v) const;
 
@@ -114,14 +95,15 @@ class CoverageState {
   /// Sample-major ĉ marginal pass over samples [begin, end): for every
   /// not-yet-influenced sample, bumps gains[v] by one for each toucher v
   /// whose mask lifts the sample past its threshold. Summed over any
-  /// partition of [0, pool size) this reproduces marginal_influenced(v)
-  /// exactly for every node (current seeds get 0: their masks are already
-  /// folded into covered). The inversion reads each covered mask once
-  /// sequentially instead of once per touch at random, and skips dead
-  /// samples wholesale; integer accumulation makes chunk sums independent
-  /// of the partition, so parallel callers stay deterministic. Executed by
-  /// the active gain kernel (core/gain_kernels.h) — SIMD variants are
-  /// bit-identical to scalar, so the dispatch never affects results.
+  /// partition of [0, pool size) this yields, for every node v, exactly
+  /// the increase of influenced() if v were added (current seeds get 0:
+  /// their masks are already folded into covered). The inversion reads
+  /// each covered mask once sequentially instead of once per touch at
+  /// random, and skips dead samples wholesale; integer accumulation makes
+  /// chunk sums independent of the partition, so parallel callers stay
+  /// deterministic. Executed by the active gain kernel
+  /// (core/gain_kernels.h) — SIMD variants are bit-identical to scalar,
+  /// so the dispatch never affects results.
   void accumulate_influenced_gains(std::uint32_t begin, std::uint32_t end,
                                    std::uint64_t* gains) const;
 
@@ -147,28 +129,14 @@ class CoverageState {
   void accumulate_nu_gains(std::uint32_t begin, std::uint32_t end,
                            double* gains) const;
 
-  /// Member mask currently covered in sample g. Hot path: bounds are
-  /// debug-asserted, not checked in release builds.
-  [[nodiscard]] std::uint64_t covered_mask(std::uint32_t g) const {
-    assert(g < covered_.size());
-    return covered_[g];
-  }
-
   [[nodiscard]] const RicPool& pool() const noexcept { return *pool_; }
-
-  /// Observable-state equality: same pool, same per-sample coverage and
-  /// saturation, same seed set, and the same influenced_/nu_sum_ values
-  /// (nu compared by value() — the invariant extend() guarantees
-  /// bitwise). The extend-vs-rebuild tests assert with this.
-  friend bool operator==(const CoverageState& a, const CoverageState& b);
 
  private:
   /// Borrowed view of the per-sample state for the sample-major kernels.
   [[nodiscard]] SampleGainView sample_view() const noexcept;
 
-  /// (Re)derives nu_base_[from, pool size) from the current covered masks
-  /// (row_h[popcount(covered)]; row_h[0] for untouched samples).
-  void init_nu_base(std::size_t from);
+  /// Resets nu_base_ to every sample's untouched base fraction row_h[0].
+  void init_nu_base();
 
   const RicPool* pool_;
   /// Base of the precomputed ν fraction table (nu_fraction_row(0)); rows
@@ -184,19 +152,14 @@ class CoverageState {
   /// Per sample: the CURRENT base fraction row_h[popcount(covered)],
   /// maintained on every covered change. The sample-major ν kernel then
   /// does a pure lookup-subtract per touch — no per-sample popcount of the
-  /// covered word. Exact invariant (checked by operator==): rows are flat
-  /// at 1.0 past h, so skipping updates once saturated still leaves the
-  /// stored value equal to the recomputed one.
+  /// covered word. Exact invariant: rows are flat at 1.0 past h, so
+  /// skipping updates once saturated still leaves the stored value equal
+  /// to the recomputed one.
   std::vector<double> nu_base_;
   std::vector<std::uint8_t> is_seed_;    // per node
   std::vector<NodeId> seeds_;
   std::uint64_t influenced_ = 0;
   KahanSum nu_sum_;  // compensated: matches RicPool::nu's KahanSum
-  /// extend() scratch: extend_mark_[g] == extend_epoch_ means covered_[g]
-  /// already holds the current replay's running mask (so `before` reads it
-  /// instead of 0). Epoch-bumped per extend — no O(|R|) clearing.
-  std::vector<std::uint32_t> extend_mark_;
-  std::uint32_t extend_epoch_ = 0;
 };
 
 }  // namespace imc

@@ -1054,7 +1054,6 @@ std::uint64_t RicPool::splitmix_of(std::uint64_t seed, std::uint64_t index) {
   return splitmix64(state);
 }
 
-IMC_POPCNT_CLONES
 std::uint64_t RicPool::influenced_count(std::span<const NodeId> seeds) const {
   const EvalScratch& scratch = accumulate_masks(*this, seeds);
   std::uint64_t influenced = 0;
@@ -1073,7 +1072,6 @@ double RicPool::c_hat(std::span<const NodeId> seeds) const {
          static_cast<double>(size());
 }
 
-IMC_POPCNT_CLONES
 double RicPool::nu(std::span<const NodeId> seeds) const {
   if (size() == 0) return 0.0;
   const EvalScratch& scratch = accumulate_masks(*this, seeds);

@@ -64,17 +64,6 @@ ReferencePool contract_reference_pool(const Graph& graph,
   return ref;
 }
 
-/// All gain-kernel variants the host can run — kScalar is always first.
-std::vector<GainKernelKind> supported_kernels() {
-  std::vector<GainKernelKind> kinds;
-  for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
-    if (gain_kernel_supported(kind)) kinds.push_back(kind);
-  }
-  return kinds;
-}
-
 /// Forces one kernel for a check's scope and restores the previous one on
 /// every exit path, so a failing case never leaks its variant into later
 /// cases (which would make single-seed repro runs diverge from sweeps).
@@ -94,7 +83,7 @@ class KernelGuard {
 /// Case-seeded kernel draw: optimized paths must hold under EVERY variant,
 /// so the fuzz population distributes across whatever the host supports.
 GainKernelKind kernel_for(std::uint64_t case_seed) {
-  const std::vector<GainKernelKind> kinds = supported_kernels();
+  const std::vector<GainKernelKind> kinds = supported_gain_kernels();
   return kinds[(case_seed >> 7) % kinds.size()];
 }
 
@@ -296,10 +285,6 @@ std::optional<std::string> check_evaluators(const InstanceSpec& spec,
       }
     }
     for (NodeId v = 0; v < graph.node_count(); ++v) {
-      if (state.marginal_influenced(v) != ref.marginal_influenced(view, v)) {
-        return "marginal_influenced(" + std::to_string(v) +
-               ") mismatch on " + describe_nodes(view);
-      }
       // Bit-for-bit: the reference replays the documented accumulation
       // order, and the fraction table holds exact count/h doubles. Any
       // difference means the order contract broke.
@@ -459,7 +444,7 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
     ref_celf = celf_greedy_nu(pool, k, GreedyOptions{});
   }
 
-  for (const GainKernelKind kind : supported_kernels()) {
+  for (const GainKernelKind kind : supported_gain_kernels()) {
     if (kind == GainKernelKind::kScalar) continue;
     const KernelGuard guard(kind);
     const std::string tag =
@@ -500,12 +485,11 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
 // Check: warm_vs_cold
 // ---------------------------------------------------------------------------
 
-/// The MaxrSolver::resume / CoverageState::extend contracts under random
-/// growth schedules: after every pool growth, a warm-started UBG/MAF solve
-/// must be BIT-IDENTICAL to a cold solve on the same pool, and an extended
-/// CoverageState must be operator== to a from-scratch rebuild. Cold paths
-/// are the oracles — they are themselves pinned against the slow reference
-/// oracles by check_greedy.
+/// The MaxrSolver::resume contract under random growth schedules: after
+/// every pool growth, a warm-started UBG/MAF solve must be BIT-IDENTICAL
+/// to a cold solve on the same pool. Cold paths are the oracles — they
+/// are themselves pinned against the slow reference oracles by
+/// check_greedy.
 std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
                                               std::uint64_t case_seed) {
   const Graph graph = spec.build_graph();
@@ -520,10 +504,6 @@ std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
   Rng rng(case_seed ^ 0xc01d57a7ULL);
   const auto k = static_cast<std::uint32_t>(
       rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-  const std::vector<std::uint32_t> tracked_seeds =
-      rng.sample_without_replacement(
-          graph.node_count(),
-          std::min<std::uint32_t>(2, graph.node_count()));
 
   // Uneven growth slices so the stages are not a clean doubling.
   const std::uint64_t slices[3] = {count / 2 + 1, count / 3 + 1,
@@ -533,9 +513,6 @@ std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
     RicPool pool(graph, communities, spec.model);
     UbgResume ubg_state;
     MafResume maf_state;
-    CoverageState tracked(pool);
-    for (const NodeId v : tracked_seeds) tracked.add_seed(v);
-    RicPool::PoolEpoch epoch = pool.grow_epoch();
 
     bool parallel_grow = false;
     for (const std::uint64_t slice : slices) {
@@ -564,15 +541,6 @@ std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
       if (maf_warm.seeds != maf_cold.seeds ||
           maf_warm.c_hat != maf_cold.c_hat) {
         return "maf_resume diverged from cold solve" + at;
-      }
-
-      tracked.extend(pool, epoch);
-      epoch = pool.grow_epoch();
-      CoverageState rebuilt(pool);
-      for (const NodeId v : tracked.seeds()) rebuilt.add_seed(v);
-      if (!(tracked == rebuilt)) {
-        return "CoverageState::extend != full rebuild on seeds " +
-               describe_nodes(tracked.seeds()) + at;
       }
     }
   }

@@ -69,6 +69,14 @@ class Fnv1a64 {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+// POPCNT is part of the x86-64 baseline (src/CMakeLists.txt enables it
+// for `imc` and everything linking it), so popcount64 is one
+// instruction, not the ~12-op SWAR fallback. A target built without the
+// flag would silently run the fallback in every hot loop; refuse instead.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#error "x86-64 builds need POPCNT: compile with -mpopcnt (see src/CMakeLists.txt)"
+#endif
+
 /// Population count of a 64-bit mask (thin wrapper, keeps call sites tidy).
 [[nodiscard]] constexpr int popcount64(std::uint64_t mask) noexcept {
   return __builtin_popcountll(mask);
@@ -93,23 +101,6 @@ inline void prefetch_write(const void*) noexcept {}
 
 /// How many touches ahead the sweeps prefetch the covered/threshold words.
 inline constexpr std::size_t kCoveredPrefetchDistance = 8;
-
-/// Function-multiversioning attribute for the popcount-heavy kernels. The
-/// portable x86-64 baseline has no POPCNT instruction, so popcount64
-/// compiles to a ~12-op SWAR sequence — the single largest cost in the
-/// marginal-gain sweeps (measured: ~60% of the ν sweep). target_clones
-/// emits a second clone of the function with the POPCNT ISA extension and
-/// picks the best one once at load time (ifunc), so -march=native is not
-/// required for the common case. Results are bit-identical: popcount is
-/// exact integer arithmetic either way. Disabled under the sanitizers: the
-/// ifunc resolver runs before the sanitizer runtime is initialized and
-/// crashes at startup (and the plain build already covers the clones).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define IMC_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
-#else
-#define IMC_POPCNT_CLONES
-#endif
 
 /// Largest member count / threshold the ν fraction table covers (matches
 /// kMaxCommunityPopulation — the mask representation caps populations).

@@ -48,16 +48,6 @@ class KernelGuard {
   GainKernelKind saved_;
 };
 
-std::vector<GainKernelKind> supported_kernels() {
-  std::vector<GainKernelKind> kinds;
-  for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
-    if (gain_kernel_supported(kind)) kinds.push_back(kind);
-  }
-  return kinds;
-}
-
 /// Exact-representation equality: the bit-identity claim is stronger than
 /// double ==, so compare raw bytes.
 template <typename T>
@@ -105,13 +95,19 @@ class GainKernelTest : public ::testing::Test {
 };
 
 TEST_F(GainKernelTest, ParseAndNameRoundTrip) {
-  for (const GainKernelKind kind :
-       {GainKernelKind::kScalar, GainKernelKind::kPopcnt,
-        GainKernelKind::kAvx2, GainKernelKind::kAvx512}) {
+  for (const GainKernelKind kind : supported_gain_kernels()) {
     const auto parsed = parse_gain_kernel(gain_kernel_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
+  // The three tiers, whether or not this host runs them.
+  EXPECT_EQ(parse_gain_kernel("scalar"), GainKernelKind::kScalar);
+  EXPECT_EQ(parse_gain_kernel("avx2"), GainKernelKind::kAvx2);
+  EXPECT_EQ(parse_gain_kernel("avx512"), GainKernelKind::kAvx512);
+  EXPECT_STREQ(gain_kernel_name(GainKernelKind::kAvx2), "avx2");
+  EXPECT_STREQ(gain_kernel_name(GainKernelKind::kAvx512), "avx512");
+  // Hardware popcount is the build baseline, not a tier.
+  EXPECT_FALSE(parse_gain_kernel("popcnt").has_value());
   EXPECT_FALSE(parse_gain_kernel("").has_value());
   EXPECT_FALSE(parse_gain_kernel("sse2").has_value());
   EXPECT_FALSE(parse_gain_kernel("AVX2").has_value());  // case-sensitive
@@ -126,10 +122,19 @@ TEST_F(GainKernelTest, ScalarAlwaysSupportedAndSelectable) {
 }
 
 TEST_F(GainKernelTest, UnsupportedKindIsRejected) {
-  for (const GainKernelKind kind :
-       {GainKernelKind::kPopcnt, GainKernelKind::kAvx2,
-        GainKernelKind::kAvx512}) {
-    if (gain_kernel_supported(kind)) {
+  const std::vector<GainKernelKind> supported = supported_gain_kernels();
+  ASSERT_FALSE(supported.empty());
+  EXPECT_EQ(supported.front(), GainKernelKind::kScalar);
+  // Every tier, plus one value past the last: that one is never built.
+  const int past_last = static_cast<int>(GainKernelKind::kAvx512) + 1;
+  for (int raw = 0; raw <= past_last; ++raw) {
+    const auto kind = static_cast<GainKernelKind>(raw);
+    const bool listed =
+        std::find(supported.begin(), supported.end(), kind) !=
+        supported.end();
+    EXPECT_EQ(listed, gain_kernel_supported(kind)) << raw;
+    EXPECT_FALSE(raw == past_last && listed);
+    if (listed) {
       EXPECT_NO_THROW((void)gain_kernel_ops(kind));
       continue;
     }
@@ -141,7 +146,7 @@ TEST_F(GainKernelTest, UnsupportedKindIsRejected) {
 }
 
 TEST_F(GainKernelTest, OpsTableMatchesKind) {
-  for (const GainKernelKind kind : supported_kernels()) {
+  for (const GainKernelKind kind : supported_gain_kernels()) {
     const GainKernelOps& ops = gain_kernel_ops(kind);
     EXPECT_EQ(ops.kind, kind);
     EXPECT_STREQ(ops.name, gain_kernel_name(kind));
@@ -157,7 +162,7 @@ TEST_F(GainKernelTest, OpsTableMatchesKind) {
 // with and without seeds folded in (seeds exercise the saturated-sample
 // skip), and over chunked sub-ranges whose cuts are NOT slab-aligned.
 TEST_F(GainKernelTest, SweepGainsBitIdenticalAcrossKernels) {
-  const std::vector<GainKernelKind> kinds = supported_kernels();
+  const std::vector<GainKernelKind> kinds = supported_gain_kernels();
   const auto n = static_cast<std::size_t>(graph_.node_count());
   for (const std::uint64_t samples : {0ULL, 1ULL, 63ULL, 64ULL, 65ULL,
                                       130ULL, 1200ULL}) {
@@ -242,7 +247,7 @@ TEST_F(GainKernelTest, SelectionInvariantUnderKernelShardsThreads) {
       ref_celf = celf_greedy_nu(pool, k, GreedyOptions{});
     }
     ASSERT_EQ(ref_c_hat.seeds.size(), k);
-    for (const GainKernelKind kind : supported_kernels()) {
+    for (const GainKernelKind kind : supported_gain_kernels()) {
       const KernelGuard guard(kind);
       SCOPED_TRACE(::testing::Message() << gain_kernel_name(kind)
                                         << " samples=" << samples
@@ -314,7 +319,7 @@ TEST_F(GainKernelTest, UpdateEntryBitIdenticalToScalar) {
         grown.add_seed(s);
         ASSERT_TRUE(bits_equal(fresh_gains(grown), ref))
             << "scalar update, samples=" << samples << " seed=" << s;
-        for (const GainKernelKind kind : supported_kernels()) {
+        for (const GainKernelKind kind : supported_gain_kernels()) {
           const KernelGuard guard(kind);
           std::vector<std::uint64_t> row = before;
           state.update_influenced_gains(s, 0, touches, row.data());
@@ -352,7 +357,7 @@ TEST_F(GainKernelTest, KeptRowEqualsFreshSweepEveryRound) {
       picks = greedy_c_hat(pool, n).seeds;  // k = n: every node, in order
     }
     ASSERT_EQ(picks.size(), n);
-    for (const GainKernelKind kind : supported_kernels()) {
+    for (const GainKernelKind kind : supported_gain_kernels()) {
       const KernelGuard guard(kind);
       std::vector<std::pair<ThreadPool*, std::size_t>> configs = {
           {nullptr, 0}};
