@@ -521,17 +521,10 @@ void BM_CelfGreedyNuSelectHuge(benchmark::State& state) {
 BENCHMARK(BM_CelfGreedyNuSelectHuge)->Arg(0)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end IMCAF: Arg 0 solves cold at every doubling stage
-// (warm_start=false), Arg 1 warm-starts the solver across stages via
-// MaxrSolver::resume (the default). Outputs are bit-identical; the
-// solver_seconds counter isolates the MAXR time the warm start saves —
-// the acceptance metric for the staged engine is its cold/warm ratio.
-// Hub-structured fixture for the warm-start measurement: a BA graph under
-// the weighted cascade keeps the greedy prefix stable as the pool doubles,
-// so the carried ĉ snapshots and CELF init chains actually get replayed.
-// (The Louvain/fraction-threshold fixture above has near-tied marginals —
-// its winners reshuffle every doubling and the carry falls back to cold,
-// which is correct but measures only the fallback.)
+// Fixture for the end-to-end IMCAF rows: a 2000-node BA graph under the
+// weighted cascade, cut into consecutive 6-node communities with h = 2.
+// The solve is a small share of each row's wall time (sampling and the
+// Dagum estimate dominate), as on perfbench's cold_solve workload.
 const Graph& ba_hub_graph() {
   static const Graph graph = [] {
     Rng rng(77);
@@ -563,7 +556,8 @@ const CommunitySet& ba_hub_communities() {
   return communities;
 }
 
-// End-to-end Alg. 5 runs, arguments {warm_start, threads}. threads == 0 is
+// End-to-end Alg. 5 runs, argument {threads}; the solver runs cold at
+// every doubling stage. threads == 0 is
 // the serial schedule (pipeline off, no engine worker pool; UBG's ν lane
 // still runs on default_pool(), DESIGN.md §5); threads > 0 runs the
 // pipelined engine (DESIGN.md §15) with that many workers overlapping each
@@ -573,7 +567,7 @@ const CommunitySet& ba_hub_communities() {
 // — on a multi-core host the wall-clock should approach
 // max(sampling, solve + estimate) instead of their sum, i.e. the
 // solver_seconds counter disappears from the wall time at >= 2 threads.
-// The one-worker row /1/1 is the configuration perfbench runs
+// The one-worker row /1 is the configuration perfbench runs
 // (--workers 1): parallel sampling on a one-worker pool, where the caller
 // that waits on a grow or at the stage boundary samples beside the
 // worker. items_per_second = RIC samples generated end to end.
@@ -581,12 +575,11 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   const Graph& graph = ba_hub_graph();
   const CommunitySet& communities = ba_hub_communities();
   const UbgSolver solver;
-  const auto threads = static_cast<unsigned>(state.range(1));
+  const auto threads = static_cast<unsigned>(state.range(0));
   ImcafConfig config;
   config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
   config.seed = 2024;
   config.parallel_sampling = threads == 1;
-  config.warm_start = state.range(0) != 0;
   config.pipeline = threads > 0;
   std::unique_ptr<ThreadPool> workers;
   if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
@@ -622,17 +615,15 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   state.counters["speculative_samples_committed"] = committed / iterations;
   state.counters["speculative_samples_discarded"] = discarded / iterations;
   state.counters["stop_stages"] = stop_stages;
-  state.counters["warm_start"] = config.warm_start ? 1.0 : 0.0;
   state.counters["pipeline"] = config.pipeline ? 1.0 : 0.0;
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_ImcafEndToEnd)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Args({1, 4})
-    ->Args({1, 8})
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Louvain(benchmark::State& state) {

@@ -187,7 +187,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
   std::uint64_t stage_committed = 0;
   std::uint64_t stage_discarded = 0;
 
-  std::unique_ptr<MaxrResume> carry;
   MaxrSolution solution;
   for (;;) {
     ++result.stop_stages;
@@ -196,7 +195,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     metrics.pool_size = pool_.size();
     metrics.samples_added = stage_samples;
     metrics.sampling_seconds = stage_sampling;
-    metrics.warm_start = config_.warm_start && result.stop_stages > 1;
     metrics.pipelined = stage_pipelined;
     metrics.overlap_seconds = stage_overlap;
     metrics.speculative_samples_committed = stage_committed;
@@ -211,8 +209,7 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     launch_speculation();
 
     const Stopwatch solve_watch;
-    solution = config_.warm_start ? solver.resume(pool_, k, carry)
-                                  : solver.solve(pool_, k);
+    solution = solver.solve(pool_, k);
     metrics.solver_seconds = solve_watch.elapsed_seconds();
     result.solver_seconds += metrics.solver_seconds;
     log(LogLevel::kDebug) << "IMCAF stage " << result.stop_stages << ": |R|="

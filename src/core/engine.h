@@ -2,11 +2,9 @@
 //
 // The engine owns the RIC sample pool and runs the SSA-style doubling loop
 // as three cooperating layers:
-//   sampling   — RicPool growth, watermarked by PoolEpoch so downstream
-//                consumers know exactly which sample range is new;
-//   core       — the MAXR solver, warm-started across stages through
-//                MaxrSolver::resume (bit-identical to cold solves by
-//                contract; ImcafConfig::warm_start turns it off);
+//   sampling   — RicPool growth, watermarked by PoolEpoch so a staged
+//                speculative batch can tell whether the pool moved;
+//   core       — the MAXR solver, run cold on the pool at every stage;
 //   estimation — the stop-stage Dagum Estimate, deadline-aware through
 //                the ExecutionContext.
 // Keeping the pool in the engine (instead of a local of imcaf_solve) is
@@ -68,9 +66,7 @@ class ImcEngine {
   /// solve simply sees a larger |R|).
   [[nodiscard]] ImcafResult solve(std::uint32_t k, const MaxrSolver& solver);
 
-  /// Runs the queries in order against the shared pool. Solver warm-start
-  /// state is per-query (a solver appearing twice gets fresh state each
-  /// time — the pool size differs between its runs).
+  /// Runs the queries in order against the shared pool.
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
@@ -80,9 +76,8 @@ class ImcEngine {
   /// and the same diffusion model as config().model. Payloads are
   /// checksum- and invariant-verified by default; pass
   /// SnapshotTrust::kTrustPayload for files this host wrote to keep attach
-  /// cost independent of pool size. The restored PoolEpoch watermark means
-  /// solver warm-start carriers captured against the saved pool validate
-  /// against the reloaded one.
+  /// cost independent of pool size. The restored PoolEpoch watermark
+  /// equals the saved pool's.
   /// Throws std::runtime_error / std::invalid_argument on any mismatch;
   /// the current pool is untouched on failure.
   void attach_pool(const std::string& path,
@@ -96,9 +91,8 @@ class ImcEngine {
   /// constructed over (identity-checked; the engine holds const views, so
   /// the caller supplies the mutable aliases) — std::invalid_argument
   /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs, which
-  /// invalidates every outstanding warm-start carrier (solvers fall back
-  /// cold via their samples_since guard) and any staged speculative batch
-  /// (the pipeline's commit check rejects it and regrows synchronously).
+  /// invalidates any staged speculative batch (the pipeline's commit check
+  /// rejects it and regrows synchronously).
   /// A move that would grow a community past kMaxCommunityPopulation is
   /// rejected by the free apply_delta() before anything mutates. One case
   /// still gives only the basic guarantee: on an LT engine, an edge update

@@ -145,114 +145,6 @@ void fold_shard_rows(ThreadPool& sweep, std::size_t shards,
   return best;
 }
 
-/// Snapshot-matrix memory cap for CHatResume: k rows of n 8-byte gains.
-/// Past this, recording is skipped and every stage solves cold — warm
-/// start is a time/space trade, never a correctness requirement.
-inline constexpr std::size_t kCHatSnapshotCapBytes = 256u << 20;
-
-/// The ĉ round loop behind greedy_c_hat (local carrier, `record` off) and
-/// greedy_c_hat_resumable. Each round takes its gain row from one of three
-/// places: a warm round copies its snapshot row and adds the grown tail;
-/// round 0 of a cold run sweeps the pool; every other round uses the row
-/// the previous pick's update left behind.
-GreedyResult c_hat_rounds(const RicPool& pool, std::uint32_t k,
-                          const GreedyOptions& options, CHatResume& resume,
-                          bool record) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-  const std::size_t n = pool.graph().node_count();
-  record = record && static_cast<std::size_t>(k) * n *
-                             sizeof(std::uint64_t) <=
-                         kCHatSnapshotCapBytes;
-
-  // A resume from a different graph, a reset pool, or an overwritten epoch
-  // is silently discarded — the cold path below is always correct.
-  bool warm = resume.nodes == n && !resume.winners.empty() &&
-              resume.gain_snapshots.size() == resume.winners.size() * n;
-  std::uint64_t old_samples = 0;
-  if (warm) {
-    try {
-      (void)pool.samples_since(resume.epoch);  // validates the carried epoch
-      old_samples = resume.epoch.samples;
-    } catch (const std::invalid_argument&) {
-      warm = false;
-    }
-  }
-  if (!warm) {
-    resume.winners.clear();
-    resume.gain_snapshots.clear();
-  }
-
-  CHatGainRow row;
-  const std::size_t stored = resume.winners.size();
-  std::size_t rounds_done = 0;
-  bool diverged = false;
-  for (std::uint32_t round = 0;
-       round < k && state.seeds().size() < candidates.size(); ++round) {
-    const bool warm_round = !diverged && round < stored;
-    if (warm_round) {
-      // The snapshot row already holds the [0, old) portion of every
-      // node's gain against this exact seed prefix (append never alters
-      // old samples' touches or coverage), so only the grown tail is
-      // accumulated. Integer adds over any sample partition reproduce the
-      // cold full-range totals exactly.
-      row.gains.assign(resume.gain_snapshots.begin() + round * n,
-                       resume.gain_snapshots.begin() + (round + 1) * n);
-      state.accumulate_influenced_gains(
-          static_cast<std::uint32_t>(old_samples),
-          static_cast<std::uint32_t>(pool.size()), row.gains.data());
-    } else if (round == 0) {
-      row.compute(state, sweep, options.shards);
-    }
-    const CandidateScore best = best_from_gains(state, candidates, row.gains);
-    if (!best.valid()) break;
-    if (warm_round && resume.winners[round] != best.node) {
-      // ĉ is non-submodular: the grown pool legitimately reorders winners
-      // here. The stale tail was computed against the old prefix — drop it
-      // and continue cold (the row just computed is still exact for this
-      // round, so it is this round's snapshot and the next round's base).
-      diverged = true;
-      resume.winners.resize(round);
-      resume.gain_snapshots.resize(round * n);
-    }
-    if (record) {
-      if (round < resume.winners.size()) {
-        resume.winners[round] = best.node;
-        std::copy(row.gains.begin(), row.gains.end(),
-                  resume.gain_snapshots.begin() + round * n);
-      } else {
-        resume.winners.push_back(best.node);
-        resume.gain_snapshots.insert(resume.gain_snapshots.end(),
-                                     row.gains.begin(), row.gains.end());
-      }
-      rounds_done = round + 1;
-    }
-    // The next round reads this row unless it is the last or a warm round
-    // (which replaces the row with its snapshot).
-    if (round + 1 < k && (diverged || round + 1 >= stored)) {
-      row.update(state, best.node, sweep, options.shards);
-    }
-    state.add_seed(best.node);
-  }
-
-  if (record) {
-    // Rows past the rounds actually run this call would be stale against
-    // the epoch below — drop them.
-    resume.winners.resize(rounds_done);
-    resume.gain_snapshots.resize(rounds_done * n);
-    resume.nodes = n;
-    resume.epoch = pool.grow_epoch();
-  } else {
-    resume = CHatResume{};
-  }
-
-  std::vector<NodeId> seeds = state.seeds();
-  fill_to_k(pool, k, seeds);
-  return finish(pool, std::move(seeds));
-}
-
 }  // namespace
 
 void CHatGainRow::compute(const CoverageState& state, ThreadPool* sweep,
@@ -310,14 +202,26 @@ void CHatGainRow::update(const CoverageState& state, NodeId seed,
 
 GreedyResult greedy_c_hat(const RicPool& pool, std::uint32_t k,
                           const GreedyOptions& options) {
-  CHatResume local;
-  return c_hat_rounds(pool, k, options, local, /*record=*/false);
-}
+  check_k(pool, k);
+  CoverageState state(pool);
+  const std::vector<NodeId> candidates = candidate_nodes(pool);
+  ThreadPool* sweep = sweep_pool(options, candidates.size());
 
-GreedyResult greedy_c_hat_resumable(const RicPool& pool, std::uint32_t k,
-                                    const GreedyOptions& options,
-                                    CHatResume& resume) {
-  return c_hat_rounds(pool, k, options, resume, /*record=*/true);
+  // Round 0 sweeps the pool; every later round reads the row the previous
+  // pick's update left behind.
+  CHatGainRow row;
+  row.compute(state, sweep, options.shards);
+  for (std::uint32_t round = 0;
+       round < k && state.seeds().size() < candidates.size(); ++round) {
+    const CandidateScore best = best_from_gains(state, candidates, row.gains);
+    if (!best.valid()) break;
+    if (round + 1 < k) row.update(state, best.node, sweep, options.shards);
+    state.add_seed(best.node);
+  }
+
+  std::vector<NodeId> seeds = state.seeds();
+  fill_to_k(pool, k, seeds);
+  return finish(pool, std::move(seeds));
 }
 
 GreedyResult plain_greedy_nu(const RicPool& pool, std::uint32_t k,
@@ -368,12 +272,6 @@ inline constexpr double kCelfDriftGuard = 1e-9;
 using CelfHeap = std::priority_queue<CelfEntry, std::vector<CelfEntry>,
                                      CelfLess>;
 
-/// The CELF selection loop proper, shared by the cold and resumable entry
-/// points: given a heap of round-0 bounds it picks k seeds and finishes.
-GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
-                         CoverageState& state, ThreadPool* sweep,
-                         CelfHeap& heap);
-
 }  // namespace
 
 GreedyResult celf_greedy_nu(const RicPool& pool, std::uint32_t k,
@@ -401,8 +299,7 @@ GreedyResult celf_greedy_nu(const RicPool& pool, std::uint32_t k,
                    });
     } else {
       std::vector<double> node_gains(pool.graph().node_count(), 0.0);
-      state.accumulate_nu_gains(0, static_cast<std::uint32_t>(pool.size()),
-                                node_gains.data());
+      state.accumulate_nu_gains(node_gains.data());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         gains[i] = node_gains[candidates[i]];
       }
@@ -411,54 +308,7 @@ GreedyResult celf_greedy_nu(const RicPool& pool, std::uint32_t k,
       heap.push(CelfEntry{gains[i], candidates[i], 0});
     }
   }
-  return celf_rounds(pool, k, state, sweep, heap);
-}
 
-GreedyResult celf_greedy_nu_resumable(const RicPool& pool, std::uint32_t k,
-                                      const GreedyOptions& options,
-                                      NuCelfResume& resume) {
-  check_k(pool, k);
-  CoverageState state(pool);
-  const std::vector<NodeId> candidates = candidate_nodes(pool);
-  ThreadPool* sweep = sweep_pool(options, candidates.size());
-  const std::size_t n = pool.graph().node_count();
-
-  // Continue (or start) the per-node init-gain chains. Always the serial
-  // sample-major pass, even under `parallel`: its per-node values equal
-  // the parallel per-candidate marginals bit-for-bit (see
-  // accumulate_nu_gains), and seriality is what makes the stored array a
-  // resumable left-associated chain.
-  bool warm = resume.init_gains.size() == n;
-  std::uint64_t old_samples = 0;
-  if (warm) {
-    try {
-      (void)pool.samples_since(resume.epoch);  // validates the carried epoch
-      old_samples = resume.epoch.samples;
-    } catch (const std::invalid_argument&) {
-      warm = false;
-    }
-  }
-  if (!warm) {
-    resume.init_gains.assign(n, 0.0);
-    old_samples = 0;
-  }
-  state.accumulate_nu_gains(static_cast<std::uint32_t>(old_samples),
-                            static_cast<std::uint32_t>(pool.size()),
-                            resume.init_gains.data());
-  resume.epoch = pool.grow_epoch();
-
-  CelfHeap heap;
-  for (const NodeId v : candidates) {
-    heap.push(CelfEntry{resume.init_gains[v], v, 0});
-  }
-  return celf_rounds(pool, k, state, sweep, heap);
-}
-
-namespace {
-
-GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
-                         CoverageState& state, ThreadPool* sweep,
-                         CelfHeap& heap) {
   // Refresh burst size: enough stale entries per batch to feed every
   // worker, small enough to avoid refreshing far below the eventual
   // winner. Purely a scheduling knob — selection is unaffected.
@@ -539,7 +389,5 @@ GreedyResult celf_rounds(const RicPool& pool, std::uint32_t k,
   fill_to_k(pool, k, seeds);
   return finish(pool, std::move(seeds));
 }
-
-}  // namespace
 
 }  // namespace imc

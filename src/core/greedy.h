@@ -82,35 +82,6 @@ struct CHatGainRow {
               std::size_t shards);
 };
 
-/// Carried state that lets greedy_c_hat warm-start after the pool grows
-/// (append-only — old sample ids and their touches never change).
-/// `gain_snapshots` row r holds EVERY node's influenced gain over the full
-/// pool as of `epoch`, evaluated against the seed prefix winners[0..r).
-/// Resuming copies row r and accumulates only the appended sample range on
-/// top; influenced gains are exact integer sums over any sample partition,
-/// so the result is bit-identical to a cold full-range pass — and the
-/// resumed rows become next stage's snapshots for free.
-struct CHatResume {
-  RicPool::PoolEpoch epoch;  // pool state the snapshot rows cover
-  std::vector<NodeId> winners;                // per-round selected seed
-  std::vector<std::uint64_t> gain_snapshots;  // row-major |winners| x nodes
-  std::size_t nodes = 0;                      // row stride
-  [[nodiscard]] bool empty() const noexcept { return winners.empty(); }
-};
-
-/// Warm-startable greedy_c_hat. Returns bit-identical results to
-/// greedy_c_hat on the same pool for ANY resume state: stored rounds whose
-/// extended-gains winner still matches are replayed (paying only the
-/// appended sample range); the first mismatch — ĉ is non-submodular, so
-/// growth CAN reorder winners — discards the stale tail and continues with
-/// cold full-range rounds. `resume` is rewritten to describe this run
-/// (cleared when the snapshot matrix would exceed the internal memory cap,
-/// making the next call cold).
-[[nodiscard]] GreedyResult greedy_c_hat_resumable(const RicPool& pool,
-                                                  std::uint32_t k,
-                                                  const GreedyOptions& options,
-                                                  CHatResume& resume);
-
 /// CELF lazy greedy on ν_R; near-linear in practice. With `parallel` the
 /// stale-entry refreshes at each round run as batched bursts on the pool.
 [[nodiscard]] GreedyResult celf_greedy_nu(const RicPool& pool,
@@ -122,27 +93,5 @@ struct CHatResume {
 [[nodiscard]] GreedyResult plain_greedy_nu(const RicPool& pool,
                                            std::uint32_t k,
                                            const GreedyOptions& options = {});
-
-/// Carried state that lets celf_greedy_nu warm-start its heap build after
-/// the pool grows. `init_gains[v]` is node v's ν marginal w.r.t. the EMPTY
-/// seed set over the pool as of `epoch`, produced by the serial
-/// sample-major pass — a per-node left-associated chain in ascending
-/// sample order, so appending the new range's deltas onto the stored
-/// values continues the exact chain a cold full-range pass would run
-/// (bitwise-equal doubles). CELF rounds themselves always run fresh; the
-/// stale-bound argument needs only the init values, which Lemma 3
-/// (submodularity of ν) keeps valid upper bounds under sample append.
-struct NuCelfResume {
-  RicPool::PoolEpoch epoch;        // pool state the gains cover
-  std::vector<double> init_gains;  // per node, w.r.t. the empty seed set
-  [[nodiscard]] bool empty() const noexcept { return init_gains.empty(); }
-};
-
-/// Warm-startable celf_greedy_nu; bit-identical to celf_greedy_nu on the
-/// same pool for ANY resume state. `resume` is rewritten to describe this
-/// run.
-[[nodiscard]] GreedyResult celf_greedy_nu_resumable(
-    const RicPool& pool, std::uint32_t k, const GreedyOptions& options,
-    NuCelfResume& resume);
 
 }  // namespace imc

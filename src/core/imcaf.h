@@ -30,10 +30,6 @@ struct ImcafConfig {
   /// exactly like the paper's runtime limit.
   std::uint64_t max_samples = 0;
   bool parallel_sampling = true;
-  /// Let the MAXR solver warm-start from its previous doubling stage via
-  /// MaxrSolver::resume. Results are BIT-IDENTICAL either way (the resume
-  /// contract); off exists for benchmarking the cold baseline.
-  bool warm_start = true;
   /// Overlap each stage's solve/estimate with speculative generation of
   /// the NEXT stage's samples into a staging arena, committed at the stage
   /// boundary (DESIGN.md §15). Results are BIT-IDENTICAL either way — the

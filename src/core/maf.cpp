@@ -26,16 +26,15 @@ namespace {
   return order;
 }
 
-/// S_1 of Alg. 3: walk `order`, claiming h_C random members per community
-/// while they fit in the budget (lines 5-6). A pure function of
-/// (order, k, seed) — the thresholds and members it reads are static.
-[[nodiscard]] std::vector<NodeId> build_s1(
-    const RicPool& pool, std::uint32_t k, std::uint64_t seed,
-    const std::vector<CommunityId>& order) {
+/// S_1 of Alg. 3: walk communities in source-frequency order, claiming h_C
+/// random members per community while they fit in the budget (lines 5-6).
+[[nodiscard]] std::vector<NodeId> build_s1(const RicPool& pool,
+                                           std::uint32_t k,
+                                           std::uint64_t seed) {
   const CommunitySet& communities = pool.communities();
   Rng rng(seed);
   std::vector<NodeId> s1;
-  for (const CommunityId c : order) {
+  for (const CommunityId c : source_frequency_order(pool)) {
     if (s1.size() >= k) break;
     const auto members = communities.members(c);
     const std::uint32_t h = communities.threshold(c);
@@ -92,52 +91,18 @@ void pick_better(const RicPool& pool, const GreedyOptions& options,
   solution.c_hat = solution.chose_s1 ? c1 : c2;
 }
 
-void check_maf_k(std::uint32_t k) {
-  // Same contract as the greedy selectors and bt_solve: an empty budget is
-  // a caller bug, not an empty solution (it would silently score 0 and win
-  // no max(), masking the mistake downstream in MB).
-  if (k == 0) throw std::invalid_argument("maf_solve: k must be >= 1");
-}
-
 }  // namespace
 
 MafSolution maf_solve(const RicPool& pool, std::uint32_t k,
                       std::uint64_t seed, const GreedyOptions& options) {
-  check_maf_k(k);
+  // Same contract as the greedy selectors and bt_solve: an empty budget is
+  // a caller bug, not an empty solution (it would silently score 0 and win
+  // no max(), masking the mistake downstream in MB).
+  if (k == 0) throw std::invalid_argument("maf_solve: k must be >= 1");
   MafSolution solution;
-  solution.s1 = build_s1(pool, k, seed, source_frequency_order(pool));
+  solution.s1 = build_s1(pool, k, seed);
   solution.s2 = build_s2(pool, k);
   pick_better(pool, options, solution);
-  return solution;
-}
-
-MafSolution maf_resume(const RicPool& pool, std::uint32_t k,
-                       std::uint64_t seed, const GreedyOptions& options,
-                       MafResume& state) {
-  check_maf_k(k);
-  std::vector<CommunityId> order = source_frequency_order(pool);
-
-  bool reusable = state.k == k && state.order == order && !state.s1.empty();
-  if (reusable) {
-    try {
-      (void)pool.samples_since(state.epoch);  // validates the carried epoch
-    } catch (const std::invalid_argument&) {
-      reusable = false;
-    }
-  }
-
-  MafSolution solution;
-  // Same (order, k, seed) ⇒ build_s1 would reproduce the stored set
-  // verbatim; skip the shuffles. Growth that reorders the frequencies
-  // rebuilds from scratch.
-  solution.s1 = reusable ? state.s1 : build_s1(pool, k, seed, order);
-  solution.s2 = build_s2(pool, k);
-  pick_better(pool, options, solution);
-
-  state.epoch = pool.grow_epoch();
-  state.order = std::move(order);
-  state.s1 = solution.s1;
-  state.k = k;
   return solution;
 }
 

@@ -27,27 +27,6 @@ struct MafSolution : MaxrSolution {
                                     std::uint64_t seed = 1234,
                                     const GreedyOptions& options = {});
 
-/// Warm-start state for MAF across IMCAF doubling stages. S_1 is a pure
-/// function of (source-frequency order, k, seed): the shuffles consume a
-/// fresh Rng(seed) in visit order and the budget-fit skips depend only on
-/// the static thresholds, so when the grown pool yields the SAME order
-/// under the same k the stored S_1 is reused verbatim (skipping the
-/// shuffles). S_2 and the line-8 evaluations always rerun on the grown
-/// pool.
-struct MafResume final : MaxrResume {
-  RicPool::PoolEpoch epoch;
-  std::vector<CommunityId> order;  // source-frequency order at epoch
-  std::vector<NodeId> s1;          // S_1 built from that order
-  std::uint32_t k = 0;             // budget S_1 was built for
-};
-
-/// maf_solve with S_1 reuse; bit-identical to maf_solve on the same pool
-/// for any `state`. `state` is rewritten to describe this run.
-[[nodiscard]] MafSolution maf_resume(const RicPool& pool, std::uint32_t k,
-                                     std::uint64_t seed,
-                                     const GreedyOptions& options,
-                                     MafResume& state);
-
 class MafSolver final : public MaxrSolver {
  public:
   explicit MafSolver(std::uint64_t seed = 1234,
@@ -60,16 +39,6 @@ class MafSolver final : public MaxrSolver {
   [[nodiscard]] MaxrSolution solve(const RicPool& pool,
                                    std::uint32_t k) const override {
     return maf_solve(pool, k, seed_, options_);
-  }
-  [[nodiscard]] MaxrSolution resume(
-      const RicPool& pool, std::uint32_t k,
-      std::unique_ptr<MaxrResume>& state) const override {
-    auto* carried = dynamic_cast<MafResume*>(state.get());
-    if (carried == nullptr) {
-      state = std::make_unique<MafResume>();
-      carried = static_cast<MafResume*>(state.get());
-    }
-    return maf_resume(pool, k, seed_, options_, *carried);
   }
 
  private:

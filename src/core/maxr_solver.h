@@ -17,15 +17,6 @@ struct MaxrSolution {
   double c_hat = 0.0;  // ĉ_R(seeds) on the pool it was solved against
 };
 
-/// Opaque warm-start state a solver may carry across the doubling stages
-/// of one IMCAF run (the pool only ever GROWS between stages; appended
-/// samples never change existing ids or touches). Concrete solvers define
-/// derived types; the engine just ferries the pointer back to the same
-/// solver each stage.
-struct MaxrResume {
-  virtual ~MaxrResume() = default;
-};
-
 class MaxrSolver {
  public:
   virtual ~MaxrSolver() = default;
@@ -39,19 +30,6 @@ class MaxrSolver {
 
   [[nodiscard]] virtual MaxrSolution solve(const RicPool& pool,
                                            std::uint32_t k) const = 0;
-
-  /// Solve on a pool that has only grown since `state` was written by this
-  /// solver's previous resume() call (null/foreign state means "start
-  /// fresh"). Contract: the returned solution is BIT-IDENTICAL to
-  /// solve(pool, k) — warm-starting is purely a time optimization, so
-  /// implementations without an incremental formulation keep this default,
-  /// which discards the state and solves cold.
-  [[nodiscard]] virtual MaxrSolution resume(
-      const RicPool& pool, std::uint32_t k,
-      std::unique_ptr<MaxrResume>& state) const {
-    state.reset();
-    return solve(pool, k);
-  }
 };
 
 enum class MaxrAlgorithm { kUbg, kMaf, kBt, kMb };

@@ -170,10 +170,9 @@ void CoverageState::update_influenced_gains(NodeId seed, std::size_t begin,
       sample_view(), touches.data() + begin, end - begin, gains);
 }
 
-void CoverageState::accumulate_nu_gains(std::uint32_t begin,
-                                        std::uint32_t end,
-                                        double* gains) const {
-  active_gain_kernel_ops().accumulate_nu(sample_view(), begin, end, gains);
+void CoverageState::accumulate_nu_gains(double* gains) const {
+  active_gain_kernel_ops().accumulate_nu(
+      sample_view(), 0, static_cast<std::uint32_t>(pool_->size()), gains);
 }
 
 }  // namespace imc

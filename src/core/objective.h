@@ -117,17 +117,15 @@ class CoverageState {
   void update_influenced_gains(NodeId seed, std::size_t begin,
                                std::size_t end, std::uint64_t* gains) const;
 
-  /// Sample-major ν marginal pass over samples [begin, end): adds each
-  /// touch's fraction-table delta into gains[v]. Over the FULL range
-  /// [0, pool size) in ONE serial call this is bit-identical to
-  /// marginal_nu(v) for every node: a node's CSR touches are sorted by
-  /// sample id, so the per-node accumulation order — and hence the exact
-  /// floating-point association — matches the node-major loop. Chunked
-  /// invocations summed slab-wise do NOT reproduce that association;
-  /// parallel callers must keep the node-major path instead. Executed by
-  /// the active gain kernel, same bit-identity guarantee as above.
-  void accumulate_nu_gains(std::uint32_t begin, std::uint32_t end,
-                           double* gains) const;
+  /// Sample-major ν marginal pass over the whole pool: adds each touch's
+  /// fraction-table delta into gains[v]. Bit-identical to marginal_nu(v)
+  /// for every node: a node's CSR touches are sorted by sample id, so the
+  /// per-node accumulation order — and hence the exact floating-point
+  /// association — matches the node-major loop. Chunked sums would NOT
+  /// reproduce that association, so parallel callers keep the node-major
+  /// path instead. Executed by the active gain kernel, same bit-identity
+  /// guarantee as above.
+  void accumulate_nu_gains(double* gains) const;
 
   [[nodiscard]] const RicPool& pool() const noexcept { return *pool_; }
 

@@ -23,16 +23,16 @@ void pick_better(UbgSolution& solution) {
   }
 }
 
+}  // namespace
+
 /// Runs Alg. 2's two greedies on two lanes with `fork_join`: the ĉ branch
 /// on the caller, the ν branch on a free worker of the options' pool
 /// (default_pool() when unset, as for the parallel sweeps). The branches
 /// share only the const pool, and each stays serial in itself, so the
 /// result is the serial one. With no free worker the caller runs ν after
 /// ĉ: the serial schedule.
-template <typename CHatBranch, typename NuBranch>
-UbgSolution two_lanes(const RicPool& pool, std::uint32_t k,
-                      const GreedyOptions& options, CHatBranch&& c_hat_branch,
-                      NuBranch&& nu_branch) {
+UbgSolution ubg_solve(const RicPool& pool, std::uint32_t k,
+                      const GreedyOptions& options) {
   // Validate before forking: a bad k throws here, with no job queued.
   if (k == 0 || k > pool.graph().node_count()) {
     throw std::invalid_argument("ubg: need 1 <= k <= node count");
@@ -40,27 +40,10 @@ UbgSolution two_lanes(const RicPool& pool, std::uint32_t k,
   ThreadPool& lane = options.pool != nullptr ? *options.pool : default_pool();
   UbgSolution solution;
   fork_join(
-      lane, [&] { solution.from_c_hat = c_hat_branch(); },
-      [&] { solution.from_nu = nu_branch(); });
+      lane, [&] { solution.from_c_hat = greedy_c_hat(pool, k, options); },
+      [&] { solution.from_nu = celf_greedy_nu(pool, k, options); });
   pick_better(solution);
   return solution;
-}
-
-}  // namespace
-
-UbgSolution ubg_solve(const RicPool& pool, std::uint32_t k,
-                      const GreedyOptions& options) {
-  return two_lanes(
-      pool, k, options, [&] { return greedy_c_hat(pool, k, options); },
-      [&] { return celf_greedy_nu(pool, k, options); });
-}
-
-UbgSolution ubg_resume(const RicPool& pool, std::uint32_t k,
-                       const GreedyOptions& options, UbgResume& state) {
-  return two_lanes(
-      pool, k, options,
-      [&] { return greedy_c_hat_resumable(pool, k, options, state.c_hat); },
-      [&] { return celf_greedy_nu_resumable(pool, k, options, state.nu); });
 }
 
 }  // namespace imc

@@ -31,24 +31,6 @@ struct UbgSolution : MaxrSolution {
 [[nodiscard]] UbgSolution ubg_solve(const RicPool& pool, std::uint32_t k,
                                     const GreedyOptions& options = {});
 
-/// Warm-start state for UBG across IMCAF doubling stages: one carrier per
-/// underlying greedy. Appending samples keeps both valid — the ĉ snapshots
-/// by exact integer extension, the CELF init bounds by Lemma 3 (ν stays
-/// submodular on the grown pool, so stage-fresh init gains recomputed via
-/// the resumable chain remain sound upper bounds).
-struct UbgResume final : MaxrResume {
-  CHatResume c_hat;
-  NuCelfResume nu;
-};
-
-/// ubg_solve via the warm-startable greedies; bit-identical to ubg_solve
-/// on the same pool for any `state` (see greedy_c_hat_resumable /
-/// celf_greedy_nu_resumable). The ĉ lane owns `state.c_hat`, the ν lane
-/// `state.nu`.
-[[nodiscard]] UbgSolution ubg_resume(const RicPool& pool, std::uint32_t k,
-                                     const GreedyOptions& options,
-                                     UbgResume& state);
-
 class UbgSolver final : public MaxrSolver {
  public:
   UbgSolver() = default;
@@ -62,16 +44,6 @@ class UbgSolver final : public MaxrSolver {
   [[nodiscard]] MaxrSolution solve(const RicPool& pool,
                                    std::uint32_t k) const override {
     return ubg_solve(pool, k, options_);
-  }
-  [[nodiscard]] MaxrSolution resume(
-      const RicPool& pool, std::uint32_t k,
-      std::unique_ptr<MaxrResume>& state) const override {
-    auto* carried = dynamic_cast<UbgResume*>(state.get());
-    if (carried == nullptr) {
-      state = std::make_unique<UbgResume>();
-      carried = static_cast<UbgResume*>(state.get());
-    }
-    return ubg_resume(pool, k, options_, *carried);
   }
 
  private:

@@ -6,7 +6,7 @@
 // sample-major twin, community counters AND the CSR inverted index — so
 // `attach_ric_pool_snapshot` reloads a pool with a single mmap: the arenas
 // are served zero-copy straight out of the page cache and a restart
-// resumes warm-started solves in milliseconds. This is the only on-disk
+// is ready to solve in milliseconds. This is the only on-disk
 // pool format and attach is its only loader.
 //
 // Layout (all integers little-endian, host-width as noted):

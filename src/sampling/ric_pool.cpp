@@ -796,19 +796,6 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
   return pool;
 }
 
-std::uint64_t RicPool::samples_since(PoolEpoch epoch) const {
-  if (epoch.samples > size() || epoch.grows > grows_ ||
-      epoch.repairs != repairs_) {
-    // A repairs mismatch in EITHER direction invalidates the epoch: older
-    // means a repair rewrote part of the prefix the holder cached, newer
-    // means the epoch came from a different pool lineage.
-    throw std::invalid_argument(
-        "RicPool::samples_since: epoch from a different, newer or "
-        "since-repaired pool");
-  }
-  return size() - epoch.samples;
-}
-
 RicPool::RepairStats RicPool::invalidate_and_repair(
     const DeltaEffects& effects, std::uint64_t seed, bool parallel,
     ThreadPool* workers) {

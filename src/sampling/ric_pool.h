@@ -56,18 +56,14 @@ class RicPool {
   };
   static_assert(sizeof(Touch) == 16, "Touch must stay two words");
 
-  /// Append-only growth watermark. Captured by grow_epoch(), consumed by
-  /// samples_since() and CoverageState::extend: the sample range
-  /// [epoch.samples, size()) is exactly what growth appended since the
-  /// capture. `grows` counts completed grow()/append() operations — it lets
-  /// holders of an epoch assert they are looking at the same pool lineage
-  /// (a pool that shrank or was rebuilt would not just have a different
-  /// size, it would have replayed a different number of growth steps).
-  /// `repairs` counts completed invalidate_and_repair() calls: a repair
-  /// rewrites samples IN PLACE (size and grows unchanged), so anything
-  /// holding per-sample state — warm-start carriers, CoverageState, staged
-  /// arenas — keys on it to detect that the prefix it cached is no longer
-  /// the prefix the pool serves (DESIGN.md §16).
+  /// Growth watermark, captured by grow_epoch(). A staging arena records
+  /// it at stage time and commit_staged() requires it unchanged; snapshots
+  /// persist it. `grows` counts completed grow()/append() operations, so a
+  /// pool that was rebuilt to the same size still reads as a different
+  /// lineage. `repairs` counts completed invalidate_and_repair() calls: a
+  /// repair rewrites samples IN PLACE (size and grows unchanged), so a
+  /// staged batch keys on it to detect that the prefix it was staged
+  /// against is no longer the prefix the pool serves (DESIGN.md §16).
   struct PoolEpoch {
     std::uint64_t samples = 0;  // pool size at capture
     std::uint64_t grows = 0;    // growth operations completed at capture
@@ -145,19 +141,10 @@ class RicPool {
     return PoolEpoch{size(), grows_, repairs_};
   }
 
-  /// Number of samples appended since `epoch` was captured — the size of
-  /// the fresh range [epoch.samples, size()). Throws std::invalid_argument
-  /// when the epoch does not describe a prefix of THIS pool (captured from
-  /// another pool, or from a later state: epoch.samples > size() or
-  /// epoch.grows > the completed growth count) or when a delta repair
-  /// rewrote samples since the capture (epoch.repairs differs — the prefix
-  /// [0, epoch.samples) is no longer the one the holder cached).
-  [[nodiscard]] std::uint64_t samples_since(PoolEpoch epoch) const;
-
   /// Outcome of invalidate_and_repair(): how much of the pool had to be
   /// regenerated. `repaired == 0` means the delta could not have changed
   /// any existing sample (the epoch still bumps — future samples could
-  /// differ, so staged arenas and carriers must not survive).
+  /// differ, so staged arenas must not survive).
   struct RepairStats {
     std::uint64_t repaired = 0;  // samples regenerated in place
     std::uint64_t total = 0;     // pool size at repair time
@@ -192,7 +179,7 @@ class RicPool {
   /// community_frequency counters are recounted, not drifted. Bumps
   /// PoolEpoch::repairs when any sample was regenerated OR any future
   /// sample could differ (i.e. whenever `effects` is non-empty),
-  /// invalidating warm-start carriers and staged arenas. Returns how many
+  /// invalidating staged arenas. Returns how many
   /// samples were repaired. Not safe to run concurrently with readers or
   /// stagers of this pool. Throws std::invalid_argument (pool untouched)
   /// when the mutated structures violate sampling invariants — community

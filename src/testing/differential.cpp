@@ -305,7 +305,7 @@ std::optional<std::string> check_evaluators(const InstanceSpec& spec,
     state.accumulate_influenced_gains(cut1, cut2, influenced_gains.data());
     state.accumulate_influenced_gains(cut2, r, influenced_gains.data());
     std::vector<double> nu_gains(n, 0.0);
-    state.accumulate_nu_gains(0, r, nu_gains.data());
+    state.accumulate_nu_gains(nu_gains.data());
     for (NodeId v = 0; v < n; ++v) {
       const bool is_seed =
           std::find(view.begin(), view.end(), v) != view.end();
@@ -438,7 +438,7 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
   {
     const KernelGuard guard(GainKernelKind::kScalar);
     state.accumulate_influenced_gains(0, r, ref_influenced.data());
-    state.accumulate_nu_gains(0, r, ref_nu.data());
+    state.accumulate_nu_gains(ref_nu.data());
     for (NodeId v = 0; v < n; ++v) ref_marginal[v] = state.marginal_nu(v);
     ref_c = greedy_c_hat(pool, k, GreedyOptions{});
     ref_celf = celf_greedy_nu(pool, k, GreedyOptions{});
@@ -453,7 +453,7 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
     std::vector<std::uint64_t> influenced(n, 0);
     std::vector<double> nu(n, 0.0);
     state.accumulate_influenced_gains(0, r, influenced.data());
-    state.accumulate_nu_gains(0, r, nu.data());
+    state.accumulate_nu_gains(nu.data());
     for (NodeId v = 0; v < n; ++v) {
       if (influenced[v] != ref_influenced[v]) {
         return "accumulate_influenced_gains(" + std::to_string(v) +
@@ -476,72 +476,6 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
     const GreedyResult got_celf = celf_greedy_nu(pool, k, GreedyOptions{});
     if (got_celf.seeds != ref_celf.seeds || got_celf.nu != ref_celf.nu) {
       return "celf_greedy_nu(k=" + std::to_string(k) + ") diverged" + tag;
-    }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Check: warm_vs_cold
-// ---------------------------------------------------------------------------
-
-/// The MaxrSolver::resume contract under random growth schedules: after
-/// every pool growth, a warm-started UBG/MAF solve must be BIT-IDENTICAL
-/// to a cold solve on the same pool. Cold paths are the oracles — they
-/// are themselves pinned against the slow reference oracles by
-/// check_greedy.
-std::optional<std::string> check_warm_vs_cold(const InstanceSpec& spec,
-                                              std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-  const std::uint64_t count = pool_size_for(case_seed);
-
-  ThreadPool two(2);
-  const GreedyOptions serial{};
-  const GreedyOptions par2{/*parallel=*/true, &two,
-                           /*min_parallel_candidates=*/1};
-
-  Rng rng(case_seed ^ 0xc01d57a7ULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-
-  // Uneven growth slices so the stages are not a clean doubling.
-  const std::uint64_t slices[3] = {count / 2 + 1, count / 3 + 1,
-                                   count / 4 + 1};
-
-  for (const GreedyOptions* options : {&serial, &par2}) {
-    RicPool pool(graph, communities, spec.model);
-    UbgResume ubg_state;
-    MafResume maf_state;
-
-    bool parallel_grow = false;
-    for (const std::uint64_t slice : slices) {
-      pool.grow(slice, case_seed, parallel_grow,
-                parallel_grow ? &two : nullptr);
-      parallel_grow = !parallel_grow;
-      const std::string at = " at |R|=" + std::to_string(pool.size()) +
-                             ", k=" + std::to_string(k) +
-                             (options->parallel ? ", parallel" : ", serial");
-
-      const UbgSolution warm = ubg_resume(pool, k, *options, ubg_state);
-      const UbgSolution cold = ubg_solve(pool, k, *options);
-      if (warm.seeds != cold.seeds) {
-        return "ubg_resume seeds " + describe_nodes(warm.seeds) +
-               " != cold " + describe_nodes(cold.seeds) + at;
-      }
-      if (warm.c_hat != cold.c_hat || warm.from_nu.nu != cold.from_nu.nu ||
-          warm.from_c_hat.c_hat != cold.from_c_hat.c_hat) {
-        return "ubg_resume metrics not bit-identical to cold solve" + at;
-      }
-
-      const MafSolution maf_warm =
-          maf_resume(pool, k, /*seed=*/case_seed, *options, maf_state);
-      const MafSolution maf_cold =
-          maf_solve(pool, k, /*seed=*/case_seed, *options);
-      if (maf_warm.seeds != maf_cold.seeds ||
-          maf_warm.c_hat != maf_cold.c_hat) {
-        return "maf_resume diverged from cold solve" + at;
-      }
     }
   }
   return std::nullopt;
@@ -638,7 +572,7 @@ std::optional<std::string> check_pipelined_vs_serial(const InstanceSpec& spec,
     const StageMetrics& s = serial.rows[i];
     if (p.pool_size != s.pool_size || p.samples_added != s.samples_added ||
         p.estimate_samples != s.estimate_samples ||
-        p.warm_start != s.warm_start || p.accepted != s.accepted) {
+        p.accepted != s.accepted) {
       return "stage " + std::to_string(i + 1) +
              " metrics diverged between schedules" + at;
     }
@@ -1146,7 +1080,6 @@ std::vector<FuzzCheck> default_checks() {
       {"evaluators", check_evaluators},
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},
-      {"warm_vs_cold", check_warm_vs_cold},
       {"pipelined_vs_serial", check_pipelined_vs_serial},
       {"pool_roundtrip", check_pool_roundtrip},
       {"delta_vs_rebuild", check_delta_vs_rebuild},

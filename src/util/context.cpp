@@ -33,9 +33,7 @@ void RecordingMetricsSink::write_json(std::ostream& out) const {
         << ", \"solver_seconds\": " << s.solver_seconds
         << ", \"estimate_seconds\": " << s.estimate_seconds
         << ", \"estimate_samples\": " << s.estimate_samples
-        << ", \"warm_start\": ";
-    write_bool(out, s.warm_start);
-    out << ", \"accepted\": ";
+        << ", \"accepted\": ";
     write_bool(out, s.accepted);
     out << ", \"pipelined\": ";
     write_bool(out, s.pipelined);

@@ -31,10 +31,9 @@ struct StageMetrics {
   std::uint64_t pool_size = 0;         // |R| the solver saw
   std::uint64_t samples_added = 0;     // fresh samples grown for this stage
   double sampling_seconds = 0.0;       // time inside pool.grow()
-  double solver_seconds = 0.0;         // time inside the MAXR solve/resume
+  double solver_seconds = 0.0;         // time inside the MAXR solve
   double estimate_seconds = 0.0;       // time inside the Dagum Estimate
   std::uint64_t estimate_samples = 0;  // T drawn by the Estimate (0 = none)
-  bool warm_start = false;             // solver resumed from previous stage
   bool accepted = false;               // stop-stage test passed here
   // Pipelined-engine accounting (DESIGN.md §15; all zero on the serial
   // schedule). `pipelined` marks a stage whose samples arrived via a

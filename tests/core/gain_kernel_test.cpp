@@ -180,7 +180,7 @@ TEST_F(GainKernelTest, SweepGainsBitIdenticalAcrossKernels) {
       {
         const KernelGuard guard(GainKernelKind::kScalar);
         state.accumulate_influenced_gains(0, size, ref_influenced.data());
-        state.accumulate_nu_gains(0, size, ref_nu.data());
+        state.accumulate_nu_gains(ref_nu.data());
         for (NodeId v = 0; v < n; ++v) {
           ref_marginal[v] = state.marginal_nu(v);
         }
@@ -190,7 +190,7 @@ TEST_F(GainKernelTest, SweepGainsBitIdenticalAcrossKernels) {
         std::vector<std::uint64_t> influenced(n, 0);
         std::vector<double> nu(n, 0.0);
         state.accumulate_influenced_gains(0, size, influenced.data());
-        state.accumulate_nu_gains(0, size, nu.data());
+        state.accumulate_nu_gains(nu.data());
         EXPECT_TRUE(bits_equal(ref_influenced, influenced))
             << gain_kernel_name(kind) << " influenced, samples=" << samples
             << " seeded=" << seeded;

@@ -182,33 +182,6 @@ TEST_F(ParallelGreedyTest, UbgLanesMatchSerialBranches) {
   }
 }
 
-TEST_F(ParallelGreedyTest, UbgResumeLanesMatchSerialBranches) {
-  // A growing pool, so the carried halves of UbgResume get replayed.
-  CommunitySet communities = communities_;
-  apply_constant_thresholds(communities, 2);
-  apply_population_benefits(communities);
-  for (const unsigned threads : {1U, 2U, 8U}) {
-    ThreadPool workers(threads);
-    GreedyOptions options;
-    options.pool = &workers;
-    RicPool pool(graph_, communities);
-    UbgResume carried;
-    CHatResume c_hat_carry;
-    NuCelfResume nu_carry;
-    for (const std::uint64_t target : {400ULL, 800ULL, 1600ULL}) {
-      pool.grow(target - pool.size(), 91, /*parallel=*/false);
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " samples=" << target);
-      const GreedyResult c_hat =
-          greedy_c_hat_resumable(pool, 8, GreedyOptions{}, c_hat_carry);
-      const GreedyResult nu =
-          celf_greedy_nu_resumable(pool, 8, GreedyOptions{}, nu_carry);
-      expect_ubg_equals_serial_branches(
-          ubg_resume(pool, 8, options, carried), c_hat, nu);
-    }
-  }
-}
-
 TEST_F(ParallelGreedyTest, UbgCallerRunsNuWhenWorkerIsBusy) {
   const RicPool pool = make_pool(2, 88, graph_, communities_);
   const GreedyResult c_hat = greedy_c_hat(pool, 8);
@@ -221,9 +194,6 @@ TEST_F(ParallelGreedyTest, UbgCallerRunsNuWhenWorkerIsBusy) {
   // The only worker is blocked until after the solve: the ν branch can
   // only finish because the caller runs it after ĉ.
   expect_ubg_equals_serial_branches(ubg_solve(pool, 8, options), c_hat, nu);
-  UbgResume carried;
-  expect_ubg_equals_serial_branches(ubg_resume(pool, 8, options, carried),
-                                    c_hat, nu);
   EXPECT_FALSE(workers.try_run_one());  // nothing left behind
   release.set_value();
   blocker.get();
@@ -236,12 +206,9 @@ TEST_F(ParallelGreedyTest, UbgBadKThrowsFromCallerWithNoJob) {
   std::promise<void> release = block_worker(workers, blocker);
   GreedyOptions options;
   options.pool = &workers;
-  UbgResume carried;
   const std::uint32_t too_many = graph_.node_count() + 1;
   EXPECT_THROW((void)ubg_solve(pool, 0, options), std::invalid_argument);
   EXPECT_THROW((void)ubg_solve(pool, too_many, options),
-               std::invalid_argument);
-  EXPECT_THROW((void)ubg_resume(pool, 0, options, carried),
                std::invalid_argument);
   // With the worker blocked, any submitted job would still be queued.
   EXPECT_FALSE(workers.try_run_one());

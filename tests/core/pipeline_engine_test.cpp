@@ -140,33 +140,6 @@ TEST_F(PipelineEngineTest, PipelinedRunBitMatchesSerialRun) {
   }
 }
 
-TEST_F(PipelineEngineTest, PipelinedWarmStartMatchesColdAcrossThreads) {
-  // The warm-start pins with the pipeline on: resume across stages and
-  // speculative growth compose without moving a bit.
-  for (const std::uint32_t h : {1U, 2U}) {
-    const CommunitySet communities = make_communities(h);
-    const UbgSolver solver;
-    for (const unsigned threads : {1U, 2U, 8U}) {
-      ThreadPool workers(threads);
-      ExecutionContext context;
-      context.workers = &workers;
-      ImcafConfig cold_config = pinned_config(true);
-      cold_config.warm_start = false;
-      ImcEngine warm_engine(graph_, communities, pinned_config(true), context);
-      ImcEngine cold_engine(graph_, communities, cold_config, context);
-      const ImcafResult warm = warm_engine.solve(8, solver);
-      const ImcafResult cold = cold_engine.solve(8, solver);
-      const std::string where =
-          "h=" + std::to_string(h) + " threads=" + std::to_string(threads);
-      EXPECT_EQ(warm.seeds, cold.seeds) << where;
-      EXPECT_EQ(warm.c_hat, cold.c_hat) << where;
-      EXPECT_EQ(warm.estimated_benefit, cold.estimated_benefit) << where;
-      EXPECT_EQ(warm.samples_used, cold.samples_used) << where;
-      EXPECT_EQ(warm.stop_stages, cold.stop_stages) << where;
-    }
-  }
-}
-
 TEST_F(PipelineEngineTest, CommitStagedIsBitIdenticalToGrow) {
   const CommunitySet communities = make_communities(2);
   ThreadPool workers(3);

@@ -185,23 +185,22 @@ TEST(PoolRepair, RepairBumpsEpochEvenWhenNoSampleWasAffected) {
   RicPool pool(graph, communities);
   pool.grow(50, kSeed, /*parallel=*/false);
   const RicPool::PoolEpoch before = pool.grow_epoch();
-  EXPECT_EQ(pool.samples_since(before), 0U);
+  EXPECT_EQ(before, (RicPool::PoolEpoch{50, 1, 0}));
 
   // Inserting an edge into an untouched corner of the graph may repair
   // zero samples, but FUTURE samples could walk it: the epoch must bump so
-  // staged arenas and carriers cannot survive.
+  // staged arenas cannot survive.
   GraphDelta delta;
   delta.upsert_edge(2, 5, 0.0001);
   const DeltaEffects effects = apply_delta(graph, communities, delta);
   (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
-  EXPECT_THROW((void)pool.samples_since(before), std::invalid_argument);
-  EXPECT_EQ(pool.samples_since(pool.grow_epoch()), 0U);
+  const RicPool::PoolEpoch after = pool.grow_epoch();
+  EXPECT_EQ(after, (RicPool::PoolEpoch{50, 1, 1}));
 
   // An empty delta leaves the epoch alone.
-  const RicPool::PoolEpoch after = pool.grow_epoch();
   (void)pool.invalidate_and_repair(DeltaEffects{}, kSeed,
                                    /*parallel=*/false);
-  EXPECT_EQ(pool.samples_since(after), 0U);
+  EXPECT_EQ(pool.grow_epoch(), after);
 }
 
 TEST(PoolRepair, StagedArenaIsRejectedAfterRepair) {
@@ -247,7 +246,7 @@ TEST(PoolRepair, RepairRejectsInvariantBreakingDeltaUntouched) {
   EXPECT_THROW(
       (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false),
       std::invalid_argument);
-  EXPECT_EQ(pool.samples_since(before), 0U);  // epoch not bumped
+  EXPECT_EQ(pool.grow_epoch(), before);  // epoch not bumped
   EXPECT_EQ(pool.size(), 40U);
 }
 
@@ -271,19 +270,19 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
   (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
   const RicPool::PoolEpoch repaired = pool.grow_epoch();
 
-  // A carrier captured against the repaired pool must NOT validate
-  // against the stale pre-repair snapshot: the loaded epoch still says
-  // repairs == 0.
+  EXPECT_EQ(repaired, (RicPool::PoolEpoch{150, 1, 1}));
+
+  // The stale pre-repair snapshot does not pass for the repaired pool: the
+  // loaded epoch still says repairs == 0.
   const RicPool loaded =
       attach_ric_pool_snapshot(path, old_graph, old_communities);
-  EXPECT_THROW((void)loaded.samples_since(repaired), std::invalid_argument);
+  EXPECT_EQ(loaded.grow_epoch(), (RicPool::PoolEpoch{150, 1, 0}));
 
-  // And a snapshot of the repaired pool round-trips the repairs counter,
-  // so the same carrier DOES validate after a save → load cycle.
+  // And a snapshot of the repaired pool round-trips the repairs counter.
   save_ric_pool_snapshot(path, pool);
   const RicPool reloaded =
       attach_ric_pool_snapshot(path, graph, communities);
-  EXPECT_EQ(reloaded.samples_since(repaired), 0U);
+  EXPECT_EQ(reloaded.grow_epoch(), repaired);
   test::expect_same_pool(pool, reloaded);
   std::filesystem::remove(path);
 }
@@ -432,32 +431,6 @@ TEST(PoolRepair, GrowAfterRepairEqualsRebuildAtTheLargerSize) {
     rebuilt.grow(kPoolSize + kPoolSize / 2, kSeed, /*parallel=*/false);
     test::expect_same_pool(pool, rebuilt);
   }
-}
-
-TEST(PoolRepair, WarmCarrierFallsBackColdAfterRepair) {
-  Graph graph = make_graph();
-  CommunitySet communities = make_communities();
-  RicPool pool(graph, communities);
-  pool.grow(800, kSeed, /*parallel=*/false);
-
-  GreedyOptions options;
-  UbgResume state;
-  (void)ubg_resume(pool, 6, options, state);  // carrier captured pre-delta
-
-  GraphDelta delta;
-  delta.upsert_edge(2, 77, 0.5).move_member(10, 4);
-  const DeltaEffects effects = apply_delta(graph, communities, delta);
-  (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
-
-  // The stale carrier must be detected (repairs epoch mismatch) and the
-  // resume fall back to a cold solve on the repaired pool — bit-identical
-  // to calling ubg_solve directly.
-  const UbgSolution warm = ubg_resume(pool, 6, options, state);
-  const UbgSolution cold = ubg_solve(pool, 6, options);
-  EXPECT_EQ(warm.seeds, cold.seeds);
-  EXPECT_EQ(warm.c_hat, cold.c_hat);
-  EXPECT_EQ(warm.from_nu.seeds, cold.from_nu.seeds);
-  EXPECT_EQ(warm.from_nu.nu, cold.from_nu.nu);
 }
 
 TEST(PoolRepair, EngineApplyDeltaRepairsAndSolvesCold) {

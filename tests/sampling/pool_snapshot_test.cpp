@@ -189,8 +189,10 @@ TEST(PoolSnapshot, AttachThenGrowCopyOnWriteMatchesStraightGrowth) {
 
 TEST(PoolSnapshot, RestoredEpochValidatesWarmStartWatermarks) {
   // The epoch watermark written at save time is restored verbatim: a
-  // PoolEpoch captured against the saved pool (what PR-5 warm-start
-  // carriers hold) must validate against the reloaded pool.
+  // PoolEpoch captured against the saved pool equals the reloaded pool's,
+  // sample count, grow count and repair count alike. The id is kept from
+  // when a restored epoch validated solver carriers; a clearer name would
+  // be RestoredEpochEqualsSavedEpoch.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(80, 5);
@@ -200,8 +202,8 @@ TEST(PoolSnapshot, RestoredEpochValidatesWarmStartWatermarks) {
 
   const RicPool loaded =
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  EXPECT_EQ(epoch, (RicPool::PoolEpoch{120, 2, 0}));
   EXPECT_EQ(loaded.grow_epoch(), epoch);
-  EXPECT_EQ(loaded.samples_since(epoch), 0U);
   std::remove(path.c_str());
 }
 
@@ -431,9 +433,8 @@ TEST_F(PoolSnapshotCorpus, EpochWatermarkDisagreesWithSampleCount) {
 
 TEST_F(PoolSnapshotCorpus, ForgedRepairsEpochFailsHeaderChecksum) {
   // Satellite of the dynamic-graph work (DESIGN.md §16): forging the
-  // repairs counter — to make a stale warm-start carrier validate against
-  // a pre-repair snapshot — must trip the header seal, even on the
-  // trusted attach path.
+  // repairs counter — to make a pre-repair snapshot pass for a repaired
+  // pool — must trip the header seal, even on the trusted attach path.
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_repairs),
                               7);
   EXPECT_EQ(attach_error(fixture_, blob_),

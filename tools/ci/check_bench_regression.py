@@ -12,7 +12,7 @@ extend it when a new serial hot path gets a benchmark, prune it if a
 benchmark is retired (an allowlisted name missing from either file is an
 error, so renames cannot silently drop coverage).
 
-The end-to-end pipeline sweep (``BM_ImcafEndToEnd/{warm}/{threads}``) is
+The end-to-end pipeline sweep (``BM_ImcafEndToEnd/{threads}``) is
 gated on *shape* instead: every row in COUNTER_CHECKS must be present in
 the fresh run and carry every listed counter. That catches a sweep arg
 being dropped or a counter silently vanishing from the reporter without
@@ -68,7 +68,6 @@ _E2E_COUNTERS = [
     "speculative_samples_committed",
     "speculative_samples_discarded",
     "stop_stages",
-    "warm_start",
     "pipeline",
     "threads",
 ]
@@ -88,12 +87,11 @@ _DELTA_COUNTERS = [
 # Presence-gated rows: name -> counters that must exist in the fresh run
 # (timing is NOT compared — these rows are thread/scheduler dependent).
 COUNTER_CHECKS = {
-    "BM_ImcafEndToEnd/0/0": _E2E_COUNTERS,
-    "BM_ImcafEndToEnd/1/0": _E2E_COUNTERS,
-    "BM_ImcafEndToEnd/1/1": _E2E_COUNTERS,
-    "BM_ImcafEndToEnd/1/2": _E2E_COUNTERS,
-    "BM_ImcafEndToEnd/1/4": _E2E_COUNTERS,
-    "BM_ImcafEndToEnd/1/8": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/0": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/1": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/2": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/4": _E2E_COUNTERS,
+    "BM_ImcafEndToEnd/8": _E2E_COUNTERS,
     "BM_DeltaRepairVsRebuild/0/0": _DELTA_COUNTERS,
     "BM_DeltaRepairVsRebuild/0/8": _DELTA_COUNTERS,
     "BM_DeltaRepairVsRebuild/1/0": _DELTA_COUNTERS,

@@ -19,8 +19,9 @@ cmake --build "${build_dir}" -j "${jobs}" \
 
 # halt_on_error makes any race fail the ctest invocation instead of just
 # printing a report; second_deadlock_stack improves lock-order diagnostics.
-# The engine label rides along: warm-start resume and solve_many exercise
-# the thread pool through the same deterministic-parallel sweeps, and the
+# The engine label rides along: every stage's cold solve and solve_many
+# exercise the thread pool through the same deterministic-parallel sweeps
+# (the sharded ĉ row compute and update, the CELF refresh bursts), and the
 # pipelined-engine tests (both labels carry pipeline_engine_test.cpp) drive
 # the staging-commit handoff — background stage_samples overlapping const
 # pool readers, then the boundary join + commit_staged — which is exactly

@@ -7,8 +7,8 @@
 //   imc_cli solve       [graph opts] [community opts] --algo ubg|maf|bt|mb
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
-//                       [--metrics-json FILE] [--no-warm-start]
-//                       [--no-pipeline] [--save-pool FILE]
+//                       [--metrics-json FILE] [--no-pipeline]
+//                       [--save-pool FILE]
 //                       [--load-pool FILE [--trust-pool]]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
@@ -205,7 +205,6 @@ int cmd_solve(const ArgParser& args) {
   config.model = load_model(args);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
-  config.warm_start = !args.get_bool("no-warm-start", false);
   config.pipeline = !args.get_bool("no-pipeline", false);
 
   const double time_budget = args.get_double("time-budget-s", 0.0);
@@ -384,8 +383,6 @@ void print_usage() {
       "  --time-budget-s S   wall-clock budget; returns the best seeds from\n"
       "                      the stages that completed in time\n"
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
-      "  --no-warm-start     cold MAXR solve every doubling stage\n"
-      "                      (results are bit-identical; for benchmarking)\n"
       "  --no-pipeline       serial grow/solve/estimate schedule instead of\n"
       "                      overlapping the next stage's sampling with the\n"
       "                      solve (results are bit-identical either way)\n"
@@ -414,8 +411,8 @@ int main(int argc, char** argv) {
   try {
     if (command != "solve") {
       for (const char* flag : {"time-budget-s", "metrics-json",
-                               "no-warm-start", "no-pipeline", "save-pool", "load-pool", "trust-pool",
-                               "apply-deltas"}) {
+                               "no-pipeline", "save-pool", "load-pool",
+                               "trust-pool", "apply-deltas"}) {
         if (args.has(flag)) {
           throw UsageError(std::string("--") + flag +
                            " only applies to the solve subcommand");
