@@ -64,19 +64,18 @@ RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,
   return stats;
 }
 
-void ImcEngine::timed_grow(std::uint64_t count, ImcafResult& result) {
+double ImcEngine::timed_grow(std::uint64_t count) {
   const Stopwatch grow_watch;
   pool_.grow(count, config_.seed, config_.parallel_sampling,
              context_.workers);
   const double seconds = grow_watch.elapsed_seconds();
-  result.sampling_seconds += seconds;
-  result.samples_generated += count;
   log(LogLevel::kDebug) << "IMCAF grow: " << count << " samples in "
                         << seconds << " s ("
                         << (seconds > 0.0
                                 ? static_cast<double>(count) / seconds
                                 : 0.0)
                         << " samples/s), |R|=" << pool_.size();
+  return seconds;
 }
 
 ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
@@ -117,11 +116,24 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
   std::uint64_t stage_samples = 0;
   double stage_sampling = 0.0;
   if (pool_.size() < first_target) {
-    const double before = result.sampling_seconds;
     stage_samples = first_target - pool_.size();
-    timed_grow(stage_samples, result);
-    stage_sampling = result.sampling_seconds - before;
+    stage_sampling = timed_grow(stage_samples);
   }
+
+  // The one place a finished stage row is recorded. Every ImcafResult
+  // total is folded from the rows here, so the rows always sum to it.
+  const auto record_stage = [&](const StageMetrics& metrics) {
+    result.sampling_seconds += metrics.sampling_seconds;
+    result.samples_generated += metrics.samples_added;
+    result.solver_seconds += metrics.solver_seconds;
+    result.estimate_seconds += metrics.estimate_seconds;
+    result.overlap_seconds += metrics.overlap_seconds;
+    result.speculative_samples_committed +=
+        metrics.speculative_samples_committed;
+    result.speculative_samples_discarded +=
+        metrics.speculative_samples_discarded;
+    context_.record_stage(metrics);
+  };
 
   // Pipelined schedule state (DESIGN.md §15). While this stage's solve and
   // estimate run, the NEXT doubling batch generates in the background into
@@ -165,21 +177,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
         });
   };
 
-  // Terminal stages (accept/deadline/cap) invalidate the in-flight
-  // speculation: cancel, join, and account the partial batch as discarded
-  // on the breaking stage's row. Regenerating later (a subsequent query on
-  // the shared pool) reproduces the identical samples by the substream
-  // contract, so discarding loses work, never determinism.
-  const auto discard_speculation = [&](StageMetrics& metrics) {
-    if (!spec_job.valid()) return;
-    spec_job.cancel();
-    spec_job.join();
-    const std::uint64_t discarded = staging.staged_count();
-    metrics.speculative_samples_discarded += discarded;
-    result.speculative_samples_discarded += discarded;
-    staging.clear();
-  };
-
   // Pipeline fields of the NEXT stage's metrics row, set at the boundary
   // that feeds it (mirrors the stage_samples/stage_sampling carry).
   bool stage_pipelined = false;
@@ -187,10 +184,13 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
   std::uint64_t stage_committed = 0;
   std::uint64_t stage_discarded = 0;
 
+  // The row of the stage in progress. A terminal stage's row is recorded
+  // after the loop, so it also carries the cap/deadline-exit estimate.
   MaxrSolution solution;
+  StageMetrics metrics;
   for (;;) {
     ++result.stop_stages;
-    StageMetrics metrics;
+    metrics = StageMetrics{};
     metrics.stage = result.stop_stages;
     metrics.pool_size = pool_.size();
     metrics.samples_added = stage_samples;
@@ -211,7 +211,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     const Stopwatch solve_watch;
     solution = solver.solve(pool_, k);
     metrics.solver_seconds = solve_watch.elapsed_seconds();
-    result.solver_seconds += metrics.solver_seconds;
     log(LogLevel::kDebug) << "IMCAF stage " << result.stop_stages << ": |R|="
                           << pool_.size() << " c_hat=" << solution.c_hat;
 
@@ -235,14 +234,11 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
           *graph_, *communities_, solution.seeds, dagum, context_);
       metrics.estimate_seconds = estimate_watch.elapsed_seconds();
       metrics.estimate_samples = estimate.samples;
-      result.estimate_seconds += metrics.estimate_seconds;
       // Line 10: accept when the pool does not over-estimate the benefit.
       if (estimate.converged &&
           solution.c_hat <= (1.0 + params.ssa_eps1()) * estimate.value) {
         result.estimated_benefit = estimate.value;
         metrics.accepted = true;
-        discard_speculation(metrics);
-        context_.record_stage(metrics);
         break;
       }
     }
@@ -251,17 +247,13 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     // result always carries a real candidate seed set.
     if (context_.stop_requested()) {
       result.reached_deadline = true;
-      discard_speculation(metrics);
-      context_.record_stage(metrics);
       break;
     }
     if (pool_.size() >= cap) {
       result.reached_cap = true;
-      discard_speculation(metrics);  // no-op: nothing launches at cap
-      context_.record_stage(metrics);
       break;
     }
-    context_.record_stage(metrics);
+    record_stage(metrics);
 
     // Stage boundary: the serial schedule grows here; the pipelined one
     // harvests the background batch instead. The speculation is valid
@@ -292,10 +284,6 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
         stage_overlap = std::max(0.0, staged_seconds - wait_seconds);
         stage_pipelined = true;
         stage_committed = stage_samples;
-        result.sampling_seconds += stage_sampling;
-        result.samples_generated += stage_samples;
-        result.overlap_seconds += stage_overlap;
-        result.speculative_samples_committed += stage_samples;
         committed = true;
         log(LogLevel::kDebug)
             << "IMCAF commit: " << stage_samples << " staged samples in "
@@ -305,19 +293,24 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
         // Cancelled mid-staging (deadline raced the stop check): drop the
         // partial batch and regrow synchronously — identical samples by
         // the substream contract. The next row carries the discard count.
-        const std::uint64_t discarded = staging.staged_count();
-        result.speculative_samples_discarded += discarded;
-        stage_discarded = discarded;
+        stage_discarded = staging.staged_count();
         staging.clear();
       }
     }
-    if (!committed) {
-      const double before = result.sampling_seconds;
-      timed_grow(stage_samples, result);
-      stage_sampling = result.sampling_seconds - before;
-    }
+    if (!committed) stage_sampling = timed_grow(stage_samples);
   }
 
+  // The terminal stage (accept/deadline/cap) invalidates the in-flight
+  // speculation: cancel, join, and account the partial batch as discarded
+  // on its row (nothing launches at cap). Regenerating later (a subsequent
+  // query on the shared pool) reproduces the identical samples by the
+  // substream contract, so discarding loses work, never determinism.
+  if (spec_job.valid()) {
+    spec_job.cancel();
+    spec_job.join();
+    metrics.speculative_samples_discarded += staging.staged_count();
+    staging.clear();
+  }
   result.seeds = std::move(solution.seeds);
   result.c_hat = solution.c_hat;
   result.samples_used = pool_.size();
@@ -330,12 +323,13 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     dagum.model = config_.model;
     dagum.max_samples = std::max<std::uint64_t>(pool_.size(), 10'000);
     const Stopwatch estimate_watch;
-    result.estimated_benefit =
-        dagum_estimate_benefit(*graph_, *communities_, result.seeds, dagum,
-                               context_)
-            .value;
-    result.estimate_seconds += estimate_watch.elapsed_seconds();
+    const DagumEstimate estimate = dagum_estimate_benefit(
+        *graph_, *communities_, result.seeds, dagum, context_);
+    metrics.estimate_seconds += estimate_watch.elapsed_seconds();
+    metrics.estimate_samples += estimate.samples;
+    result.estimated_benefit = estimate.value;
   }
+  record_stage(metrics);
   result.runtime_seconds = watch.elapsed_seconds();
   return result;
 }

@@ -112,8 +112,8 @@ class ImcEngine {
   }
 
  private:
-  /// All growth funnels through here: throughput accounting + debug log.
-  void timed_grow(std::uint64_t count, ImcafResult& result);
+  /// Synchronous growth with its debug log; returns the wall seconds.
+  [[nodiscard]] double timed_grow(std::uint64_t count);
 
   const Graph* graph_;
   const CommunitySet* communities_;

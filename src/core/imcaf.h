@@ -49,14 +49,14 @@ struct ImcafResult {
   double lambda = 0.0;             // Λ of Alg. 5
   double psi = 0.0;                // Ψ of eq. 22 (possibly huge)
   double runtime_seconds = 0.0;
-  /// Wall time spent inside pool.grow() across all doubling stages, and
-  /// the samples generated in that time — together the realized sampling
-  /// throughput (samples_generated / sampling_seconds). Per-stage numbers
-  /// are logged at kDebug as the run proceeds.
+  /// The fields below are sums of the StageMetrics rows the engine records
+  /// (one per stop stage, also sent to the MetricsSink).
+  /// Wall time spent growing the pool across all doubling stages, and the
+  /// samples generated in that time — together the realized sampling
+  /// throughput (samples_generated / sampling_seconds).
   double sampling_seconds = 0.0;
   std::uint64_t samples_generated = 0;
-  /// Wall time inside the MAXR solves and the stop-stage Estimates, summed
-  /// over stages (the engine's per-stage split goes to the MetricsSink).
+  /// Wall time inside the MAXR solves and the Dagum Estimates.
   double solver_seconds = 0.0;
   double estimate_seconds = 0.0;
   /// The run wound down early on an expired deadline or a cancellation

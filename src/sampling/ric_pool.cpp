@@ -313,125 +313,20 @@ void RicPool::ensure_mutable() {
 
 void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
                    ThreadPool* workers) {
-  if (count == 0) return;
-  check_capacity(count);
-  ensure_mutable();
-  const std::uint64_t base = size();
-
-  ThreadPool* const pool = sampling_pool(parallel, workers);
-  // Serial fast path: one part means the stitched layout IS generation
-  // order, so emit straight into the pool's own sample-major arena and
-  // skip the part-arena copy entirely. (This is the configuration the
-  // sampling-throughput acceptance benchmark measures.)
-  if (pool == nullptr) {
-    std::unique_ptr<RicSampler> sampler = acquire_sampler();
-    thresholds_.reserve(thresholds_.size() + count);
-    source_community_.reserve(source_community_.size() + count);
-    sample_offsets_.reserve(sample_offsets_.size() + count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Rng rng(splitmix_of(seed, base + i));
-      const RicSampleMeta meta = sampler->generate_into(rng, sample_arena_);
-      register_metadata(meta.community, meta.threshold, meta.touch_count);
-    }
-    release_sampler(std::move(sampler));
-    merge_fresh_into_index(1, nullptr);
-    ++grows_;
-    return;
-  }
-
-  // Fixed sample-range -> part mapping (count*p/parts), so which samples
-  // share a part — and therefore the stitched arena layout — depends only
-  // on (count, parts), never on runtime scheduling. Combined with the
-  // per-sample RNG substreams, serial and parallel growth are
-  // bit-identical.
-  const std::uint64_t parts = std::max<std::uint64_t>(
-      1, std::min<std::uint64_t>(
-             count, static_cast<std::uint64_t>(pool->size()) * 4));
-  const auto part_begin = [&](std::uint64_t p) { return count * p / parts; };
-
-  // Each part emits straight into its own arena via generate_into — no
-  // intermediate RicSample objects. Samplers come from the reuse cache so
-  // repeated grow() calls never reconstruct O(n) scratch.
-  struct PartOutput {
-    RicSampler::TouchArena touches;
-    std::vector<RicSampleMeta> metas;
-  };
-  std::vector<PartOutput> outputs(parts);
-  const auto generate_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                  unsigned /*chunk*/) {
-    std::unique_ptr<RicSampler> sampler = acquire_sampler();
-    for (std::uint64_t p = begin; p < end; ++p) {
-      PartOutput& out = outputs[p];
-      const std::uint64_t lo = part_begin(p);
-      const std::uint64_t hi = part_begin(p + 1);
-      out.metas.reserve(hi - lo);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        // One substream per global sample index keeps growth deterministic
-        // and independent of chunking.
-        Rng rng(splitmix_of(seed, base + i));
-        out.metas.push_back(sampler->generate_into(rng, out.touches));
-      }
-    }
-    release_sampler(std::move(sampler));
-  };
-  parallel_for(*pool, parts, generate_parts);
-
-  // Stitch the part arenas into the sample-major arena in part order
-  // (= global sample order): prefix-sum the part sizes, bulk-copy each
-  // part into its slot (parallel), then append the metadata serially.
-  std::vector<std::uint64_t> part_base(parts + 1, 0);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    part_base[p + 1] = part_base[p] + outputs[p].touches.size();
-  }
-  const std::uint64_t old_arena = sample_arena_.size();
-  sample_arena_.resize(old_arena + part_base[parts]);
-  const auto stitch_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                unsigned /*chunk*/) {
-    for (std::uint64_t p = begin; p < end; ++p) {
-      std::copy(outputs[p].touches.begin(), outputs[p].touches.end(),
-                sample_arena_.begin() +
-                    static_cast<std::ptrdiff_t>(old_arena + part_base[p]));
-    }
-  };
-  parallel_for(*pool, parts, stitch_parts);
-
-  thresholds_.reserve(thresholds_.size() + count);
-  source_community_.reserve(source_community_.size() + count);
-  sample_offsets_.reserve(sample_offsets_.size() + count);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    for (const RicSampleMeta& meta : outputs[p].metas) {
-      register_metadata(meta.community, meta.threshold, meta.touch_count);
-    }
-  }
-
-  // Merge the fresh batch (plus any samples append() left pending) into
-  // the CSR eagerly: grow() is the bulk producer, and doing it here keeps
-  // the read path branch-predictable.
-  merge_fresh_into_index(pool->size(), pool);
-  ++grows_;
+  PoolStagingArena staged;
+  stage_samples(count, seed, parallel, workers, {}, staged);
+  commit_staged(std::move(staged), parallel, workers);
 }
 
-void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
-                            bool parallel, ThreadPool* workers,
-                            const std::function<bool()>& cancelled,
-                            PoolStagingArena& out) const {
-  out.clear();
-  out.base_ = size();
-  out.count_ = count;
-  out.seed_ = seed;
-  out.epoch_ = grow_epoch();
-  if (count == 0) {
-    out.complete_ = true;
-    return;
-  }
-  check_capacity(count);
-
-  ThreadPool* const pool = sampling_pool(parallel, workers);
-  // Fixed (count, pool size) -> sample-range mapping: ~kStagePartSamples
-  // per part, one pool task each. The part structure only decides buffer
-  // boundaries: the stitched commit concatenates parts in order (= global
-  // sample order), so the spliced arena bytes do not depend on it.
-  const std::uint64_t base = out.base_;
+template <typename IndexOf>
+void RicPool::generate_parts(std::uint64_t count, std::uint64_t seed,
+                             IndexOf index_of, ThreadPool* pool,
+                             const std::function<bool()>& cancelled,
+                             PoolStagingArena& out) const {
+  // Fixed (count, pool size) -> part mapping: ~kStagePartSamples per part,
+  // one pool task each. The part structure only decides buffer boundaries:
+  // every caller concatenates the parts in order, so the bytes it splices
+  // do not depend on it.
   const std::uint64_t parts =
       pool == nullptr
           ? 1
@@ -457,9 +352,9 @@ void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
         stopped.store(true, std::memory_order_relaxed);
         break;
       }
-      // One substream per global sample index — identical to grow(), so
-      // a committed batch is bit-identical to direct growth.
-      Rng rng(splitmix_of(seed, base + i));
+      // One substream per global sample index, so the samples do not
+      // depend on the part mapping or on which batch produced them.
+      Rng rng(splitmix_of(seed, index_of(i)));
       part.metas.push_back(sampler->generate_into(rng, part.touches));
     }
     release_sampler(std::move(sampler));
@@ -471,6 +366,26 @@ void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
                         [&](unsigned p) { generate_part(p); });
   }
   out.complete_ = !stopped.load(std::memory_order_relaxed);
+}
+
+void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
+                            bool parallel, ThreadPool* workers,
+                            const std::function<bool()>& cancelled,
+                            PoolStagingArena& out) const {
+  out.clear();
+  out.base_ = size();
+  out.count_ = count;
+  out.seed_ = seed;
+  out.epoch_ = grow_epoch();
+  if (count == 0) {
+    out.complete_ = true;
+    return;
+  }
+  check_capacity(count);
+  const std::uint64_t base = out.base_;
+  generate_parts(
+      count, seed, [base](std::uint64_t i) { return base + i; },
+      sampling_pool(parallel, workers), cancelled, out);
 }
 
 void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
@@ -487,7 +402,7 @@ void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
   }
   if (staged.count_ == 0) {
     staged.clear();
-    return;  // mirrors grow(0): no growth operation happened
+    return;  // an empty batch (grow(0)) is no growth operation
   }
   check_capacity(staged.count_);
   ensure_mutable();
@@ -495,16 +410,16 @@ void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
   ThreadPool* const pool = sampling_pool(parallel, workers);
 
   // Stitch the staged part arenas into the sample-major arena in part
-  // order (= global sample order) — the same prefix-sum + bulk-copy splice
-  // grow()'s parallel path uses, so the committed bytes are identical to
-  // direct growth for any staging part count.
+  // order (= global sample order): prefix-sum the part sizes, bulk-copy
+  // each part into its slot, then append the metadata serially. The
+  // committed bytes do not depend on the staging part count.
   const std::uint64_t parts = staged.parts_.size();
   std::vector<std::uint64_t> part_base(parts + 1, 0);
   for (std::uint64_t p = 0; p < parts; ++p) {
     part_base[p + 1] = part_base[p] + staged.parts_[p].touches.size();
   }
   const std::uint64_t old_arena = sample_arena_.size();
-  sample_arena_.resize(old_arena + part_base[parts]);
+  sample_arena_.resize_for_overwrite(old_arena + part_base[parts]);
   const auto stitch_parts = [&](std::uint64_t begin, std::uint64_t end,
                                 unsigned /*chunk*/) {
     for (std::uint64_t p = begin; p < end; ++p) {
@@ -529,8 +444,8 @@ void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
     }
   }
 
-  // One grow() worth of index merge + exactly one watermark bump: holders
-  // of a PoolEpoch cannot tell a committed stage from a direct grow.
+  // Merge the fresh batch into the CSR eagerly, then bump the watermark
+  // exactly once: grow() is this same stage + commit.
   merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
   ++grows_;
   staged.clear();
@@ -864,41 +779,13 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
 
   // Regenerate the affected samples with their ORIGINAL substreams —
   // Rng(splitmix_of(seed, g)) is exactly what a rebuild-from-scratch
-  // would feed sample g — using grow()'s fixed repair-order -> part
-  // mapping so the output is independent of scheduling.
+  // would feed sample g — through the same part loop growth uses, with
+  // position j of the repair order mapped to sample repair_ids[j].
   const std::uint64_t count = repair_ids.size();
-  const std::uint64_t parts =
-      pool == nullptr
-          ? 1
-          : std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(
-                       count, static_cast<std::uint64_t>(pool->size()) * 4));
-  const auto part_begin = [&](std::uint64_t p) { return count * p / parts; };
-  struct PartOutput {
-    RicSampler::TouchArena touches;
-    std::vector<RicSampleMeta> metas;
-  };
-  std::vector<PartOutput> outputs(parts);
-  const auto regenerate = [&](std::uint64_t begin, std::uint64_t end,
-                              unsigned /*chunk*/) {
-    std::unique_ptr<RicSampler> sampler = acquire_sampler();
-    for (std::uint64_t p = begin; p < end; ++p) {
-      PartOutput& out = outputs[p];
-      const std::uint64_t lo = part_begin(p);
-      const std::uint64_t hi = part_begin(p + 1);
-      out.metas.reserve(hi - lo);
-      for (std::uint64_t j = lo; j < hi; ++j) {
-        Rng rng(splitmix_of(seed, repair_ids[j]));
-        out.metas.push_back(sampler->generate_into(rng, out.touches));
-      }
-    }
-    release_sampler(std::move(sampler));
-  };
-  if (pool == nullptr) {
-    regenerate(0, parts, 0);
-  } else {
-    parallel_for(*pool, parts, regenerate);
-  }
+  PoolStagingArena regenerated;
+  generate_parts(
+      count, seed, [&](std::uint64_t j) { return repair_ids[j]; }, pool, {},
+      regenerated);
 
   // Flatten the parts (contiguous runs of repair order, so concatenation
   // IS repair order) into per-repaired-sample views for the patches.
@@ -906,10 +793,10 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   std::vector<const RicSampleMeta*> repaired_meta(count);
   {
     std::uint64_t j = 0;
-    for (const PartOutput& out : outputs) {
+    for (const PoolStagingArena::Part& part : regenerated.parts_) {
       std::uint64_t offset = 0;
-      for (const RicSampleMeta& meta : out.metas) {
-        repaired_data[j] = out.touches.data() + offset;
+      for (const RicSampleMeta& meta : part.metas) {
+        repaired_data[j] = part.touches.data() + offset;
         repaired_meta[j] = &meta;
         offset += meta.touch_count;
         ++j;

@@ -12,13 +12,15 @@
 // AoS sample store: the sample-major arena (`sample_offsets_` +
 // `sample_arena_`) IS the canonical per-sample storage, and `sample()`
 // materializes a RicSample view on demand (serialization/tests only).
-// Growth is arena-direct (DESIGN.md §9): per-part worker arenas filled by
-// `RicSampler::generate_into` are stitched straight into the sample-major
-// arena, and the CSR is rebuilt incrementally: every mutation (`grow()`,
-// `commit_staged()`, `append()`) merges its fresh samples with a two-pass
+// One sample generator (DESIGN.md §9): `stage_samples()` fills per-part
+// arenas via `RicSampler::generate_into`, `commit_staged()` stitches them
+// into the sample-major arena in index order, and `grow()` is exactly that
+// stage + commit. The CSR is rebuilt incrementally: every mutation
+// (`commit_staged()`, `append()`) merges its fresh samples with a two-pass
 // build (per-chunk count, exclusive prefix-sum, parallel scatter) before
 // returning, so the index is never stale and const readers never write.
-// A delta repair instead patches both arenas in place (DESIGN.md §16).
+// A delta repair regenerates through the same part loop and patches both
+// arenas in place (DESIGN.md §16).
 #pragma once
 
 #include <cassert>
@@ -83,30 +85,29 @@ class RicPool {
   /// Appends `count` fresh samples, deterministically derived from `seed`
   /// and the current pool size (so grow(a); grow(b) == grow(a+b) given the
   /// same base seed, for ANY parallelism/worker combination — per-sample
-  /// RNG substreams make chunking irrelevant). When `parallel` is set the
-  /// generation runs on `workers` (default_pool() when null) plus the
-  /// calling thread, which help-runs parts while it waits: each part
-  /// emits into its own arena via RicSampler::generate_into, parts are
-  /// stitched deterministically into the sample-major arena, and the CSR
-  /// index is merged eagerly with the two-pass parallel build. Sampler
-  /// instances are cached and reused across parts and across grow() calls
-  /// (no O(n) scratch construction per chunk). Throws std::length_error
-  /// once sample ids would no longer fit in 32 bits.
+  /// RNG substreams make chunking irrelevant). A synchronous
+  /// stage_samples() into a local arena (no cancel predicate) followed by
+  /// commit_staged(), so a direct grow and a committed stage are one code
+  /// path. When `parallel` is set the generation runs on `workers`
+  /// (default_pool() when null) plus the calling thread, which help-runs
+  /// parts while it waits. Throws std::length_error once sample ids would
+  /// no longer fit in 32 bits.
   void grow(std::uint64_t count, std::uint64_t seed, bool parallel = true,
             ThreadPool* workers = nullptr);
 
-  /// Speculative counterpart of grow(): generates the samples grow(count,
-  /// seed, ...) WOULD append next — same per-sample RNG substreams
-  /// splitmix_of(seed, size() + i) — into caller-owned staging buffers
+  /// Generates the samples grow(count, seed, ...) appends next — per-sample
+  /// RNG substreams splitmix_of(seed, size() + i), one part when serial and
+  /// ~256 samples per part otherwise, each part emitted into its own arena
+  /// via RicSampler::generate_into — into caller-owned staging buffers
   /// without touching the pool (const: the live arenas, the CSR index and
   /// the PoolEpoch watermark are all unchanged). `commit_staged` later
-  /// splices the batch in with the regular two-pass merge, producing a
-  /// pool bit-identical to the direct grow() — or the staging arena is
-  /// simply dropped when the speculation missed. `cancelled` (may be
-  /// empty) is polled once per sample; on cancellation the arena is left
-  /// incomplete (complete() == false) and commit will refuse it. Safe to
-  /// run concurrently with const readers of this pool (the engine overlaps
-  /// it with solve/estimate); the only shared mutable state is the
+  /// splices the batch in, or the staging arena is simply dropped when the
+  /// speculation missed. Sampler instances are cached and reused across
+  /// parts and calls (no O(n) scratch construction per part). `cancelled`
+  /// (may be empty) is polled once per sample; on cancellation the arena is
+  /// left incomplete (complete() == false) and commit will refuse it. Safe
+  /// to run concurrently with const readers of this pool (the engine
+  /// overlaps it with solve/estimate); the only shared mutable state is the
   /// mutex-guarded sampler cache. Throws std::length_error when the batch
   /// would overflow 32-bit sample ids.
   void stage_samples(std::uint64_t count, std::uint64_t seed, bool parallel,
@@ -115,9 +116,9 @@ class RicPool {
                      PoolStagingArena& out) const;
 
   /// Appends a batch staged by stage_samples() to the pool — stitch into
-  /// the sample-major arena, register metadata, merge the CSR index, bump
-  /// the growth watermark — exactly one grow() worth of mutation, so the
-  /// resulting pool (content AND PoolEpoch) is bit-identical to having
+  /// the sample-major arena in index order, register metadata, merge the
+  /// CSR index with the two-pass build, bump the growth watermark — so
+  /// the resulting pool (content AND PoolEpoch) is bit-identical to having
   /// called grow(staged.count(), staged.seed()) at the staging point.
   /// Consumes the arena (left cleared). Throws std::invalid_argument when
   /// the arena is incomplete (cancelled staging) or stale (the pool grew
@@ -371,6 +372,19 @@ class RicPool {
   /// past the 32-bit Touch::sample range.
   void check_capacity(std::uint64_t count) const;
 
+  /// The one sample generator behind stage_samples(), grow() and
+  /// invalidate_and_repair(): fills `out`'s parts with the samples
+  /// index_of(0), ..., index_of(count - 1), sample index_of(i) drawn from
+  /// Rng(splitmix_of(seed, index_of(i))). Parts hold contiguous runs of i,
+  /// so concatenating them in order yields i order for any part count.
+  /// Runs serially when `pool` is null; `cancelled` (may be empty) is
+  /// polled once per sample and sets out.complete() false when it fires.
+  template <typename IndexOf>
+  void generate_parts(std::uint64_t count, std::uint64_t seed,
+                      IndexOf index_of, ThreadPool* pool,
+                      const std::function<bool()>& cancelled,
+                      PoolStagingArena& out) const;
+
   /// Pops a cached sampler or constructs one; return via release_sampler.
   /// Const because read-side producers (stage_samples) borrow samplers
   /// too; the cache is mutable state guarded by sampler_mutex_.
@@ -426,8 +440,8 @@ class RicPool {
   ArenaVector<std::uint64_t> sample_offsets_;            // sample -> begin
   ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena_;
 
-  // Cached RicSampler instances, reused across grow() parts and calls so
-  // repeated growth never reconstructs O(n) scratch buffers. Mutable:
+  // Cached RicSampler instances, reused across generation parts and calls
+  // so repeated growth never reconstructs O(n) scratch buffers. Mutable:
   // const staging reuses the cache under the mutex.
   mutable std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
   mutable std::mutex sampler_mutex_;
@@ -481,7 +495,7 @@ class PoolStagingArena {
   friend class RicPool;
 
   /// One generation part: a contiguous run of the batch's sample indices,
-  /// emitted arena-direct exactly like grow()'s PartOutput.
+  /// its touch pairs emitted arena-direct by RicSampler::generate_into.
   struct Part {
     RicSampler::TouchArena touches;
     std::vector<RicSampleMeta> metas;

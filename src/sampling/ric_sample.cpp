@@ -6,7 +6,6 @@
 #include <string>
 
 #include "diffusion/lt_model.h"
-#include "util/mmap_arena.h"
 
 namespace imc {
 
@@ -71,8 +70,7 @@ RicSample RicSampler::generate_for_community(CommunityId community, Rng& rng) {
   return sample;
 }
 
-template <typename Arena>
-RicSampleMeta RicSampler::generate_into(Rng& rng, Arena& out) {
+RicSampleMeta RicSampler::generate_into(Rng& rng, TouchArena& out) {
   return generate_for_community_into(
       static_cast<CommunityId>(rho_.sample(rng)), rng, out);
 }
@@ -191,10 +189,9 @@ bool RicSampler::propagate(std::span<const NodeId> members, OnGrow on_grow) {
   return false;
 }
 
-template <typename Arena>
 RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
                                                       Rng& rng,
-                                                      Arena& out) {
+                                                      TouchArena& out) {
   const auto members = communities_->members(community);  // range-checked
   RicSampleMeta meta;
   meta.community = community;
@@ -252,17 +249,5 @@ bool RicSampler::draw_influenced(Rng& rng,
   reset_live_edges();
   return influenced;
 }
-
-// The two arena types pool growth actually emits into: per-part scratch
-// vectors and the pool's own ArenaVector heap slabs.
-using PoolArena = ArenaVector<std::pair<NodeId, std::uint64_t>>;
-template RicSampleMeta RicSampler::generate_into(Rng&,
-                                                 RicSampler::TouchArena&);
-template RicSampleMeta RicSampler::generate_into(Rng&, PoolArena&);
-template RicSampleMeta RicSampler::generate_for_community_into(
-    CommunityId, Rng&, RicSampler::TouchArena&);
-template RicSampleMeta RicSampler::generate_for_community_into(CommunityId,
-                                                               Rng&,
-                                                               PoolArena&);
 
 }  // namespace imc

@@ -110,18 +110,12 @@ class RicSampler {
 
   /// Arena-direct variant: appends the sample's touching pairs (sorted by
   /// node id) to `out` and returns the metadata. Pool growth uses this to
-  /// emit straight into per-thread arenas with zero intermediate copies.
-  /// Templated over the arena so the pool's serial fast path can emit
-  /// straight into an ArenaVector slab (heap or mmap) while per-part
-  /// scratch keeps using TouchArena; instantiated in ric_sample.cpp for
-  /// exactly those two types.
-  template <typename Arena>
-  RicSampleMeta generate_into(Rng& rng, Arena& out);
+  /// emit straight into per-part arenas with zero intermediate copies.
+  RicSampleMeta generate_into(Rng& rng, TouchArena& out);
 
   /// Arena-direct variant of generate_for_community.
-  template <typename Arena>
   RicSampleMeta generate_for_community_into(CommunityId community, Rng& rng,
-                                            Arena& out);
+                                            TouchArena& out);
 
   /// X_g(S) of one fresh draw: true iff the seeds flagged in `is_seed`
   /// (indexed by node id, size >= node_count) reach at least h_g members

@@ -25,7 +25,9 @@ class ThreadPool;
 
 /// One stop stage of an IMCAF run, as recorded by the engine: how much the
 /// pool grew before the solve, how long each phase took, and how the stage
-/// ended. Timings are wall-clock seconds.
+/// ended. Timings are wall-clock seconds. The ImcafResult totals are the
+/// sums of these rows; the last row also carries the independent estimate
+/// a cap or deadline exit draws after the loop.
 struct StageMetrics {
   std::uint32_t stage = 0;             // 1-based stop-stage index
   std::uint64_t pool_size = 0;         // |R| the solver saw

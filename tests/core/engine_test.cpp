@@ -174,46 +174,93 @@ TEST_F(ImcEngineTest, CancellationFlagStopsAfterCurrentStage) {
 }
 
 TEST_F(ImcEngineTest, MetricsSinkRecordsOneRowPerStopStage) {
+  // Every way a run ends, each with the pipeline on and off: the rows
+  // follow the doubling schedule, and every ImcafResult total is the sum
+  // of its rows — also the estimate a cap or deadline exit draws last.
+  enum class Exit { kAccepted, kCap, kDeadline };
   const CommunitySet communities = make_communities(1);
   const UbgSolver solver;
-  RecordingMetricsSink metrics;
-  ExecutionContext context;
-  context.metrics = &metrics;
-  ImcEngine engine(graph_, communities, pinned_config(), context);
-  const ImcafResult result = engine.solve(8, solver);
+  for (const Exit exit : {Exit::kAccepted, Exit::kCap, Exit::kDeadline}) {
+    for (const bool pipeline : {true, false}) {
+      SCOPED_TRACE("exit=" + std::to_string(static_cast<int>(exit)) +
+                   (pipeline ? " pipelined" : " serial"));
+      ImcafConfig config = pinned_config();
+      config.pipeline = pipeline;
+      // The pinned run accepts at its third stage (|R| = 6000), so a cap
+      // of 3000 ends it at the second.
+      if (exit == Exit::kCap) config.max_samples = 3000;
+      RecordingMetricsSink metrics;
+      ExecutionContext context;
+      context.metrics = &metrics;
+      if (exit == Exit::kDeadline) context.deadline = Deadline(1e-9);
+      ImcEngine engine(graph_, communities, config, context);
+      const ImcafResult result = engine.solve(8, solver);
 
-  const std::vector<StageMetrics> rows = metrics.stages();
-  ASSERT_EQ(rows.size(), result.stop_stages);
-  ASSERT_EQ(rows.size(), 3U);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].stage, i + 1);
-    EXPECT_GE(rows[i].solver_seconds, 0.0);
-    if (i > 0) {
-      // Alg. 5 doubles |R| at every stage, clamped to the sample cap.
-      EXPECT_EQ(rows[i].pool_size,
-                std::min<std::uint64_t>(pinned_config().max_samples,
-                                        2 * rows[i - 1].pool_size));
-      EXPECT_EQ(rows[i].samples_added,
-                rows[i].pool_size - rows[i - 1].pool_size);
-      EXPECT_FALSE(rows[i - 1].accepted);  // only the last row can accept
-    } else {
-      EXPECT_EQ(rows[i].samples_added, rows[i].pool_size);
+      EXPECT_EQ(result.seeds.size(), 8U);
+      EXPECT_EQ(result.reached_cap, exit == Exit::kCap);
+      EXPECT_EQ(result.reached_deadline, exit == Exit::kDeadline);
+      const std::vector<StageMetrics> rows = metrics.stages();
+      ASSERT_EQ(rows.size(), result.stop_stages);
+      ASSERT_FALSE(rows.empty());
+      EXPECT_EQ(rows.size() == 1, exit == Exit::kDeadline);
+      EXPECT_EQ(rows.back().accepted, exit == Exit::kAccepted);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].stage, i + 1);
+        EXPECT_GE(rows[i].solver_seconds, 0.0);
+        if (i > 0) {
+          // Alg. 5 doubles |R| at every stage, clamped to the sample cap.
+          EXPECT_EQ(rows[i].pool_size,
+                    std::min<std::uint64_t>(config.max_samples,
+                                            2 * rows[i - 1].pool_size));
+          EXPECT_EQ(rows[i].samples_added,
+                    rows[i].pool_size - rows[i - 1].pool_size);
+          EXPECT_FALSE(rows[i - 1].accepted);  // only the last row can
+        } else {
+          EXPECT_EQ(rows[i].samples_added, rows[i].pool_size);
+        }
+      }
+      EXPECT_EQ(rows.back().pool_size, result.samples_used);
+      // The exit estimate lands on the last row.
+      EXPECT_GT(rows.back().estimate_samples, 0U);
+      EXPECT_GT(result.estimated_benefit, 0.0);
+
+      // Summed in row order, as the engine folds them: exact equality.
+      StageMetrics sum;
+      for (const StageMetrics& row : rows) {
+        sum.sampling_seconds += row.sampling_seconds;
+        sum.samples_added += row.samples_added;
+        sum.solver_seconds += row.solver_seconds;
+        sum.estimate_seconds += row.estimate_seconds;
+        sum.overlap_seconds += row.overlap_seconds;
+        sum.speculative_samples_committed +=
+            row.speculative_samples_committed;
+        sum.speculative_samples_discarded +=
+            row.speculative_samples_discarded;
+      }
+      EXPECT_EQ(sum.sampling_seconds, result.sampling_seconds);
+      EXPECT_EQ(sum.samples_added, result.samples_generated);
+      EXPECT_EQ(sum.solver_seconds, result.solver_seconds);
+      EXPECT_EQ(sum.estimate_seconds, result.estimate_seconds);
+      EXPECT_EQ(sum.overlap_seconds, result.overlap_seconds);
+      EXPECT_EQ(sum.speculative_samples_committed,
+                result.speculative_samples_committed);
+      EXPECT_EQ(sum.speculative_samples_discarded,
+                result.speculative_samples_discarded);
+      EXPECT_EQ(result.samples_generated, result.samples_used);
+
+      std::ostringstream out;
+      metrics.write_json(out);
+      const std::string json = out.str();
+      EXPECT_NE(json.find("\"stages\""), std::string::npos);
+      std::size_t row_count = 0;
+      for (std::size_t at = json.find("\"pool_size\"");
+           at != std::string::npos;
+           at = json.find("\"pool_size\"", at + 1)) {
+        ++row_count;
+      }
+      EXPECT_EQ(row_count, rows.size());
     }
   }
-  EXPECT_EQ(rows.back().pool_size, result.samples_used);
-  // The run ends by acceptance or by the cap — exactly one of the two.
-  EXPECT_NE(rows.back().accepted, result.reached_cap);
-
-  std::ostringstream out;
-  metrics.write_json(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"stages\""), std::string::npos);
-  std::size_t row_count = 0;
-  for (std::size_t at = json.find("\"pool_size\""); at != std::string::npos;
-       at = json.find("\"pool_size\"", at + 1)) {
-    ++row_count;
-  }
-  EXPECT_EQ(row_count, rows.size());
 }
 
 }  // namespace

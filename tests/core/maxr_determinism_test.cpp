@@ -85,10 +85,8 @@ TEST_F(MaxrDeterminismTest, PinnedSeedsThresholdTwo) {
 // Pins across one doubling, as IMCAF's stages see them: the first-stage
 // seeds on the original pool, then a solve on the grown pool must equal the
 // same solve on an independently built pool with the same samples (the
-// solvers read only the pool, never the history that grew it). The id is
-// kept from when this test compared a resumed solve with a cold one; a
-// clearer name would be GrownPoolSolveMatchesRebuiltPool.
-TEST_F(MaxrDeterminismTest, WarmResumeAfterGrowthMatchesColdSolve) {
+// solvers read only the pool, never the history that grew it).
+TEST_F(MaxrDeterminismTest, GrownPoolSolveMatchesRebuiltPool) {
   const std::vector<std::vector<NodeId>> ubg_stage1 = {
       {1, 3, 0, 8, 10, 44, 37, 109}, {1, 3, 0, 10, 44, 6, 33, 4}};
   const std::vector<NodeId> maf_stage1 = {1, 3, 0, 10, 6, 8, 2, 4};

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -123,24 +124,34 @@ TEST(PoolRepair, MembershipMoveRepairEqualsRebuild) {
 }
 
 TEST(PoolRepair, ParallelRepairMatchesSerialAndRebuild) {
-  // One worker is the caller-plus-worker configuration: the two arena
-  // patches then run on different threads.
-  for (const unsigned threads : {1U, 2U, 8U}) {
-    Graph graph = make_graph();
-    CommunitySet communities = make_communities();
-    ThreadPool workers(threads);
-    RicPool pool(graph, communities);
-    pool.grow(kPoolSize, kSeed, /*parallel=*/true, &workers);
+  // The pool sizes straddle the 256-sample generation part. One worker is
+  // the caller-plus-worker configuration: the two arena patches then run
+  // on different threads.
+  for (const std::uint64_t size :
+       std::initializer_list<std::uint64_t>{1, 255, 256, 257, 1000,
+                                            kPoolSize}) {
+    for (const unsigned threads : {0U, 1U, 2U, 8U}) {  // 0 = serial
+      SCOPED_TRACE("size=" + std::to_string(size) +
+                   " threads=" + std::to_string(threads));
+      Graph graph = make_graph();
+      CommunitySet communities = make_communities();
+      std::unique_ptr<ThreadPool> workers;
+      if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+      const bool parallel = threads > 0;
+      RicPool pool(graph, communities);
+      pool.grow(size, kSeed, parallel, workers.get());
 
-    GraphDelta delta;
-    delta.upsert_edge(4, 11, 0.6).remove_edge(0, 2).move_member(19, 1);
-    const DeltaEffects effects = apply_delta(graph, communities, delta);
-    (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/true,
-                                     &workers);
+      GraphDelta delta;
+      delta.upsert_edge(4, 11, 0.6).remove_edge(0, 2).move_member(19, 1);
+      const DeltaEffects effects = apply_delta(graph, communities, delta);
+      (void)pool.invalidate_and_repair(effects, kSeed, parallel,
+                                       workers.get());
 
-    RicPool rebuilt(graph, communities);
-    rebuilt.grow(kPoolSize, kSeed, /*parallel=*/false);
-    test::expect_same_pool(pool, rebuilt);
+      RicPool rebuilt(graph, communities);
+      rebuilt.grow(size, kSeed, /*parallel=*/false);
+      test::expect_same_pool(pool, rebuilt);
+      EXPECT_EQ(pool.grow_epoch(), (RicPool::PoolEpoch{size, 1, 1}));
+    }
   }
 }
 

@@ -187,12 +187,10 @@ TEST(PoolSnapshot, AttachThenGrowCopyOnWriteMatchesStraightGrowth) {
   std::remove(path.c_str());
 }
 
-TEST(PoolSnapshot, RestoredEpochValidatesWarmStartWatermarks) {
+TEST(PoolSnapshot, RestoredEpochEqualsSavedEpoch) {
   // The epoch watermark written at save time is restored verbatim: a
   // PoolEpoch captured against the saved pool equals the reloaded pool's,
-  // sample count, grow count and repair count alike. The id is kept from
-  // when a restored epoch validated solver carriers; a clearer name would
-  // be RestoredEpochEqualsSavedEpoch.
+  // sample count, grow count and repair count alike.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(80, 5);

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include "community/threshold_policy.h"
 #include "diffusion/monte_carlo.h"
 #include "graph/generators/generators.h"
 #include "graph/weights.h"
+#include "sampling/pool_equality.h"
 #include "test_support.h"
+#include "util/thread_pool.h"
 
 namespace imc {
 namespace {
@@ -45,17 +50,37 @@ TEST(RicPool, GrowAndIndexConsistency) {
 }
 
 TEST(RicPool, GrowthIsDeterministicAndChunkingInvariant) {
+  // The counts straddle the 256-sample generation part. Serial growth and
+  // growth on 1, 2 and 8 workers, in one call or two, must all produce the
+  // same bytes as one serial call.
   const Graph graph = test::cycle_graph(10, 0.4);
   const CommunitySet communities = test::chunk_communities(10, 2);
-  RicPool once(graph, communities);
-  once.grow(64, 7, /*parallel=*/true);
-  RicPool twice(graph, communities);
-  twice.grow(40, 7, /*parallel=*/false);
-  twice.grow(24, 7, /*parallel=*/false);
-  ASSERT_EQ(once.size(), twice.size());
-  for (std::uint32_t g = 0; g < once.size(); ++g) {
-    EXPECT_EQ(once.sample(g).community, twice.sample(g).community);
-    EXPECT_EQ(once.sample(g).touching, twice.sample(g).touching);
+  for (const std::uint64_t count : {1U, 255U, 256U, 257U, 1000U}) {
+    RicPool reference(graph, communities);
+    reference.grow(count, 7, /*parallel=*/false);
+    EXPECT_EQ(reference.grow_epoch(), (RicPool::PoolEpoch{count, 1, 0}));
+    for (const unsigned threads : {0U, 1U, 2U, 8U}) {  // 0 = serial
+      SCOPED_TRACE("count=" + std::to_string(count) +
+                   " threads=" + std::to_string(threads));
+      std::unique_ptr<ThreadPool> workers;
+      if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+      const bool parallel = threads > 0;
+
+      RicPool once(graph, communities);
+      once.grow(count, 7, parallel, workers.get());
+      test::expect_same_pool(once, reference);
+      EXPECT_EQ(once.grow_epoch(), reference.grow_epoch());
+
+      // A split batch is the same samples and one more growth (grow(0)
+      // counts as none).
+      const std::uint64_t first = count / 2;
+      RicPool twice(graph, communities);
+      twice.grow(first, 7, parallel, workers.get());
+      twice.grow(count - first, 7, parallel, workers.get());
+      test::expect_same_pool(twice, reference);
+      EXPECT_EQ(twice.grow_epoch(),
+                (RicPool::PoolEpoch{count, first > 0 ? 2U : 1U, 0}));
+    }
   }
 }
 

@@ -54,6 +54,7 @@ ALLOWLIST = [
     "BM_Louvain",
     "BM_DagumEstimate",
     "BM_DeltaRepairVsRebuild/0/0",
+    "BM_PoolGrowLarge/0",
 ]
 
 # Counters every end-to-end Alg. 5 row must report. The serial-schedule
