@@ -353,11 +353,11 @@ void BM_PoolCHatLarge(benchmark::State& state) {
 BENCHMARK(BM_PoolCHatLarge);
 
 // Binary snapshot persistence on the large (~40k sample) pool. Save is one
-// sequential arena write; Load contrasts the two attach modes — Arg 1 the
-// default zero-copy mmap attach (checksum + full per-sample validation,
-// one pass over the mapping, no copy), Arg 2 the opt-in TRUSTED attach
-// (`--load-pool --trust-pool`) whose cost must stay independent of pool
-// size — the acceptance bar for warm restarts.
+// sequential arena write; Load contrasts the two attach modes. Both read
+// every section into owned arenas (one copy, O(pool bytes)). Arg 1 is the
+// default verified attach, which adds the checksum and the per-sample
+// validation pass. Arg 2 is the opt-in TRUSTED attach
+// (`--load-pool --trust-pool`), which costs the read alone.
 void BM_PoolSnapshotSave(benchmark::State& state) {
   const RicPool& pool = large_pool();
   const std::string path = "/tmp/imc_bench_pool_save.snap";

@@ -41,8 +41,7 @@ void ImcEngine::attach_pool(const std::string& path, SnapshotTrust trust) {
         "diffusion model than the engine is configured for");
   }
   pool_ = std::move(loaded);
-  log(LogLevel::kDebug) << "IMCAF attach: |R|=" << pool_.size()
-                        << " (zero-copy mmap)";
+  log(LogLevel::kDebug) << "IMCAF attach: |R|=" << pool_.size();
 }
 
 RicPool::RepairStats ImcEngine::apply_delta(Graph& graph,

@@ -70,14 +70,14 @@ class ImcEngine {
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
-  /// Replaces the engine's pool with a v3 snapshot attached zero-copy via
-  /// mmap (attach_ric_pool_snapshot). The file must have been saved
+  /// Replaces the engine's pool with a v3 snapshot read into owned
+  /// memory (attach_ric_pool_snapshot). The file must have been saved
   /// against the SAME graph and community structure (fingerprint-checked)
   /// and the same diffusion model as config().model. Payloads are
   /// checksum- and invariant-verified by default; pass
-  /// SnapshotTrust::kTrustPayload for files this host wrote to keep attach
-  /// cost independent of pool size. The restored PoolEpoch watermark
-  /// equals the saved pool's.
+  /// SnapshotTrust::kTrustPayload for files this host wrote to skip that
+  /// pass, so attach costs the read alone. The restored PoolEpoch
+  /// watermark equals the saved pool's.
   /// Throws std::runtime_error / std::invalid_argument on any mismatch;
   /// the current pool is untouched on failure.
   void attach_pool(const std::string& path,

@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <memory>
+#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <system_error>
@@ -83,21 +83,23 @@ struct SnapshotLayout {
 };
 
 /// FNV-1a over the raw (unpadded) bytes of every section, in file order.
-/// Padding is excluded so the digest only covers meaningful data.
-std::uint64_t payload_checksum(const RicPool::SnapshotView& view) {
+/// Padding is excluded so the digest only covers meaningful data. One
+/// function for both ends: the writer passes the pool's SnapshotView, the
+/// loader the PoolArenas it read.
+template <typename Sections>
+std::uint64_t payload_checksum(const Sections& sections) {
   Fnv1a64 digest;
-  const auto add = [&digest](const auto& span) {
-    digest.add_bytes(span.data(),
-                     span.size() * sizeof(typename std::remove_reference_t<
-                                          decltype(span)>::element_type));
+  const auto add = [&digest](const auto& section) {
+    digest.add_bytes(section.data(),
+                     section.size() * sizeof(*section.data()));
   };
-  add(view.thresholds);
-  add(view.source_community);
-  add(view.community_frequency);
-  add(view.sample_offsets);
-  add(view.sample_arena);
-  add(view.touch_offsets);
-  add(view.touches);
+  add(sections.thresholds);
+  add(sections.source_community);
+  add(sections.community_frequency);
+  add(sections.sample_offsets);
+  add(sections.sample_arena);
+  add(sections.touch_offsets);
+  add(sections.touches);
   return digest.value();
 }
 
@@ -282,25 +284,24 @@ void validate_payload(const RicPool::PoolArenas& arenas,
   }
 }
 
-/// Borrowed zero-copy view of one section inside the mapped snapshot;
-/// the first mutation materializes it into an owned heap slab.
-template <typename T>
-ArenaVector<T> borrow_section(const std::shared_ptr<const MmapStorage>& map,
-                              const SectionLayout& section) {
-  const auto* base =
-      reinterpret_cast<const T*>(map->data() + section.offset);
-  return ArenaVector<T>::borrowed(base, section.bytes / sizeof(T), map);
+/// Reads exactly `bytes` from `in` into `out`; fewer bytes (the file
+/// changed under the attach, or an I/O error) fail naming the file.
+void read_exactly(std::istream& in, void* out, std::size_t bytes,
+                  const std::string& path) {
+  if (bytes == 0) return;
+  in.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
+  if (static_cast<std::size_t>(in.gcount()) != bytes) {
+    fail("short read from " + path);
+  }
 }
 
-/// FNV-1a over the raw (unpadded) section bytes of a mapped snapshot, in
-/// file order — the digest payload_checksum() computes at write time.
-std::uint64_t mapped_checksum(const MmapStorage& map,
-                              const SnapshotLayout& layout) {
-  Fnv1a64 digest;
-  for (const SectionLayout& section : layout.sections) {
-    digest.add_bytes(map.data() + section.offset, section.bytes);
-  }
-  return digest.value();
+/// Reads one section into an owned arena: sized once, written once.
+template <typename T>
+void read_section(std::istream& in, const std::string& path,
+                  const SectionLayout& section, ArenaVector<T>& arena) {
+  arena.resize_for_overwrite(section.bytes / sizeof(T));
+  in.seekg(static_cast<std::streamoff>(section.offset));
+  read_exactly(in, arena.data(), section.bytes, path);
 }
 
 }  // namespace
@@ -358,13 +359,19 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
 RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
                                  const CommunitySet& communities,
                                  SnapshotTrust trust) {
-  auto map = std::make_shared<const MmapStorage>(
-      MmapStorage::open_readonly(path));
-  if (map->size() < kHeaderBytes) fail("truncated header");
+  // The size comes first, from the file system: a missing path or a
+  // directory fails here, and a header cannot make the loader allocate
+  // more than the file holds.
+  std::error_code error;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, error);
+  if (error) fail("cannot open " + path + ": " + error.message());
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail("cannot open " + path);
+  if (file_bytes < kHeaderBytes) fail("truncated header");
   PoolSnapshotHeader header;
-  std::memcpy(&header, map->data(), sizeof(header));
+  read_exactly(in, &header, sizeof(header), path);
   validate_header(header, graph, communities);
-  if (map->size() != header.payload_bytes) {
+  if (file_bytes != header.payload_bytes) {
     fail("snapshot file size disagrees with its declared payload");
   }
 
@@ -373,21 +380,16 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
       header.sample_pair_count, header.csr_touch_count);
 
   RicPool::PoolArenas arenas;
-  arenas.thresholds = borrow_section<std::uint32_t>(map, layout.sections[0]);
-  arenas.source_community =
-      borrow_section<CommunityId>(map, layout.sections[1]);
-  arenas.community_frequency =
-      borrow_section<std::uint32_t>(map, layout.sections[2]);
-  arenas.sample_offsets =
-      borrow_section<std::uint64_t>(map, layout.sections[3]);
-  arenas.sample_arena = borrow_section<std::pair<NodeId, std::uint64_t>>(
-      map, layout.sections[4]);
-  arenas.touch_offsets =
-      borrow_section<std::uint64_t>(map, layout.sections[5]);
-  arenas.touches = borrow_section<RicPool::Touch>(map, layout.sections[6]);
+  read_section(in, path, layout.sections[0], arenas.thresholds);
+  read_section(in, path, layout.sections[1], arenas.source_community);
+  read_section(in, path, layout.sections[2], arenas.community_frequency);
+  read_section(in, path, layout.sections[3], arenas.sample_offsets);
+  read_section(in, path, layout.sections[4], arenas.sample_arena);
+  read_section(in, path, layout.sections[5], arenas.touch_offsets);
+  read_section(in, path, layout.sections[6], arenas.touches);
 
   if (trust == SnapshotTrust::kVerifyPayload) {
-    if (mapped_checksum(*map, layout) != header.payload_checksum) {
+    if (payload_checksum(arenas) != header.payload_checksum) {
       fail("payload checksum mismatch (corrupt snapshot)");
     }
     validate_payload(arenas, graph, communities);

@@ -4,10 +4,9 @@
 //
 // The snapshot persists the pool's flat arenas verbatim — SoA metadata,
 // sample-major twin, community counters AND the CSR inverted index — so
-// `attach_ric_pool_snapshot` reloads a pool with a single mmap: the arenas
-// are served zero-copy straight out of the page cache and a restart
-// is ready to solve in milliseconds. This is the only on-disk
-// pool format and attach is its only loader.
+// `attach_ric_pool_snapshot` reloads a pool with one read per section
+// straight into its owned arena, and no index rebuild. This is the only
+// on-disk pool format and attach is its only loader.
 //
 // Layout (all integers little-endian, host-width as noted):
 //
@@ -37,8 +36,8 @@
 // checksum and every per-sample invariant (community ids, thresholds,
 // masks, offset monotonicity/endpoints, touch ordering) — snapshots are
 // treated as untrusted input unless the caller says otherwise. The
-// O(pool) deep checks can be skipped with SnapshotTrust::kTrustPayload so
-// attach time stays flat in pool size; that is an explicit opt-in for
+// checksum and deep checks can be skipped with SnapshotTrust::kTrustPayload,
+// leaving attach the cost of the read; that is an explicit opt-in for
 // snapshots this host wrote, guarded by the fingerprints (see DESIGN.md
 // §13 for the trust model). Even a trusted attach cannot produce
 // out-of-bounds spans: RicPool::restore_snapshot independently checks
@@ -46,12 +45,9 @@
 // translated: a snapshot is portable between machines of the same byte
 // order only.
 //
-// Ownership: an attached pool pins the file mapping via shared keepalives
-// inside its borrowed arenas; the mapping unmaps when the last arena (or
-// the pool holding them) dies. The first grow()/append() after an attach
-// copy-on-write-materializes the arenas into heap slabs, after which the
-// file is no longer referenced. Saving replaces the file by rename, so an
-// attached pool may be saved over the very file it is mapped from.
+// Ownership: an attached pool owns its arenas; the file is closed before
+// attach returns, so it may be removed or saved over afterwards. Saving
+// replaces the file by rename, so a reader never sees a half-written one.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +92,12 @@ static_assert(sizeof(PoolSnapshotHeader) == 128,
 /// serving it. Header, counts, epoch and fingerprints are always checked.
 enum class SnapshotTrust {
   /// Default: verify the payload checksum and every per-sample invariant
-  /// (one sequential O(pool) pass; still zero-copy on the attach path).
+  /// (one sequential O(pool) pass over the arenas just read).
   kVerifyPayload,
-  /// Explicit opt-in for snapshots this host wrote: skip the O(pool)
-  /// payload pass so attach cost stays independent of pool size. The
-  /// structural offset checks in RicPool::restore_snapshot still run, so
-  /// corrupt offsets fail the load rather than index out of bounds.
+  /// Explicit opt-in for snapshots this host wrote: skip the checksum and
+  /// the per-sample pass, so attach costs the read alone. The structural
+  /// offset checks in RicPool::restore_snapshot still run, so corrupt
+  /// offsets fail the load rather than index out of bounds.
   kTrustPayload,
 };
 
@@ -109,19 +105,19 @@ enum class SnapshotTrust {
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 
 /// Saves to a file: writes `<path>.tmp.<pid>` in the same directory,
-/// checks the flush and close, then renames it over `path`. A pool still
-/// attached to `path` keeps reading the old inode its mapping pins. On
-/// any failure the temp file is removed, `path` is left as it was, and
+/// checks the flush and close, then renames it over `path`. On any
+/// failure the temp file is removed, `path` is left as it was, and
 /// std::runtime_error is thrown.
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 
-/// Zero-copy attach: mmaps the snapshot and serves the arenas in place —
-/// no arena copy happens until the pool is grown, and growth materializes
-/// into heap slabs. With the default kVerifyPayload the checksum and
-/// per-sample invariants are verified in one sequential pass over the
-/// mapping; kTrustPayload skips that pass so attach cost is O(offset
-/// tables), independent of the arena payload. Throws std::runtime_error
-/// on mismatch or (when verifying) corruption.
+/// Loads a snapshot into an owned pool: checks the header against the
+/// file size, then reads each section straight into its arena (one copy
+/// per section, O(pool bytes)). With the default kVerifyPayload the
+/// checksum and per-sample invariants are verified in one sequential pass
+/// over the arenas; kTrustPayload skips that pass. Throws
+/// std::runtime_error prefixed "ric pool snapshot:" on a missing or
+/// unreadable path (naming it), a short read, a mismatch or (when
+/// verifying) corruption.
 [[nodiscard]] RicPool attach_ric_pool_snapshot(
     const std::string& path, const Graph& graph,
     const CommunitySet& communities,

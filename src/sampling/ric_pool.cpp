@@ -102,28 +102,21 @@ EvalScratch& accumulate_masks(const RicPool& pool,
 /// over the flat `arena` — the one helper delta repair applies to both the
 /// sample-major arena (rows = samples) and the CSR index (rows = nodes).
 /// See DESIGN.md §16. Construction is the only step that may throw: it
-/// makes room for both the old and the new size. An owned arena reserves
-/// it (growth past capacity reallocates here, doubling like push_back). A
-/// borrowed arena of an attached pool gets a fresh owned slab instead,
-/// which pass 1 fills straight from the mapping, so copy-on-write costs no
-/// separate pass. apply() then rewrites the arena without allocating.
+/// reserves room for both the old and the new size (growth past capacity
+/// reallocates here, doubling like push_back). apply() then rewrites the
+/// arena without allocating.
 template <typename T>
 class RowPatch {
  public:
   RowPatch(ArenaVector<std::uint64_t>& offsets, ArenaVector<T>& arena,
            std::uint64_t dropped, std::uint64_t inserted)
-      : offsets_(offsets.data()),  // materializes a borrowed table
+      : offsets_(offsets.data()),
         rows_(offsets.size() - 1),
         arena_(arena),
         old_size_(arena.size()),
         new_size_(arena.size() - dropped + inserted),
         inserted_(inserted) {
-    const std::uint64_t needed = std::max(old_size_, new_size_);
-    if (arena.is_borrowed()) {
-      slab_.resize_for_overwrite(needed);
-    } else {
-      arena.reserve(needed);
-    }
+    arena.reserve(std::max(old_size_, new_size_));
   }
 
   /// Pass 1, left to right: compacts every row to the elements
@@ -135,38 +128,19 @@ class RowPatch {
   template <typename Keep, typename Inserted, typename Less>
   void apply(const Keep& keep, const Inserted& inserted,
              const Less& less) {
-    const bool borrowed = arena_.is_borrowed();
-    const T* src = nullptr;
-    T* dst = nullptr;
-    if (borrowed) {
-      src = std::as_const(arena_).data();  // the mapping
-      dst = slab_.data();
-    } else {
-      arena_.resize_for_overwrite(std::max(old_size_, new_size_));
-      dst = arena_.data();
-      src = dst;
-    }
+    arena_.resize_for_overwrite(std::max(old_size_, new_size_));
+    T* const data = arena_.data();
 
-    // Reading a borrowed arena out of its mapping, pass 1 lets go of each
-    // copied megabyte (drop_pages is a no-op on an owned arena), so the
-    // mapping and the new slab are never both resident in full.
-    constexpr std::uint64_t kDropSpan = (std::uint64_t{1} << 20) / sizeof(T);
-    std::uint64_t dropped_to = 0;
     std::uint64_t begin = 0;
     std::uint64_t out = 0;
     for (std::uint64_t r = 0; r < rows_; ++r) {
       const std::uint64_t end = offsets_[r + 1];
       for (std::uint64_t i = begin; i < end; ++i) {
-        if (keep(r, src[i])) dst[out++] = src[i];
+        if (keep(r, data[i])) data[out++] = data[i];
       }
       offsets_[r + 1] = out;  // compacted end of row r
       begin = end;
-      if (end - dropped_to >= kDropSpan) {
-        arena_.drop_pages(dropped_to, end);
-        dropped_to = end;
-      }
     }
-    arena_.drop_pages(dropped_to, old_size_);
 
     std::uint64_t remaining = inserted_;
     for (std::uint64_t r = rows_; r-- > 0 && remaining > 0;) {
@@ -176,31 +150,25 @@ class RowPatch {
       const std::uint64_t final_end = kept_end + remaining;
       remaining -= add.size();
       offsets_[r + 1] = final_end;
-      T* out_it = dst + final_end;
-      const T* kept_it = dst + kept_end;
+      T* out_it = data + final_end;
+      const T* kept_it = data + kept_end;
       const T* add_it = add.data() + add.size();
       while (add_it != add.data()) {
-        if (kept_it != dst + kept_begin && less(add_it[-1], kept_it[-1])) {
+        if (kept_it != data + kept_begin && less(add_it[-1], kept_it[-1])) {
           *--out_it = *--kept_it;
         } else {
           *--out_it = *--add_it;
         }
       }
       const std::size_t survivors =
-          static_cast<std::size_t>(kept_it - (dst + kept_begin));
+          static_cast<std::size_t>(kept_it - (data + kept_begin));
       if (out_it != kept_it && survivors > 0) {
         std::memmove(static_cast<void*>(out_it - survivors),
-                     static_cast<const void*>(dst + kept_begin),
+                     static_cast<const void*>(data + kept_begin),
                      survivors * sizeof(T));
       }
     }
-
-    if (borrowed) {
-      slab_.resize(new_size_);
-      arena_ = std::move(slab_);
-    } else {
-      arena_.resize(new_size_);
-    }
+    arena_.resize_for_overwrite(new_size_);
   }
 
  private:
@@ -210,7 +178,6 @@ class RowPatch {
   std::uint64_t old_size_;
   std::uint64_t new_size_;
   std::uint64_t inserted_;
-  ArenaVector<T> slab_;  // the owned target of a borrowed arena
 };
 
 }  // namespace
@@ -301,14 +268,6 @@ void RicPool::register_metadata(CommunityId community, std::uint32_t threshold,
   source_community_.push_back(community);
   ++community_frequency_[community];
   sample_offsets_.push_back(sample_offsets_.back() + touch_count);
-}
-
-void RicPool::ensure_mutable() {
-  thresholds_.ensure_owned();
-  source_community_.ensure_owned();
-  community_frequency_.ensure_owned();
-  sample_offsets_.ensure_owned();
-  sample_arena_.ensure_owned();
 }
 
 void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
@@ -405,7 +364,6 @@ void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
     return;  // an empty batch (grow(0)) is no growth operation
   }
   check_capacity(staged.count_);
-  ensure_mutable();
 
   ThreadPool* const pool = sampling_pool(parallel, workers);
 
@@ -502,7 +460,6 @@ void RicPool::append(RicSample sample) {
     first = false;
   }
   check_capacity(1);
-  ensure_mutable();
   sample_arena_.append(sample.touching.data(),
                        sample.touching.data() + sample.touching.size());
   register_metadata(sample.community, sample.threshold,
@@ -580,8 +537,6 @@ void RicPool::merge_fresh_into_index(unsigned chunks, ThreadPool* workers) {
   };
 
   // Pass 2a — relocate each node's existing run into its new position.
-  // Old touches are read through the const span so an attached pool's
-  // borrowed CSR is streamed out of the mapping, not materialized first.
   const std::span<const Touch> old_touches = touches_.span();
   const auto relocate_range = [&](std::uint64_t begin, std::uint64_t end,
                                   unsigned) {
@@ -817,11 +772,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   }
 
   // Everything that allocates happens here, before the first write into
-  // the pool: a throw up to this point leaves the pool as it was (the
-  // ensure_owned copies only change where identical bytes live).
-  thresholds_.ensure_owned();
-  source_community_.ensure_owned();
-  community_frequency_.ensure_owned();
+  // the pool: a throw up to this point leaves the pool as it was.
   RowPatch<std::pair<NodeId, std::uint64_t>> sample_patch(
       sample_offsets_, sample_arena_, dropped, inserted);
   RowPatch<Touch> index_patch(touch_offsets_, touches_, dropped, inserted);

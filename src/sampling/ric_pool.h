@@ -36,7 +36,7 @@
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "sampling/ric_sample.h"
-#include "util/mmap_arena.h"
+#include "util/arena_vector.h"
 #include "util/rng.h"
 
 namespace imc {
@@ -174,9 +174,8 @@ class RicPool {
   /// 2 merges the regenerated ones in at their final offsets, in sample-id
   /// order within each CSR row — the same bytes a rebuild produces. With
   /// a thread pool the two patches run side by side, one on a worker and
-  /// one on the calling thread. Every allocation (including the owned
-  /// slab a borrowed, attached arena is patched into) happens before the
-  /// first write, so nothing throws once the pool is being rewritten. The
+  /// one on the calling thread. Every allocation happens before the first
+  /// write, so nothing throws once the pool is being rewritten. The
   /// community_frequency counters are recounted, not drifted. Bumps
   /// PoolEpoch::repairs when any sample was regenerated OR any future
   /// sample could differ (i.e. whenever `effects` is non-empty),
@@ -219,9 +218,8 @@ class RicPool {
   [[nodiscard]] SnapshotView snapshot_view() const;
 
   /// Installs fully built arenas (the attach back door for
-  /// sampling/pool_snapshot.cpp). The arenas are borrowed zero-copy views
-  /// into an mmapped snapshot: the pool serves reads in place and
-  /// copy-on-write-materializes on the first grow()/append(). Validates
+  /// sampling/pool_snapshot.cpp, which reads each snapshot section into
+  /// its own owned arena). The pool takes them over as they are. Validates
   /// the cheap structural invariants (sizes coherent, both offset tables'
   /// endpoints AND monotonicity — so no span can wrap out of bounds even
   /// for trusted input — community frequencies sum to the sample count,
@@ -234,12 +232,6 @@ class RicPool {
                                                 DiffusionModel model,
                                                 PoolEpoch epoch,
                                                 PoolArenas&& arenas);
-
-  /// True while any arena is still a zero-copy view into an attached
-  /// snapshot mapping (i.e. no mutation has materialized it yet).
-  [[nodiscard]] bool attached() const noexcept {
-    return sample_arena_.is_borrowed() || touches_.is_borrowed();
-  }
 
   /// Materializes sample g from the arenas (community/threshold from the
   /// SoA metadata, touching pairs from the sample-major arena). This is
@@ -396,15 +388,6 @@ class RicPool {
   void register_metadata(CommunityId community, std::uint32_t threshold,
                          std::uint64_t touch_count);
 
-  /// Copy-on-write gate for attached pools: the first growth after a
-  /// zero-copy snapshot attach materializes the borrowed sample-side
-  /// arenas into owned storage (one O(pool) copy, then never again). The
-  /// CSR arenas are replaced wholesale by the next index merge, so they
-  /// need no eager copy. A delta repair skips this gate: its patch reads
-  /// the borrowed arenas and writes owned slabs in the same pass. No-op
-  /// for pools that own their arenas.
-  void ensure_mutable();
-
   /// Merges samples [indexed_samples_, size()) into the CSR via the
   /// two-pass build: per-chunk counting, exclusive prefix-sum over
   /// (node, chunk) cursors, then relocation of the old arena and scatter of
@@ -428,8 +411,7 @@ class RicPool {
   std::uint64_t repairs_ = 0;
 
   // SoA hot-path metadata, one entry per sample. All arenas below live in
-  // ArenaVector slabs (util/mmap_arena.h): owned heap slabs, or zero-copy
-  // borrowed views while attached() to a snapshot.
+  // owned ArenaVector slabs (util/arena_vector.h).
   ArenaVector<std::uint32_t> thresholds_;       // sample -> h_g
   ArenaVector<CommunityId> source_community_;   // sample -> C_g
   ArenaVector<std::uint32_t> community_frequency_;  // community -> #samples

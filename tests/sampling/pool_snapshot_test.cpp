@@ -114,7 +114,7 @@ std::string file_bytes(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
+TEST(PoolSnapshot, AttachIsBitIdentical) {
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(250, 41);
@@ -122,23 +122,21 @@ TEST(PoolSnapshot, MmapAttachIsBitIdenticalAndZeroCopy) {
 
   const RicPool attached =
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
-  EXPECT_TRUE(attached.attached());
   expect_pools_bit_identical(attached, original);
   std::remove(path.c_str());
 }
 
-TEST(PoolSnapshot, ConstReadersServeTheAttachedIndexZeroCopy) {
-  // The CSR index fields used to be mutable, so touches_of() on an
-  // attached pool called the non-const accessors and copied the whole
-  // touch arena out of the mapping: a write inside a const reader, racing
-  // when parallel selection read the pool from several threads.
+TEST(PoolSnapshot, ConstReadersLeaveTheAttachedArenasInPlace) {
+  // Const readers of an attached pool, parallel selection included, must
+  // not move its arenas: a write inside a const reader would race when
+  // several threads read the pool.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(120, 17);
   const std::string path = temp_snapshot(original, "const_readers.bin");
   const RicPool attached =
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
-  const RicPool::Touch* mapped = attached.touch_arena().data();
+  const RicPool::Touch* arena = attached.touch_arena().data();
   const std::uint64_t* offsets = attached.touch_offsets().data();
 
   for (NodeId v = 0; v < fixture.graph.node_count(); ++v) {
@@ -148,14 +146,14 @@ TEST(PoolSnapshot, ConstReadersServeTheAttachedIndexZeroCopy) {
   const GreedyOptions parallel{/*parallel=*/true, &workers,
                                /*min_parallel_candidates=*/1};
   (void)ubg_solve(attached, 3, parallel);
-  EXPECT_EQ(attached.touch_arena().data(), mapped);
+  EXPECT_EQ(attached.touch_arena().data(), arena);
   EXPECT_EQ(attached.touch_offsets().data(), offsets);
   std::remove(path.c_str());
 }
 
 TEST(PoolSnapshot, AttachedPoolSurvivesSnapshotFileRemoval) {
-  // POSIX semantics: the mapping pins the inode, so an attached pool keeps
-  // serving reads after the snapshot file is unlinked.
+  // An attached pool owns what it read, so it keeps serving reads after
+  // the snapshot file is unlinked.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(60, 3);
@@ -167,20 +165,18 @@ TEST(PoolSnapshot, AttachedPoolSurvivesSnapshotFileRemoval) {
   EXPECT_DOUBLE_EQ(attached.c_hat(seeds), original.c_hat(seeds));
 }
 
-TEST(PoolSnapshot, AttachThenGrowCopyOnWriteMatchesStraightGrowth) {
-  // grow() after attach must (a) materialize the borrowed arenas and
-  // (b) continue the RNG substream schedule exactly where the saved pool
-  // stopped — so attach+grow == grow-straight-through, bit for bit.
+TEST(PoolSnapshot, AttachThenGrowMatchesStraightGrowth) {
+  // grow() after attach must continue the RNG substream schedule exactly
+  // where the saved pool stopped — so attach+grow ==
+  // grow-straight-through, bit for bit.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(150, 77);
-  const std::string path = temp_snapshot(original, "imc_snap_cow.bin");
+  const std::string path = temp_snapshot(original, "imc_snap_grow.bin");
 
   RicPool attached =
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
-  ASSERT_TRUE(attached.attached());
   attached.grow(100, 77);
-  EXPECT_FALSE(attached.attached());
 
   original.grow(100, 77);
   expect_pools_bit_identical(attached, original);
@@ -206,10 +202,9 @@ TEST(PoolSnapshot, RestoredEpochEqualsSavedEpoch) {
 }
 
 TEST(PoolSnapshot, SavingOverTheAttachedFileKeepsBothPoolsIntact) {
-  // Saving used to truncate the file in place, under the pages the
-  // attached pool was still mapped from: its next read died with SIGBUS
-  // and the file was left empty. Save now renames a fresh file over the
-  // old one, and the live mapping keeps the old inode.
+  // Saving over the file a pool was attached from must leave the pool
+  // intact and the file a valid snapshot: save renames a fresh file over
+  // the old one instead of truncating it in place.
   const Fixture fixture;
   RicPool original(fixture.graph, fixture.communities);
   original.grow(150, 41);
@@ -217,7 +212,6 @@ TEST(PoolSnapshot, SavingOverTheAttachedFileKeepsBothPoolsIntact) {
 
   const RicPool attached =
       attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
-  ASSERT_TRUE(attached.attached());
   save_ric_pool_snapshot(path, attached);
   expect_pools_bit_identical(attached, original);
 
@@ -378,6 +372,25 @@ TEST_F(PoolSnapshotCorpus, TextV1AndEmptyFilesFailWithTheSnapshotDiagnostic) {
             "ric pool snapshot: truncated header");
   EXPECT_EQ(attach_error(fixture_, ""),
             "ric pool snapshot: truncated header");
+}
+
+TEST_F(PoolSnapshotCorpus, MissingPathOrDirectoryFailsNamingThePath) {
+  // Both fail at the loader boundary with the snapshot prefix and the
+  // path, before anything is read.
+  const std::string missing = temp_path("missing.bin");
+  const std::string directory = ::testing::TempDir();
+  for (const std::string& path : {missing, directory}) {
+    try {
+      (void)attach_ric_pool_snapshot(path, fixture_.graph,
+                                     fixture_.communities);
+      ADD_FAILURE() << "attach accepted " << path;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_EQ(message.rfind("ric pool snapshot: cannot open " + path, 0),
+                0U)
+          << message;
+    }
+  }
 }
 
 TEST_F(PoolSnapshotCorpus, UnsupportedVersion) {
@@ -612,7 +625,6 @@ TEST(PoolSnapshotEngine, AttachPoolRestoresTheEngineState) {
   ImcEngine warm(fixture.graph, fixture.communities, config);
   warm.attach_pool(path);
   EXPECT_EQ(warm.pool().size(), cold.pool().size());
-  EXPECT_TRUE(warm.pool().attached());
   const ImcafResult warm_result = warm.solve(2, *solver);
   EXPECT_EQ(warm_result.seeds, cold_result.seeds);
   EXPECT_DOUBLE_EQ(warm_result.c_hat, cold_result.c_hat);

@@ -25,9 +25,10 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # The engine label rides along: the staged engine commits speculative
 # staging arenas into the pool and the ĉ gain row is patched in place per
 # pick, both heap-buffer surfaces ASan should watch too. The io label
-# rides along for the same reason: mmap arena growth, copy-on-write
-# materialization and the snapshot loaders move raw bytes with lifetimes
-# that the sanitizers — not the differential checks — are built to police.
+# rides along for the same reason: arena growth and the snapshot loader,
+# which reads raw section bytes into freshly sized arenas, move raw bytes
+# with lifetimes that the sanitizers — not the differential checks — are
+# built to police.
 # The delta label rides along: in-place sample repair rewrites arena spans
 # and splices CSR adjacency in place — exactly the kind of off-by-one
 # surface ASan exists for (the fuzz label's delta_vs_rebuild check covers

@@ -21,7 +21,7 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${build_dir}" -j "${jobs}" \
   --target imc_fuzz_tests --target imc_io_tests
 
-# The io label (pool formats, mmap arenas, corrupted-file corpus) runs
+# The io label (arena storage, snapshot format, corrupted-file corpus) runs
 # alongside the deep fuzz sweep: the pool_roundtrip check exercises the
 # same loaders on random instances, and a nightly regression in either
 # should surface from both angles.

@@ -387,11 +387,11 @@ void print_usage() {
       "                      overlapping the next stage's sampling with the\n"
       "                      solve (results are bit-identical either way)\n"
       "  --save-pool F       write the final pool as a binary v3 snapshot\n"
-      "  --load-pool F       start from a v3 snapshot, attached zero-copy\n"
-      "                      via mmap and fully verified by default\n"
+      "  --load-pool F       start from a v3 snapshot, read into memory\n"
+      "                      and fully verified by default\n"
       "  --trust-pool        skip the O(pool) checksum + payload checks on\n"
       "                      --load-pool (for snapshots this host wrote;\n"
-      "                      attach cost becomes independent of pool size)\n"
+      "                      attach then costs the file read alone)\n"
       "  --apply-deltas F    after the first solve, replay streaming graph\n"
       "                      updates from F (lines 'E u v w' upsert an edge,\n"
       "                      w=0 removes; 'M v c' moves v to community c;\n"
