@@ -32,9 +32,8 @@ ImcEngine::ImcEngine(const Graph& graph, const CommunitySet& communities,
       context_(context),
       pool_(graph, communities, config_.model) {}
 
-void ImcEngine::attach_pool(const std::string& path, SnapshotTrust trust) {
-  RicPool loaded =
-      attach_ric_pool_snapshot(path, *graph_, *communities_, trust);
+void ImcEngine::attach_pool(const std::string& path) {
+  RicPool loaded = attach_ric_pool_snapshot(path, *graph_, *communities_);
   if (loaded.model() != config_.model) {
     throw std::invalid_argument(
         "ImcEngine::attach_pool: pool file was sampled under a different "

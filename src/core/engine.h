@@ -38,7 +38,6 @@
 #include "core/maxr_solver.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
-#include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "util/context.h"
 
@@ -70,18 +69,15 @@ class ImcEngine {
   [[nodiscard]] std::vector<ImcafResult> solve_many(
       std::span<const EngineQuery> queries);
 
-  /// Replaces the engine's pool with a v3 snapshot read into owned
-  /// memory (attach_ric_pool_snapshot). The file must have been saved
+  /// Replaces the engine's pool with a v4 snapshot read into owned
+  /// memory (attach_ric_pool_snapshot, which verifies the payload checksum
+  /// and every per-sample invariant). The file must have been saved
   /// against the SAME graph and community structure (fingerprint-checked)
-  /// and the same diffusion model as config().model. Payloads are
-  /// checksum- and invariant-verified by default; pass
-  /// SnapshotTrust::kTrustPayload for files this host wrote to skip that
-  /// pass, so attach costs the read alone. The restored PoolEpoch
-  /// watermark equals the saved pool's.
+  /// and the same diffusion model as config().model. The restored
+  /// PoolEpoch watermark equals the saved pool's.
   /// Throws std::runtime_error / std::invalid_argument on any mismatch;
   /// the current pool is untouched on failure.
-  void attach_pool(const std::string& path,
-                   SnapshotTrust trust = SnapshotTrust::kVerifyPayload);
+  void attach_pool(const std::string& path);
 
   /// Streaming update: mutates the graph/community structure through the
   /// free apply_delta(), then repairs the shared pool in place with

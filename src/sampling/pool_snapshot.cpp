@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <utility>
+#include <vector>
 
 #include "util/mathx.h"
 
@@ -22,8 +24,6 @@ namespace {
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("ric pool snapshot: " + what);
 }
-
-constexpr std::size_t kHeaderBytes = 128;
 
 /// Byte length of each section, padded position independent: sections are
 /// laid out back to back, each starting on a 64-byte boundary.
@@ -39,11 +39,7 @@ struct SnapshotLayout {
   SectionLayout sections[7];
   std::size_t total_bytes = 0;
 
-  static SnapshotLayout from_counts(std::uint64_t nodes,
-                                    std::uint64_t communities,
-                                    std::uint64_t samples,
-                                    std::uint64_t sample_pairs,
-                                    std::uint64_t csr_touches) {
+  static SnapshotLayout of(const PoolSnapshotHeader& header) {
     // All products and the running cursor are overflow-checked: a crafted
     // header count (e.g. 2^60 pairs) would otherwise wrap a section size
     // to a tiny value that stays self-consistent with payload_bytes while
@@ -56,18 +52,19 @@ struct SnapshotLayout {
       }
       return static_cast<std::size_t>(count) * element;
     };
+    const std::uint64_t samples = header.sample_count;
     const std::size_t raw[7] = {
-        section_bytes(samples, sizeof(std::uint32_t)),      // thresholds
-        section_bytes(samples, sizeof(CommunityId)),        // source_community
-        section_bytes(communities, sizeof(std::uint32_t)),  // community_freq
+        section_bytes(samples, sizeof(std::uint32_t)),  // thresholds
+        section_bytes(samples, sizeof(CommunityId)),    // source_community
+        section_bytes(header.community_count, sizeof(std::uint32_t)),
         section_bytes(samples + 1, sizeof(std::uint64_t)),  // sample_offsets
-        section_bytes(sample_pairs,
+        section_bytes(header.sample_pair_count,
                       sizeof(std::pair<NodeId, std::uint64_t>)),
-        section_bytes(nodes + 1, sizeof(std::uint64_t)),    // touch_offsets
-        section_bytes(csr_touches, sizeof(RicPool::Touch)),  // touches
+        section_bytes(header.node_count + 1, sizeof(std::uint64_t)),
+        section_bytes(header.csr_touch_count, sizeof(RicPool::Touch)),
     };
     SnapshotLayout layout;
-    std::size_t cursor = kHeaderBytes;
+    std::size_t cursor = sizeof(PoolSnapshotHeader);
     for (int i = 0; i < 7; ++i) {
       layout.sections[i].bytes = raw[i];
       layout.sections[i].padded = detail::round_up_64(raw[i]);
@@ -82,24 +79,29 @@ struct SnapshotLayout {
   }
 };
 
-/// FNV-1a over the raw (unpadded) bytes of every section, in file order.
-/// Padding is excluded so the digest only covers meaningful data. One
-/// function for both ends: the writer passes the pool's SnapshotView, the
-/// loader the PoolArenas it read.
-template <typename Sections>
-std::uint64_t payload_checksum(const Sections& sections) {
-  Fnv1a64 digest;
-  const auto add = [&digest](const auto& section) {
-    digest.add_bytes(section.data(),
-                     section.size() * sizeof(*section.data()));
-  };
-  add(sections.thresholds);
-  add(sections.source_community);
-  add(sections.community_frequency);
-  add(sections.sample_offsets);
-  add(sections.sample_arena);
-  add(sections.touch_offsets);
-  add(sections.touches);
+/// Calls fn(index, section) on the seven sections in file order, for a
+/// SnapshotView (spans) and PoolArenas (owned arenas) alike: the one place
+/// the order lives, shared by the writer, the checksum and the loader.
+template <typename Sections, typename Fn>
+void for_each_section(Sections& sections, Fn&& fn) {
+  fn(0, sections.thresholds);
+  fn(1, sections.source_community);
+  fn(2, sections.community_frequency);
+  fn(3, sections.sample_offsets);
+  fn(4, sections.sample_arena);
+  fn(5, sections.touch_offsets);
+  fn(6, sections.touches);
+}
+
+/// WordLaneHash over the raw (unpadded) bytes of every section, one hash
+/// section per snapshot section. Padding is excluded so the digest only
+/// covers meaningful data. The loader computes the same digest as it
+/// reads (read_section).
+std::uint64_t payload_checksum(const RicPool::SnapshotView& view) {
+  WordLaneHash digest;
+  for_each_section(view, [&digest](int, auto section) {
+    digest.add_section(section.data(), section.size_bytes());
+  });
   return digest.value();
 }
 
@@ -140,10 +142,7 @@ PoolSnapshotHeader make_header(const RicPool& pool,
   header.rng_contract = kRicSamplerRngContract;
   header.graph_fingerprint = pool.graph().fingerprint();
   header.community_fingerprint = pool.communities().fingerprint();
-  const SnapshotLayout layout = SnapshotLayout::from_counts(
-      header.node_count, header.community_count, header.sample_count,
-      header.sample_pair_count, header.csr_touch_count);
-  header.payload_bytes = layout.total_bytes;
+  header.payload_bytes = SnapshotLayout::of(header).total_bytes;
   header.payload_checksum = payload_checksum(view);
   header.epoch_repairs = view.epoch.repairs;
   header.header_checksum = header_digest(header);
@@ -182,16 +181,10 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
   if (header.community_fingerprint != communities.fingerprint()) {
     fail("community fingerprint mismatch");
   }
-  if (header.sample_count > std::numeric_limits<std::uint32_t>::max()) {
-    fail("sample count exceeds the 32-bit id range");
-  }
   if (header.epoch_samples != header.sample_count) {
     fail("epoch watermark disagrees with the sample count");
   }
-  const SnapshotLayout layout = SnapshotLayout::from_counts(
-      header.node_count, header.community_count, header.sample_count,
-      header.sample_pair_count, header.csr_touch_count);
-  if (header.payload_bytes != layout.total_bytes) {
+  if (header.payload_bytes != SnapshotLayout::of(header).total_bytes) {
     fail("declared payload size disagrees with the section counts");
   }
   // The header's own checksum runs LAST: every specific diagnosis above
@@ -203,39 +196,19 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
   }
 }
 
-/// Deep per-sample validation for untrusted snapshots (the default
-/// verifying attach; SnapshotTrust::kTrustPayload skips it).
-///
-/// Both offset tables get a full endpoints + monotonicity pass BEFORE any
-/// offset is used to index its arena: front == 0, back == arena size and
-/// pairwise monotone together bound every span by the arena length. The
-/// per-step check cannot live inside the content loop — there it would
-/// only have validated the prefix scanned so far, and a hostile
-/// offsets[g + 1] past the arena would be dereferenced before its own
-/// monotonicity check ran.
-void validate_payload(const RicPool::PoolArenas& arenas,
-                      const Graph& graph, const CommunitySet& communities) {
-  const auto thresholds = arenas.thresholds.span();
-  const auto source = arenas.source_community.span();
-  const auto offsets = arenas.sample_offsets.span();
-  const auto pairs = arenas.sample_arena.span();
-  if (thresholds.size() != source.size() ||
-      offsets.size() != source.size() + 1) {
-    fail("metadata arenas disagree on the sample count");
-  }
-  if (offsets.front() != 0 || offsets.back() != pairs.size()) {
-    fail("sample-major offsets do not span the sample arena");
-  }
-  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
-    if (offsets[g] > offsets[g + 1]) {
-      fail("sample " + std::to_string(g) + ": offsets not monotone");
-    }
-  }
-  for (std::size_t g = 0; g < source.size(); ++g) {
-    const CommunityId c = source[g];
+/// Content checks on a restored pool. RicPool::restore_snapshot has
+/// already checked the arena sizes and both offset tables' endpoints and
+/// monotonicity, so every span indexed here lies inside its arena.
+void validate_content(const RicPool::SnapshotView& view, const Graph& graph,
+                      const CommunitySet& communities) {
+  const auto& thresholds = view.thresholds;
+  std::vector<std::uint32_t> frequency(communities.size(), 0);
+  for (std::size_t g = 0; g < view.source_community.size(); ++g) {
+    const CommunityId c = view.source_community[g];
     if (c >= communities.size()) {
       fail("sample " + std::to_string(g) + ": community id out of range");
     }
+    ++frequency[c];
     if (thresholds[g] != communities.threshold(c)) {
       fail("sample " + std::to_string(g) +
            ": threshold disagrees with the community structure");
@@ -244,30 +217,27 @@ void validate_payload(const RicPool::PoolArenas& arenas,
     const std::uint64_t full =
         population >= 64 ? ~std::uint64_t{0}
                          : (std::uint64_t{1} << population) - 1;
-    for (std::uint64_t i = offsets[g]; i < offsets[g + 1]; ++i) {
-      if (pairs[i].first >= graph.node_count()) {
+    const std::uint64_t end = view.sample_offsets[g + 1];
+    for (std::uint64_t i = view.sample_offsets[g]; i < end; ++i) {
+      const auto& [node, mask] = view.sample_arena[i];
+      if (node >= graph.node_count()) {
         fail("sample " + std::to_string(g) + ": touching node out of range");
       }
-      if ((pairs[i].second & ~full) != 0) {
+      if ((mask & ~full) != 0) {
         fail("sample " + std::to_string(g) +
              ": member mask wider than the community population");
       }
     }
   }
-  const auto touch_offsets = arenas.touch_offsets.span();
-  const auto touches = arenas.touches.span();
-  if (touch_offsets.size() !=
-      static_cast<std::size_t>(graph.node_count()) + 1) {
-    fail("csr: offsets table does not match the graph");
+  // MAF orders communities by these counters, so they must match the
+  // samples exactly, not just in sum.
+  if (!std::equal(frequency.begin(), frequency.end(),
+                  view.community_frequency.begin(),
+                  view.community_frequency.end())) {
+    fail("community frequencies disagree with the sample communities");
   }
-  if (touch_offsets.front() != 0 || touch_offsets.back() != touches.size()) {
-    fail("csr: touch offsets do not span the touch arena");
-  }
-  for (std::size_t v = 0; v + 1 < touch_offsets.size(); ++v) {
-    if (touch_offsets[v] > touch_offsets[v + 1]) {
-      fail("csr: touch offsets not monotone");
-    }
-  }
+  const auto& touch_offsets = view.touch_offsets;
+  const auto& touches = view.touches;
   for (std::size_t v = 0; v + 1 < touch_offsets.size(); ++v) {
     for (std::uint64_t i = touch_offsets[v]; i < touch_offsets[v + 1]; ++i) {
       const RicPool::Touch& t = touches[i];
@@ -295,13 +265,25 @@ void read_exactly(std::istream& in, void* out, std::size_t bytes,
   }
 }
 
-/// Reads one section into an owned arena: sized once, written once.
+/// Reads one section into an owned arena (sized once, written once) and
+/// adds it to the payload digest. The section goes in chunks, each hashed
+/// right after its read while it is still in cache, so the checksum does
+/// not cost a second pass over memory.
 template <typename T>
 void read_section(std::istream& in, const std::string& path,
-                  const SectionLayout& section, ArenaVector<T>& arena) {
+                  const SectionLayout& section, ArenaVector<T>& arena,
+                  WordLaneHash& digest) {
+  constexpr std::size_t kChunk = std::size_t{1} << 18;  // a multiple of 32
   arena.resize_for_overwrite(section.bytes / sizeof(T));
   in.seekg(static_cast<std::streamoff>(section.offset));
-  read_exactly(in, arena.data(), section.bytes, path);
+  char* out = reinterpret_cast<char*>(arena.data());
+  std::size_t done = 0;
+  for (; section.bytes - done > kChunk; done += kChunk) {
+    read_exactly(in, out + done, kChunk, path);
+    digest.add_blocks(out + done, kChunk);
+  }
+  read_exactly(in, out + done, section.bytes - done, path);
+  digest.add_section(out + done, section.bytes - done);
 }
 
 }  // namespace
@@ -309,31 +291,18 @@ void read_section(std::istream& in, const std::string& path,
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool) {
   const RicPool::SnapshotView view = pool.snapshot_view();
   const PoolSnapshotHeader header = make_header(pool, view);
-  const SnapshotLayout layout = SnapshotLayout::from_counts(
-      header.node_count, header.community_count, header.sample_count,
-      header.sample_pair_count, header.csr_touch_count);
-
-  char header_block[kHeaderBytes] = {};
-  std::memcpy(header_block, &header, sizeof(header));
-  out.write(header_block, kHeaderBytes);
-
-  const auto section = [&](int i, const auto& span) {
+  const SnapshotLayout layout = SnapshotLayout::of(header);
+  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  for_each_section(view, [&](int i, auto span) {
     write_padded(out, span.data(), layout.sections[i].bytes,
                  layout.sections[i].padded);
-  };
-  section(0, view.thresholds);
-  section(1, view.source_community);
-  section(2, view.community_frequency);
-  section(3, view.sample_offsets);
-  section(4, view.sample_arena);
-  section(5, view.touch_offsets);
-  section(6, view.touches);
+  });
   if (!out) fail("write failed");
 }
 
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
-  // Write-then-rename: truncating `path` in place would pull the pages out
-  // from under a pool still attached to it (SIGBUS on its next read).
+  // Write-then-rename: a failed or interrupted save leaves the old file
+  // intact, and a reader never sees a half-written one.
   const std::string temp = path + ".tmp." + std::to_string(::getpid());
   std::error_code ignored;
   try {
@@ -357,8 +326,7 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool) {
 }
 
 RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
-                                 const CommunitySet& communities,
-                                 SnapshotTrust trust) {
+                                 const CommunitySet& communities) {
   // The size comes first, from the file system: a missing path or a
   // directory fails here, and a header cannot make the loader allocate
   // more than the file holds.
@@ -367,7 +335,7 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
   if (error) fail("cannot open " + path + ": " + error.message());
   std::ifstream in(path, std::ios::binary);
   if (!in) fail("cannot open " + path);
-  if (file_bytes < kHeaderBytes) fail("truncated header");
+  if (file_bytes < sizeof(PoolSnapshotHeader)) fail("truncated header");
   PoolSnapshotHeader header;
   read_exactly(in, &header, sizeof(header), path);
   validate_header(header, graph, communities);
@@ -375,35 +343,30 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
     fail("snapshot file size disagrees with its declared payload");
   }
 
-  const SnapshotLayout layout = SnapshotLayout::from_counts(
-      header.node_count, header.community_count, header.sample_count,
-      header.sample_pair_count, header.csr_touch_count);
-
+  const SnapshotLayout layout = SnapshotLayout::of(header);
   RicPool::PoolArenas arenas;
-  read_section(in, path, layout.sections[0], arenas.thresholds);
-  read_section(in, path, layout.sections[1], arenas.source_community);
-  read_section(in, path, layout.sections[2], arenas.community_frequency);
-  read_section(in, path, layout.sections[3], arenas.sample_offsets);
-  read_section(in, path, layout.sections[4], arenas.sample_arena);
-  read_section(in, path, layout.sections[5], arenas.touch_offsets);
-  read_section(in, path, layout.sections[6], arenas.touches);
-
-  if (trust == SnapshotTrust::kVerifyPayload) {
-    if (payload_checksum(arenas) != header.payload_checksum) {
-      fail("payload checksum mismatch (corrupt snapshot)");
+  WordLaneHash digest;
+  for_each_section(arenas, [&](int i, auto& arena) {
+    read_section(in, path, layout.sections[i], arena, digest);
+  });
+  if (digest.value() != header.payload_checksum) {
+    fail("payload checksum mismatch (corrupt snapshot)");
+  }
+  // Structure first (sizes, offset endpoints and monotonicity, in
+  // restore_snapshot), then the content checks that rely on it.
+  RicPool pool = [&] {
+    try {
+      return RicPool::restore_snapshot(
+          graph, communities, static_cast<DiffusionModel>(header.model),
+          RicPool::PoolEpoch{header.epoch_samples, header.epoch_grows,
+                             header.epoch_repairs},
+          std::move(arenas));
+    } catch (const std::invalid_argument& error) {
+      fail(error.what());
     }
-    validate_payload(arenas, graph, communities);
-  }
-
-  try {
-    return RicPool::restore_snapshot(
-        graph, communities, static_cast<DiffusionModel>(header.model),
-        RicPool::PoolEpoch{header.epoch_samples, header.epoch_grows,
-                           header.epoch_repairs},
-        std::move(arenas));
-  } catch (const std::invalid_argument& error) {
-    fail(error.what());
-  }
+  }();
+  validate_content(pool.snapshot_view(), graph, communities);
+  return pool;
 }
 
 }  // namespace imc

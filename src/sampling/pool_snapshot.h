@@ -1,6 +1,7 @@
-// Binary RIC-pool snapshot, format v3 — the persisted pool IS the live
-// pool (DESIGN.md §13). (v3 extends the v2 layout with the epoch's
-// repairs counter and a header checksum; the magic string is unchanged.)
+// Binary RIC-pool snapshot, format v4 — the persisted pool IS the live
+// pool (DESIGN.md §13). (v4 keeps the v3 layout byte for byte and swaps
+// the payload checksum from byte-wise FNV-1a to WordLaneHash; the magic
+// string is unchanged.)
 //
 // The snapshot persists the pool's flat arenas verbatim — SoA metadata,
 // sample-major twin, community counters AND the CSR inverted index — so
@@ -14,10 +15,10 @@
 //              node/community/sample counts, epoch watermark
 //              {samples, grows, repairs}, RNG-contract id, graph +
 //              community fingerprints, payload byte count, payload
-//              checksum, header checksum (FNV-1a over the preceding 120
+//              checksum (WordLaneHash, one hash section per snapshot
+//              section), header checksum (FNV-1a over the preceding 120
 //              header bytes — forging any header field, including the
-//              epoch, without resealing is detected even on the trusted
-//              attach path).
+//              epoch, without resealing is detected).
 //   sections   seven raw arena sections, each padded to a 64-byte
 //              boundary, in this fixed order (lengths derive from the
 //              header counts — no section table needed):
@@ -30,20 +31,16 @@
 //                7. touches             {u32 sample, u32 threshold,
 //                                        u64 mask} × csr touches (16 B)
 //
-// Validation contract: attach checks magic, version, RNG contract, counts
+// Validation contract: snapshots are untrusted input, and every attach
+// verifies them in full. It checks magic, version, RNG contract, counts
 // against the supplied graph/communities, the epoch watermark, the two
-// fingerprints and the file size. By DEFAULT it also verifies the payload
-// checksum and every per-sample invariant (community ids, thresholds,
-// masks, offset monotonicity/endpoints, touch ordering) — snapshots are
-// treated as untrusted input unless the caller says otherwise. The
-// checksum and deep checks can be skipped with SnapshotTrust::kTrustPayload,
-// leaving attach the cost of the read; that is an explicit opt-in for
-// snapshots this host wrote, guarded by the fingerprints (see DESIGN.md
-// §13 for the trust model). Even a trusted attach cannot produce
-// out-of-bounds spans: RicPool::restore_snapshot independently checks
-// both offset tables for endpoints and monotonicity. Endianness is not
-// translated: a snapshot is portable between machines of the same byte
-// order only.
+// fingerprints, the header checksum and the file size; then the payload
+// checksum; then the structure (RicPool::restore_snapshot: arena sizes,
+// both offset tables' endpoints and monotonicity); then the content
+// (community ids and frequencies, thresholds, masks, touch ordering).
+// Each invariant is checked in one place.
+// Endianness is not translated: a snapshot is portable between machines
+// of the same byte order only.
 //
 // Ownership: an attached pool owns its arenas; the file is closed before
 // attach returns, so it may be removed or saved over afterwards. Saving
@@ -60,7 +57,7 @@ namespace imc {
 
 inline constexpr char kPoolSnapshotMagic[8] = {'i', 'm', 'c', 'p',
                                                'o', 'o', 'l', '2'};
-inline constexpr std::uint32_t kPoolSnapshotVersion = 3;
+inline constexpr std::uint32_t kPoolSnapshotVersion = 4;
 
 /// Fixed-size on-disk header; the arena sections follow at 64-byte-aligned
 /// offsets.
@@ -80,7 +77,7 @@ struct PoolSnapshotHeader {
   std::uint64_t graph_fingerprint = 0;
   std::uint64_t community_fingerprint = 0;
   std::uint64_t payload_bytes = 0;     // total snapshot size, header included
-  std::uint64_t payload_checksum = 0;  // FNV-1a over the section bytes
+  std::uint64_t payload_checksum = 0;  // WordLaneHash over the sections
   std::uint64_t epoch_repairs = 0;     // PoolEpoch::repairs at save time
   std::uint64_t header_checksum = 0;   // FNV-1a over the 120 bytes above
 };
@@ -88,20 +85,7 @@ static_assert(sizeof(PoolSnapshotHeader) == 128,
               "header must fill its reserved 128 bytes exactly (the header "
               "checksum covers the 120 bytes before itself)");
 
-/// How much of a snapshot's payload attach verifies before
-/// serving it. Header, counts, epoch and fingerprints are always checked.
-enum class SnapshotTrust {
-  /// Default: verify the payload checksum and every per-sample invariant
-  /// (one sequential O(pool) pass over the arenas just read).
-  kVerifyPayload,
-  /// Explicit opt-in for snapshots this host wrote: skip the checksum and
-  /// the per-sample pass, so attach costs the read alone. The structural
-  /// offset checks in RicPool::restore_snapshot still run, so corrupt
-  /// offsets fail the load rather than index out of bounds.
-  kTrustPayload,
-};
-
-/// Writes the v3 snapshot to a stream.
+/// Writes the v4 snapshot to a stream.
 void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 
 /// Saves to a file: writes `<path>.tmp.<pid>` in the same directory,
@@ -111,16 +95,13 @@ void write_ric_pool_snapshot(std::ostream& out, const RicPool& pool);
 void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 
 /// Loads a snapshot into an owned pool: checks the header against the
-/// file size, then reads each section straight into its arena (one copy
-/// per section, O(pool bytes)). With the default kVerifyPayload the
-/// checksum and per-sample invariants are verified in one sequential pass
-/// over the arenas; kTrustPayload skips that pass. Throws
-/// std::runtime_error prefixed "ric pool snapshot:" on a missing or
-/// unreadable path (naming it), a short read, a mismatch or (when
-/// verifying) corruption.
+/// file size, reads each section straight into its arena (one copy per
+/// section, O(pool bytes)), then verifies the payload checksum, the
+/// structure and every per-sample invariant. Throws std::runtime_error
+/// prefixed "ric pool snapshot:" on a missing or unreadable path (naming
+/// it), a short read, a mismatch or corruption.
 [[nodiscard]] RicPool attach_ric_pool_snapshot(
     const std::string& path, const Graph& graph,
-    const CommunitySet& communities,
-    SnapshotTrust trust = SnapshotTrust::kVerifyPayload);
+    const CommunitySet& communities);
 
 }  // namespace imc

@@ -616,11 +616,11 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
       arenas.sample_offsets.back() != arenas.sample_arena.size()) {
     fail("sample-major offsets inconsistent with the arena");
   }
-  // Monotonicity of both offset tables is load-bearing even on the
-  // trusted attach path: sample_touches()/touches_of() compute spans as
-  // offsets[i + 1] - offsets[i] in unsigned arithmetic, so a non-monotone
-  // pair would wrap to a huge span and read out of bounds during solves.
-  // Endpoints + monotonicity bound every span by the arena size.
+  // Monotonicity of both offset tables is load-bearing for the loader's
+  // content checks and for every solve: sample_touches()/touches_of()
+  // compute spans as offsets[i + 1] - offsets[i] in unsigned arithmetic,
+  // so a non-monotone pair would wrap to a huge span and read out of
+  // bounds. Endpoints + monotonicity bound every span by the arena size.
   const std::span<const std::uint64_t> sample_offsets =
       arenas.sample_offsets.span();
   for (std::uint64_t g = 0; g + 1 < sample_offsets.size(); ++g) {
@@ -630,13 +630,6 @@ RicPool RicPool::restore_snapshot(const Graph& graph,
   }
   if (arenas.community_frequency.size() != communities.size()) {
     fail("community frequency table does not match the community set");
-  }
-  std::uint64_t frequency_sum = 0;
-  for (const std::uint32_t count : arenas.community_frequency.span()) {
-    frequency_sum += count;
-  }
-  if (frequency_sum != samples) {
-    fail("community frequencies do not sum to the sample count");
   }
   if (arenas.touch_offsets.size() !=
           static_cast<std::uint64_t>(graph.node_count()) + 1 ||

@@ -220,13 +220,11 @@ class RicPool {
   /// Installs fully built arenas (the attach back door for
   /// sampling/pool_snapshot.cpp, which reads each snapshot section into
   /// its own owned arena). The pool takes them over as they are. Validates
-  /// the cheap structural invariants (sizes coherent, both offset tables'
-  /// endpoints AND monotonicity — so no span can wrap out of bounds even
-  /// for trusted input — community frequencies sum to the sample count,
-  /// epoch matches); deep per-sample content validation is the loader's
-  /// job (pool_snapshot's validate step, skipped only by the explicit
-  /// SnapshotTrust::kTrustPayload attach). Throws std::invalid_argument
-  /// on any structural mismatch.
+  /// the structural invariants (sizes coherent, both offset tables'
+  /// endpoints AND monotonicity — so no span can wrap out of bounds —
+  /// epoch matches); the content checks, community frequencies included,
+  /// run in the loader on the restored pool.
+  /// Throws std::invalid_argument on any structural mismatch.
   [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
                                                 const CommunitySet& communities,
                                                 DiffusionModel model,

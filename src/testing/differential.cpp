@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -633,11 +634,42 @@ std::string pool_content_diff(const RicPool& got, const RicPool& want) {
   return "";
 }
 
-/// Both attach modes of the v3 snapshot — payload-verified and trusted —
-/// must hand back the ORIGINAL pool bit-for-bit, epoch watermark
-/// included, and solves on the reloaded pools must be bit-identical to
-/// solves on the original at every parallelism level. This is the
-/// round-trip certificate behind `imc_cli --save-pool/--load-pool`.
+/// Flips one seeded byte inside a raw section of the snapshot bytes —
+/// never the header or the zero padding between sections — and returns
+/// the result. The raw section lengths come from the pool the bytes were
+/// written from; each section starts on a 64-byte boundary.
+std::string flip_raw_section_byte(std::string bytes, const RicPool& pool,
+                                  std::uint64_t case_seed) {
+  const RicPool::SnapshotView view = pool.snapshot_view();
+  const std::size_t raw[7] = {view.thresholds.size_bytes(),
+                              view.source_community.size_bytes(),
+                              view.community_frequency.size_bytes(),
+                              view.sample_offsets.size_bytes(),
+                              view.sample_arena.size_bytes(),
+                              view.touch_offsets.size_bytes(),
+                              view.touches.size_bytes()};
+  std::size_t total = 0;
+  for (const std::size_t section : raw) total += section;
+  Rng rng(case_seed ^ 0xf11bb17eULL);
+  std::size_t target = rng.next() % total;
+  std::size_t offset = sizeof(PoolSnapshotHeader);
+  for (const std::size_t section : raw) {
+    if (target < section) break;
+    target -= section;
+    offset += detail::round_up_64(section);
+  }
+  bytes[offset + target] = static_cast<char>(
+      bytes[offset + target] ^ static_cast<char>(1 + rng.next() % 255));
+  return bytes;
+}
+
+/// The v4 snapshot must hand back the ORIGINAL pool bit-for-bit, epoch
+/// watermark included, and solves on the reloaded pool must be
+/// bit-identical to solves on the original at every parallelism level.
+/// A copy with one byte flipped inside a raw section must fail the
+/// payload checksum: across random pool sizes that exercises every
+/// section and tail length the hash sees. This is the round-trip
+/// certificate behind `imc_cli --save-pool/--load-pool`.
 std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
                                                 std::uint64_t case_seed) {
   const Graph graph = spec.build_graph();
@@ -647,43 +679,46 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
   RicPool original(graph, communities, spec.model);
   original.grow(count, case_seed, /*parallel=*/false);
 
-  // Both legs attach the same real file. It is unlinked right after the
-  // attaches — the pools must own what they read.
+  // Both legs attach a real file, unlinked right after the attaches —
+  // the pool must own what it read.
   char path[] = "/tmp/imc_fuzz_pool_XXXXXX";
   const int fd = ::mkstemp(path);
   if (fd < 0) return "mkstemp failed for the attach round-trip";
   ::close(fd);
-  std::optional<RicPool> verified;
-  std::optional<RicPool> trusted;
+  std::optional<RicPool> attached;
   std::string attach_error;
+  std::string corrupt_error = "attach accepted it";
   try {
     save_ric_pool_snapshot(path, original);
-    verified.emplace(attach_ric_pool_snapshot(path, graph, communities));
-    trusted.emplace(attach_ric_pool_snapshot(path, graph, communities,
-                                             SnapshotTrust::kTrustPayload));
+    attached.emplace(attach_ric_pool_snapshot(path, graph, communities));
+    std::ostringstream blob(std::ios::binary);
+    write_ric_pool_snapshot(blob, original);
+    const std::string corrupt =
+        flip_raw_section_byte(blob.str(), original, case_seed);
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    try {
+      (void)attach_ric_pool_snapshot(path, graph, communities);
+    } catch (const std::runtime_error& e) {
+      corrupt_error = e.what();
+    }
   } catch (const std::exception& e) {
     attach_error = e.what();
   }
   std::remove(path);
-  if (!trusted) return "attach failed: " + attach_error;
-
-  const struct {
-    const char* name;
-    const RicPool* pool;
-  } legs[] = {{"verified-attach", &*verified},
-              {"trusted-attach", &*trusted}};
-  for (const auto& leg : legs) {
-    const std::string diff = pool_content_diff(*leg.pool, original);
-    if (!diff.empty()) {
-      return std::string(leg.name) + " round-trip not bit-identical: " +
-             diff;
-    }
-    if (leg.pool->grow_epoch() != original.grow_epoch()) {
-      return std::string(leg.name) + " round-trip lost the epoch watermark";
-    }
+  if (!attached) return "attach failed: " + attach_error;
+  if (corrupt_error !=
+      "ric pool snapshot: payload checksum mismatch (corrupt snapshot)") {
+    return "flipped payload byte not caught by the checksum: " +
+           corrupt_error;
+  }
+  const std::string diff = pool_content_diff(*attached, original);
+  if (!diff.empty()) return "attach round-trip not bit-identical: " + diff;
+  if (attached->grow_epoch() != original.grow_epoch()) {
+    return "attach round-trip lost the epoch watermark";
   }
 
-  // Solves on the reloaded pools, across the thread grid {1, 2, 8}: same
+  // Solves on the reloaded pool, across the thread grid {1, 2, 8}: same
   // arenas must mean the same deterministic selection, bit for bit.
   ThreadPool two(2);
   ThreadPool eight(8);
@@ -699,24 +734,20 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
     const UbgSolution want_ubg = ubg_solve(original, k, *options);
     const MafSolution want_maf =
         maf_solve(original, k, /*seed=*/case_seed, *options);
-    for (const auto& leg : legs) {
-      const UbgSolution got_ubg = ubg_solve(*leg.pool, k, *options);
-      if (got_ubg.seeds != want_ubg.seeds ||
-          got_ubg.c_hat != want_ubg.c_hat) {
-        return std::string(leg.name) + ": ubg_solve diverged (seeds " +
-               describe_nodes(got_ubg.seeds) + " vs " +
-               describe_nodes(want_ubg.seeds) + ", " +
-               (options->parallel ? "parallel" : "serial") + ")";
-      }
-      const MafSolution got_maf =
-          maf_solve(*leg.pool, k, /*seed=*/case_seed, *options);
-      if (got_maf.seeds != want_maf.seeds ||
-          got_maf.c_hat != want_maf.c_hat) {
-        return std::string(leg.name) + ": maf_solve diverged (seeds " +
-               describe_nodes(got_maf.seeds) + " vs " +
-               describe_nodes(want_maf.seeds) + ", " +
-               (options->parallel ? "parallel" : "serial") + ")";
-      }
+    const UbgSolution got_ubg = ubg_solve(*attached, k, *options);
+    if (got_ubg.seeds != want_ubg.seeds || got_ubg.c_hat != want_ubg.c_hat) {
+      return "attached pool: ubg_solve diverged (seeds " +
+             describe_nodes(got_ubg.seeds) + " vs " +
+             describe_nodes(want_ubg.seeds) + ", " +
+             (options->parallel ? "parallel" : "serial") + ")";
+    }
+    const MafSolution got_maf =
+        maf_solve(*attached, k, /*seed=*/case_seed, *options);
+    if (got_maf.seeds != want_maf.seeds || got_maf.c_hat != want_maf.c_hat) {
+      return "attached pool: maf_solve diverged (seeds " +
+             describe_nodes(got_maf.seeds) + " vs " +
+             describe_nodes(want_maf.seeds) + ", " +
+             (options->parallel ? "parallel" : "serial") + ")";
     }
   }
   return std::nullopt;

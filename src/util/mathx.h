@@ -2,9 +2,13 @@
 // Alg. 5, Λ' of Alg. 6) and by statistics in tests/benches.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 namespace imc {
@@ -48,9 +52,9 @@ class KahanSum {
 }
 
 /// Streaming FNV-1a (64-bit): the digest behind Graph/CommunitySet
-/// fingerprints and the pool-snapshot payload checksum. Not
-/// cryptographic — it guards against corruption and mismatched inputs,
-/// not adversaries.
+/// fingerprints and the pool-snapshot header checksum. One multiply per
+/// byte, so bulk payloads use WordLaneHash instead. Not cryptographic —
+/// it guards against corruption and mismatched inputs, not adversaries.
 class Fnv1a64 {
  public:
   void add_bytes(const void* data, std::size_t bytes) noexcept {
@@ -67,6 +71,79 @@ class Fnv1a64 {
 
  private:
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Word-lane digest for bulk payloads (the pool-snapshot payload
+/// checksum): 8-byte words go round-robin to four independent 64-bit
+/// lanes, so four multiplies are in flight instead of FNV-1a's one per
+/// byte. Each round `lane = rotl((lane ^ w) * odd, 31)` is a bijection of
+/// both the lane and the word — the rotation feeds a word's top bits back
+/// into later multiplies, which without it would only ever reach bit 63.
+/// The final fold chains the lanes through bijective steps too, so a
+/// change confined to one 8-byte word always changes the digest. Data
+/// comes in sections: a short tail is zero-extended and each section's
+/// byte length is folded in, so appending zeros or moving bytes across a
+/// section boundary changes the digest as well. Words load by memcpy (no
+/// alignment assumed) in host byte order. Not cryptographic.
+class WordLaneHash {
+ public:
+  /// Hashes a leading part of the current section. `bytes` must be a
+  /// multiple of 32 (whole rounds of the four lanes), so a section fed in
+  /// such chunks hashes exactly like the same bytes in one add_section.
+  void add_blocks(const void* data, std::size_t bytes) noexcept {
+    assert(bytes % 32 == 0);
+    const auto* p = static_cast<const unsigned char*>(data);
+    // One named local per lane keeps all four in registers (`p` may alias
+    // the members, and a local array stays on the stack), so each round
+    // costs its multiply latency, not a store-to-load round trip.
+    std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    for (std::size_t i = 0; i < bytes; i += 32) {
+      a = round(a, load(p + i));
+      b = round(b, load(p + i + 8));
+      c = round(c, load(p + i + 16));
+      d = round(d, load(p + i + 24));
+    }
+    lanes_[0] = a;
+    lanes_[1] = b;
+    lanes_[2] = c;
+    lanes_[3] = d;
+    section_bytes_ += bytes;
+  }
+  /// Hashes the rest of the current section (any length) and closes it.
+  void add_section(const void* data, std::size_t bytes) noexcept {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::size_t i = bytes - bytes % 32;
+    add_blocks(p, i);
+    for (int lane = 0; i < bytes; i += 8, ++lane) {
+      std::uint64_t word = 0;  // a short tail is zero-extended
+      std::memcpy(&word, p + i, std::min<std::size_t>(8, bytes - i));
+      lanes_[lane] = round(lanes_[lane], word);
+    }
+    lanes_[0] = round(lanes_[0], section_bytes_ + bytes % 32);
+    section_bytes_ = 0;
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    std::uint64_t hash = lanes_[0];
+    for (int lane = 1; lane < 4; ++lane) hash = round(hash, lanes_[lane]);
+    hash ^= hash >> 33;  // xorshift-multiply avalanche: each step bijective
+    hash *= 0xff51afd7ed558ccdULL;
+    hash ^= hash >> 33;
+    return hash;
+  }
+
+ private:
+  static constexpr std::uint64_t kOdd = 0x9E3779B185EBCA87ULL;
+  static std::uint64_t load(const unsigned char* p) noexcept {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    return word;
+  }
+  static std::uint64_t round(std::uint64_t lane, std::uint64_t word) noexcept {
+    return std::rotl((lane ^ word) * kOdd, 31);
+  }
+  std::uint64_t lanes_[4] = {0x9E3779B97F4A7C15ULL, 0xBF58476D1CE4E5B9ULL,
+                             0x94D049BB133111EBULL, 0xD6E8FEB86659FD93ULL};
+  std::uint64_t section_bytes_ = 0;  // bytes of the open section so far
 };
 
 // POPCNT is part of the x86-64 baseline (src/CMakeLists.txt enables it

@@ -301,32 +301,26 @@ TEST(PoolRepair, SnapshotPersistsRepairsEpoch) {
 TEST(PoolRepair, AttachedPoolRepairEqualsRebuildAndLeavesTheFileAlone) {
   // A repair of an attached pool patches the arenas it read and must
   // equal a rebuild; the snapshot file must not change.
-  for (const SnapshotTrust trust :
-       {SnapshotTrust::kVerifyPayload, SnapshotTrust::kTrustPayload}) {
-    for (const unsigned threads : {0U, 1U}) {
-      Graph graph = make_graph();
-      CommunitySet communities = make_communities();
-      const std::string path = temp_snapshot(
-          "attached_" + std::to_string(static_cast<int>(trust)) + "_" +
-          std::to_string(threads));
-      {
-        RicPool pool(graph, communities);
-        pool.grow(kPoolSize, kSeed, /*parallel=*/false);
-        save_ric_pool_snapshot(path, pool);
-      }
-      const std::string before = file_bytes(path);
-      RicPool attached =
-          attach_ric_pool_snapshot(path, graph, communities, trust);
-
-      std::unique_ptr<ThreadPool> workers;
-      if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
-      GraphDelta delta;
-      delta.upsert_edge(0, 57, 0.4).remove_edge(1, 0).move_member(19, 1);
-      repair_and_compare(graph, communities, attached, delta,
-                         workers.get());
-      EXPECT_EQ(file_bytes(path), before);
-      std::filesystem::remove(path);
+  for (const unsigned threads : {0U, 1U}) {
+    Graph graph = make_graph();
+    CommunitySet communities = make_communities();
+    const std::string path =
+        temp_snapshot("attached_" + std::to_string(threads));
+    {
+      RicPool pool(graph, communities);
+      pool.grow(kPoolSize, kSeed, /*parallel=*/false);
+      save_ric_pool_snapshot(path, pool);
     }
+    const std::string before = file_bytes(path);
+    RicPool attached = attach_ric_pool_snapshot(path, graph, communities);
+
+    std::unique_ptr<ThreadPool> workers;
+    if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
+    GraphDelta delta;
+    delta.upsert_edge(0, 57, 0.4).remove_edge(1, 0).move_member(19, 1);
+    repair_and_compare(graph, communities, attached, delta, workers.get());
+    EXPECT_EQ(file_bytes(path), before);
+    std::filesystem::remove(path);
   }
 }
 

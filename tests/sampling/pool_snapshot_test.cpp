@@ -126,6 +126,21 @@ TEST(PoolSnapshot, AttachIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+TEST(PoolSnapshot, AttachReadsSectionsLargerThanOneReadChunk) {
+  // The loader reads and hashes each section in 256 KiB chunks: a pool
+  // whose arena sections span several chunks must verify and attach
+  // unchanged.
+  const Fixture fixture;
+  RicPool original(fixture.graph, fixture.communities);
+  original.grow(30000, 9);
+  ASSERT_GT(original.touch_arena().size_bytes(), std::size_t{3} << 18);
+  const std::string path = temp_snapshot(original, "multi_chunk.bin");
+  const RicPool attached =
+      attach_ric_pool_snapshot(path, fixture.graph, fixture.communities);
+  expect_pools_bit_identical(attached, original);
+  std::remove(path.c_str());
+}
+
 TEST(PoolSnapshot, ConstReadersLeaveTheAttachedArenasInPlace) {
   // Const readers of an attached pool, parallel selection included, must
   // not move its arenas: a write inside a const reader would race when
@@ -297,7 +312,7 @@ PoolSnapshotHeader header_of(const std::string& blob) {
   return header;
 }
 
-/// Recomputes the v3 header checksum after a test patched header fields,
+/// Recomputes the header checksum after a test patched header fields,
 /// so the corpus can target validation stages BEHIND the header seal.
 void reseal_header(std::string& blob) {
   PoolSnapshotHeader header = header_of(blob);
@@ -313,9 +328,9 @@ void reseal_header(std::string& blob) {
 void reseal_checksum(std::string& blob) {
   PoolSnapshotHeader header = header_of(blob);
   const Layout layout(header);
-  Fnv1a64 digest;
+  WordLaneHash digest;
   for (int i = 0; i < 7; ++i) {
-    digest.add_bytes(blob.data() + layout.offset[i], layout.bytes[i]);
+    digest.add_section(blob.data() + layout.offset[i], layout.bytes[i]);
   }
   header.payload_checksum = digest.value();
   std::memcpy(blob.data(), &header, sizeof(header));
@@ -399,6 +414,15 @@ TEST_F(PoolSnapshotCorpus, UnsupportedVersion) {
             "ric pool snapshot: unsupported version 9");
 }
 
+TEST_F(PoolSnapshotCorpus, GenuineV3HeaderIsRejected) {
+  // A v3 file has the same magic and layout but the old payload checksum:
+  // a resealed v3 header must fail on its version, not on a checksum.
+  patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, version), 3);
+  reseal_header(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: unsupported version 3");
+}
+
 TEST_F(PoolSnapshotCorpus, RngContractMismatch) {
   patch_header<std::uint32_t>(offsetof(PoolSnapshotHeader, rng_contract),
                               kRicSamplerRngContract + 1);
@@ -445,7 +469,7 @@ TEST_F(PoolSnapshotCorpus, EpochWatermarkDisagreesWithSampleCount) {
 TEST_F(PoolSnapshotCorpus, ForgedRepairsEpochFailsHeaderChecksum) {
   // Satellite of the dynamic-graph work (DESIGN.md §16): forging the
   // repairs counter — to make a pre-repair snapshot pass for a repaired
-  // pool — must trip the header seal, even on the trusted attach path.
+  // pool — must trip the header seal.
   patch_header<std::uint64_t>(offsetof(PoolSnapshotHeader, epoch_repairs),
                               7);
   EXPECT_EQ(attach_error(fixture_, blob_),
@@ -504,6 +528,23 @@ TEST_F(PoolSnapshotCorpus, OutOfRangeCommunityBehindValidChecksum) {
             "ric pool snapshot: sample 0: community id out of range");
 }
 
+TEST_F(PoolSnapshotCorpus, ForgedFrequenciesBehindValidChecksum) {
+  // Move one count between two communities: the sum still equals the
+  // sample count, but MAF would order communities by the forged counters.
+  const Layout layout(header_of(blob_));
+  std::uint32_t frequency[2];
+  char* const table = blob_.data() + layout.offset[2];
+  std::memcpy(frequency, table, sizeof(frequency));
+  ASSERT_GT(frequency[0], 0U);
+  --frequency[0];
+  ++frequency[1];
+  std::memcpy(table, frequency, sizeof(frequency));
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: community frequencies disagree with the "
+            "sample communities");
+}
+
 TEST_F(PoolSnapshotCorpus, TouchingNodeOutOfRangeBehindValidChecksum) {
   const Layout layout(header_of(blob_));
   const NodeId bogus = 99;  // > node_count = 12
@@ -521,17 +562,17 @@ TEST_F(PoolSnapshotCorpus, FlippedPayloadByteFailsAttachChecksum) {
 }
 
 TEST_F(PoolSnapshotCorpus, NonMonotoneSampleOffsetsBehindValidChecksum) {
-  // offsets[1] pointing past the arena used to be dereferenced by the
-  // validator itself (the monotone check ran a step too late): the
-  // sample-0 content scan read pairs[0, huge) out of bounds. Now the
-  // endpoints + monotonicity pre-pass rejects it before any indexing.
+  // offsets[1] pointing past the arena must be rejected before the
+  // content checks index pairs[0, huge): restore_snapshot's structural
+  // pass checks both offset tables before the loader reads any span.
   const Layout layout(header_of(blob_));
   const std::uint64_t huge = ~std::uint64_t{0};
   std::memcpy(blob_.data() + layout.offset[3] + sizeof(std::uint64_t),
               &huge, sizeof(huge));
   reseal_checksum(blob_);
   EXPECT_EQ(attach_error(fixture_, blob_),
-            "ric pool snapshot: sample 1: offsets not monotone");
+            "ric pool snapshot: RicPool::restore_snapshot: sample-major "
+            "offsets not monotone");
 }
 
 TEST_F(PoolSnapshotCorpus, SampleOffsetsMustSpanTheArena) {
@@ -545,8 +586,8 @@ TEST_F(PoolSnapshotCorpus, SampleOffsetsMustSpanTheArena) {
               &bogus_end, sizeof(bogus_end));
   reseal_checksum(blob_);
   EXPECT_EQ(attach_error(fixture_, blob_),
-            "ric pool snapshot: sample-major offsets do not span the "
-            "sample arena");
+            "ric pool snapshot: RicPool::restore_snapshot: sample-major "
+            "offsets inconsistent with the arena");
 }
 
 TEST_F(PoolSnapshotCorpus, NonMonotoneTouchOffsetsBehindValidChecksum) {
@@ -556,7 +597,8 @@ TEST_F(PoolSnapshotCorpus, NonMonotoneTouchOffsetsBehindValidChecksum) {
               &huge, sizeof(huge));
   reseal_checksum(blob_);
   EXPECT_EQ(attach_error(fixture_, blob_),
-            "ric pool snapshot: csr: touch offsets not monotone");
+            "ric pool snapshot: RicPool::restore_snapshot: CSR offsets not "
+            "monotone");
 }
 
 TEST_F(PoolSnapshotCorpus, HugePairCountOverflowsTheLayout) {
@@ -570,39 +612,29 @@ TEST_F(PoolSnapshotCorpus, HugePairCountOverflowsTheLayout) {
             "ric pool snapshot: header counts overflow the section layout");
 }
 
-TEST_F(PoolSnapshotCorpus, TrustedAttachSkipsContentButBoundsOffsets) {
-  // kTrustPayload skips the O(pool) content checks (the out-of-range
-  // community loads)...
-  const Layout layout(header_of(blob_));
-  const CommunityId bogus = 7;
-  std::memcpy(blob_.data() + layout.offset[1], &bogus, sizeof(bogus));
-  reseal_checksum(blob_);
-  const std::string path = temp_file(blob_, "trusted.bin");
-  const RicPool trusted = attach_ric_pool_snapshot(
-      path, fixture_.graph, fixture_.communities,
-      SnapshotTrust::kTrustPayload);
-  EXPECT_EQ(trusted.size(), 50U);
-  std::remove(path.c_str());
-
-  // ...but restore_snapshot still rejects non-monotone offsets, so even a
-  // trusted attach cannot produce wraparound spans during solves.
-  std::string bent = blob_;
-  const std::uint64_t huge = ~std::uint64_t{0};
-  std::memcpy(bent.data() + layout.offset[3] + sizeof(std::uint64_t),
-              &huge, sizeof(huge));
-  reseal_checksum(bent);
-  const std::string bent_path = temp_file(bent, "trusted_monotone.bin");
-  try {
-    (void)attach_ric_pool_snapshot(bent_path, fixture_.graph,
-                                   fixture_.communities,
-                                   SnapshotTrust::kTrustPayload);
-    ADD_FAILURE() << "trusted attach accepted non-monotone offsets";
-  } catch (const std::runtime_error& error) {
-    EXPECT_EQ(std::string(error.what()),
-              "ric pool snapshot: RicPool::restore_snapshot: sample-major "
-              "offsets not monotone");
-  }
-  std::remove(bent_path.c_str());
+TEST(PoolSnapshot, V4PayloadChecksumIsPinned) {
+  // Every saved v4 file carries this digest: an accidental change to the
+  // payload hash would orphan them all, so pin it for a hand-built pool
+  // (independent of the sampler's RNG contract). Its sections cover
+  // word-aligned, 4-byte-tail and 16-byte-element lengths.
+  const Fixture fixture;
+  RicPool pool(fixture.graph, fixture.communities);
+  const auto add = [&pool](CommunityId community,
+                           std::vector<std::pair<NodeId, std::uint64_t>>
+                               touching) {
+    RicSample sample;
+    sample.community = community;
+    sample.threshold = 2;
+    sample.member_count = 3;
+    sample.touching = std::move(touching);
+    pool.append(sample);
+  };
+  add(0, {{0, 0b1}, {1, 0b10}});
+  add(1, {{4, 0b1}, {5, 0b11}, {7, 0b100}});
+  add(2, {{8, 0b101}});
+  const PoolSnapshotHeader header = header_of(snapshot_bytes(pool));
+  EXPECT_EQ(header.version, 4U);
+  EXPECT_EQ(header.payload_checksum, 0xeaa1eb5dfdc6a10cULL);
 }
 
 // ---------------------------------------------------------------------------

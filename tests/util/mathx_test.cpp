@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <vector>
 
 namespace imc {
@@ -88,6 +90,90 @@ TEST(Popcount64, Values) {
   EXPECT_EQ(popcount64(1), 1);
   EXPECT_EQ(popcount64(0xFFFFFFFFFFFFFFFFULL), 64);
   EXPECT_EQ(popcount64(0b1011), 3);
+}
+
+std::uint64_t lane_hash(const std::vector<unsigned char>& bytes) {
+  WordLaneHash digest;
+  digest.add_section(bytes.data(), bytes.size());
+  return digest.value();
+}
+
+std::vector<unsigned char> patterned_bytes(std::size_t length) {
+  std::vector<unsigned char> bytes(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  return bytes;
+}
+
+TEST(WordLaneHash, DetectsEverySingleByteChange) {
+  // Lengths 0..80 cover every tail length mod 8 and every lane position
+  // mod 32; each byte takes all 255 other values.
+  for (std::size_t length = 0; length <= 80; ++length) {
+    std::vector<unsigned char> bytes = patterned_bytes(length);
+    const std::uint64_t clean = lane_hash(bytes);
+    int undetected = 0;
+    for (std::size_t i = 0; i < length; ++i) {
+      const unsigned char original = bytes[i];
+      for (int flip = 1; flip < 256; ++flip) {
+        bytes[i] = static_cast<unsigned char>(original ^ flip);
+        if (lane_hash(bytes) == clean) ++undetected;
+      }
+      bytes[i] = original;
+    }
+    EXPECT_EQ(undetected, 0) << "length " << length;
+  }
+}
+
+TEST(WordLaneHash, AppendingZeroBytesChangesTheDigest) {
+  // A zero-extended tail alone would hash like its padded word; the folded
+  // section length tells them apart.
+  for (std::size_t length = 0; length <= 80; ++length) {
+    std::vector<unsigned char> bytes = patterned_bytes(length);
+    const std::uint64_t clean = lane_hash(bytes);
+    for (int extra = 1; extra <= 40; ++extra) {
+      bytes.push_back(0);
+      EXPECT_NE(lane_hash(bytes), clean)
+          << "length " << length << " + " << extra << " zeros";
+    }
+  }
+}
+
+TEST(WordLaneHash, ShiftingASectionBoundaryChangesTheDigest) {
+  // The same 64 bytes split into two sections at every point (empty
+  // sections included): every split gives its own digest.
+  const std::vector<unsigned char> bytes = patterned_bytes(64);
+  std::set<std::uint64_t> digests;
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    WordLaneHash digest;
+    digest.add_section(bytes.data(), split);
+    digest.add_section(bytes.data() + split, bytes.size() - split);
+    digests.insert(digest.value());
+  }
+  EXPECT_EQ(digests.size(), bytes.size() + 1);
+  EXPECT_EQ(digests.count(lane_hash(bytes)), 0U);
+}
+
+TEST(WordLaneHash, ChunkedSectionsHashLikeWholeOnes) {
+  // A section fed as 32-byte-multiple chunks plus a rest, as the snapshot
+  // loader reads it, digests exactly like the same bytes in one call.
+  const std::vector<unsigned char> bytes = patterned_bytes(300);
+  for (std::size_t chunk = 32; chunk <= 128; chunk += 32) {
+    for (std::size_t length = 0; length <= bytes.size(); length += 7) {
+      WordLaneHash whole;
+      whole.add_section(bytes.data(), length);
+      whole.add_section(bytes.data(), 5);
+      WordLaneHash chunked;
+      std::size_t done = 0;
+      for (; length - done > chunk; done += chunk) {
+        chunked.add_blocks(bytes.data() + done, chunk);
+      }
+      chunked.add_section(bytes.data() + done, length - done);
+      chunked.add_section(bytes.data(), 5);
+      EXPECT_EQ(chunked.value(), whole.value())
+          << "length " << length << " chunk " << chunk;
+    }
+  }
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //                       [--parallel] [--threads N] [--time-budget-s S]
 //                       [--metrics-json FILE] [--no-pipeline]
 //                       [--save-pool FILE]
-//                       [--load-pool FILE [--trust-pool]]
+//                       [--load-pool FILE]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
 //                       --algo hbc|ks|im|imm|degree|random [--k K]
@@ -225,15 +225,10 @@ int cmd_solve(const ArgParser& args) {
   if (!metrics_path.empty()) context.metrics = &metrics;
 
   ImcEngine engine(graph, communities, config, context);
-  if (args.has("trust-pool") && !args.has("load-pool")) {
-    throw UsageError("--trust-pool only applies with --load-pool");
-  }
   if (args.has("load-pool")) {
     const std::string pool_path = args.get_string("load-pool", "");
     if (pool_path.empty()) throw UsageError("--load-pool requires a path");
-    engine.attach_pool(pool_path, args.get_bool("trust-pool", false)
-                                      ? SnapshotTrust::kTrustPayload
-                                      : SnapshotTrust::kVerifyPayload);
+    engine.attach_pool(pool_path);
     std::cout << "attached pool " << pool_path << " (|R|="
               << engine.pool().size() << ")\n";
   }
@@ -386,12 +381,9 @@ void print_usage() {
       "  --no-pipeline       serial grow/solve/estimate schedule instead of\n"
       "                      overlapping the next stage's sampling with the\n"
       "                      solve (results are bit-identical either way)\n"
-      "  --save-pool F       write the final pool as a binary v3 snapshot\n"
-      "  --load-pool F       start from a v3 snapshot, read into memory\n"
-      "                      and fully verified by default\n"
-      "  --trust-pool        skip the O(pool) checksum + payload checks on\n"
-      "                      --load-pool (for snapshots this host wrote;\n"
-      "                      attach then costs the file read alone)\n"
+      "  --save-pool F       write the final pool as a binary v4 snapshot\n"
+      "  --load-pool F       start from a v4 snapshot, read into memory\n"
+      "                      and fully verified\n"
       "  --apply-deltas F    after the first solve, replay streaming graph\n"
       "                      updates from F (lines 'E u v w' upsert an edge,\n"
       "                      w=0 removes; 'M v c' moves v to community c;\n"
@@ -412,7 +404,7 @@ int main(int argc, char** argv) {
     if (command != "solve") {
       for (const char* flag : {"time-budget-s", "metrics-json",
                                "no-pipeline", "save-pool", "load-pool",
-                               "trust-pool", "apply-deltas"}) {
+                               "apply-deltas"}) {
         if (args.has(flag)) {
           throw UsageError(std::string("--") + flag +
                            " only applies to the solve subcommand");
