@@ -1076,19 +1076,197 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
   return std::nullopt;
 }
 
-/// True when the instance is small enough for enumerate_exact to succeed —
-/// used only for skip accounting, mirroring check_sampler_distribution.
-bool distribution_checkable(const InstanceSpec& spec) {
-  if (spec.model == DiffusionModel::kIndependentCascade) {
-    const Graph graph = spec.build_graph();
-    return graph.edge_count() <= 12;
+// ---------------------------------------------------------------------------
+// Checks: imcaf_guarantee, dagum_guarantee
+// ---------------------------------------------------------------------------
+
+/// Live-edge outcome budget of the guarantee checks: exact c(S) of every
+/// k-subset is enumerated, so the instances must stay smaller than the
+/// sampler_distribution ones.
+constexpr std::uint64_t kGuaranteeOutcomes = 1ULL << 10;
+constexpr NodeId kGuaranteeMaxNodes = 7;
+
+/// Independent runs per case behind each guarantee's failure rate.
+constexpr std::uint32_t kGuaranteeRuns = 24;
+
+/// Smallest miss count q with P[Binomial(runs, p) > q] <= 1e-6: the
+/// binomial slack of the rate checks, so a correct implementation fails a
+/// case with odds below one in a million.
+std::uint32_t binomial_miss_bound(std::uint32_t runs, double p) {
+  const auto pmf = [&](std::uint32_t i) {
+    const double n = runs;
+    return std::exp(std::lgamma(n + 1.0) - std::lgamma(i + 1.0) -
+                    std::lgamma(n - i + 1.0) + i * std::log(p) +
+                    (n - i) * std::log1p(-p));
+  };
+  double above = 0.0;  // P[X > q]
+  std::uint32_t q = runs;
+  while (q > 0 && above + pmf(q) <= 1e-6) above += pmf(q--);
+  return q;
+}
+
+struct ExactOptimum {
+  std::vector<NodeId> seeds;
+  double value = 0.0;
+};
+
+/// OPT of the IMC problem by exhaustive k-subset search, each subset's c(S)
+/// enumerated exactly; nullopt when the live-edge space is too large.
+std::optional<ExactOptimum> exact_optimum(const Graph& graph,
+                                          const CommunitySet& communities,
+                                          DiffusionModel model,
+                                          std::uint32_t k) {
+  std::vector<NodeId> subset(k);
+  for (std::uint32_t i = 0; i < k; ++i) subset[i] = i;
+  std::optional<ExactOptimum> best;
+  for (;;) {
+    const auto exact = enumerate_exact(graph, communities, subset, model,
+                                       kGuaranteeOutcomes);
+    if (!exact) return std::nullopt;
+    if (!best || exact->c > best->value) best = ExactOptimum{subset, exact->c};
+    // Next subset in lexicographic order.
+    std::uint32_t i = k;
+    while (i > 0 && subset[i - 1] == graph.node_count() - k + i - 1) --i;
+    if (i == 0) return best;
+    ++subset[i - 1];
+    for (std::uint32_t j = i; j < k; ++j) subset[j] = subset[j - 1] + 1;
   }
+}
+
+double exact_benefit(const Graph& graph, const CommunitySet& communities,
+                     std::span<const NodeId> seeds, DiffusionModel model) {
+  return enumerate_exact(graph, communities, seeds, model, kGuaranteeOutcomes)
+      .value()
+      .c;
+}
+
+/// Theorem 7 end to end: IMCAF with UBG, run under kGuaranteeRuns seeds,
+/// must return S with c(S) >= α(1 − ε)·OPT in all but a δ share of runs
+/// (plus binomial slack). α is what solver.alpha(pool, k) reports on the
+/// run's final pool; OPT and c(S) are exact. ε and δ are loosened so each
+/// run takes a few stages of a few hundred samples; no max_samples cap,
+/// so a run that does not accept stops at Ψ, where the theorem still
+/// holds.
+std::optional<std::string> check_imcaf_guarantee(const InstanceSpec& spec,
+                                                 std::uint64_t case_seed) {
   const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const auto k = static_cast<std::uint32_t>(
+      1 + case_seed % std::min<NodeId>(3, graph.node_count()));
+  const std::optional<ExactOptimum> opt =
+      exact_optimum(graph, communities, spec.model, k);
+  if (!opt) return std::nullopt;
+
+  ImcafConfig config;
+  config.params.epsilon = 0.6;
+  config.params.delta = 0.2;
+  config.model = spec.model;
+  config.parallel_sampling = false;
+  const UbgSolver solver;
+  std::uint32_t misses = 0;
+  std::string first_miss;
+  for (std::uint32_t run = 0; run < kGuaranteeRuns; ++run) {
+    config.seed = fuzz_case_seed(case_seed, run);
+    ImcEngine engine(graph, communities, config);
+    const ImcafResult result = engine.solve(k, solver);
+    const double alpha = solver.alpha(engine.pool(), k);
+    const double bound = alpha * (1.0 - config.params.epsilon) * opt->value;
+    const double c = exact_benefit(graph, communities, result.seeds,
+                                   spec.model);
+    if (c < bound * (1.0 - 1e-9)) {
+      if (misses++ == 0) {
+        first_miss = "run " + std::to_string(run) + " seeds " +
+                     describe_nodes(result.seeds) + " c=" +
+                     std::to_string(c) + " < " + std::to_string(bound);
+      }
+    }
+  }
+  const std::uint32_t allowed =
+      binomial_miss_bound(kGuaranteeRuns, config.params.delta);
+  if (misses > allowed) {
+    return "IMCAF missed alpha(1-eps)*OPT (OPT=" + std::to_string(opt->value) +
+           " at " + describe_nodes(opt->seeds) + ", k=" + std::to_string(k) +
+           ") in " + std::to_string(misses) + "/" +
+           std::to_string(kGuaranteeRuns) + " runs, allowed " +
+           std::to_string(allowed) + "; first: " + first_miss;
+  }
+  return std::nullopt;
+}
+
+/// Alg. 6's (ε′, δ′) guarantee end to end: the stopping-rule estimate of
+/// the exact optimum's c(S), run under kGuaranteeRuns seeds, may leave
+/// [(1 − ε′)c, (1 + ε′)c] in at most a δ′ share of runs (plus binomial
+/// slack). T_max is set far beyond the expected T, so every run converges.
+std::optional<std::string> check_dagum_guarantee(const InstanceSpec& spec,
+                                                 std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const auto k = static_cast<std::uint32_t>(
+      1 + (case_seed >> 3) % std::min<NodeId>(3, graph.node_count()));
+  const std::optional<ExactOptimum> opt =
+      exact_optimum(graph, communities, spec.model, k);
+  const double b = communities.total_benefit();
+  // A rarely influenced S needs T ≈ Λ′·b/c draws per run; skip it.
+  if (!opt || opt->value < 0.02 * b) return std::nullopt;
+
+  DagumOptions options;
+  options.eps_prime = 0.3;
+  options.delta_prime = 0.2;
+  options.model = spec.model;
+  options.max_samples = 1ULL << 24;
+  std::uint32_t misses = 0;
+  for (std::uint32_t run = 0; run < kGuaranteeRuns; ++run) {
+    options.seed = fuzz_case_seed(case_seed ^ 0xda9c0de5ULL, run);
+    const DagumEstimate estimate =
+        dagum_estimate_benefit(graph, communities, opt->seeds, options);
+    if (!estimate.converged) {
+      return "Dagum estimate did not converge in T_max on seeds " +
+             describe_nodes(opt->seeds);
+    }
+    if (std::abs(estimate.value - opt->value) >
+        options.eps_prime * opt->value) {
+      ++misses;
+    }
+  }
+  const std::uint32_t allowed =
+      binomial_miss_bound(kGuaranteeRuns, options.delta_prime);
+  if (misses > allowed) {
+    return "Dagum estimate left (1 +- eps')c(S) (c=" +
+           std::to_string(opt->value) + " at " + describe_nodes(opt->seeds) +
+           ") in " + std::to_string(misses) + "/" +
+           std::to_string(kGuaranteeRuns) + " runs, allowed " +
+           std::to_string(allowed);
+  }
+  return std::nullopt;
+}
+
+/// True when the live-edge outcome space has at most `limit` outcomes, so
+/// enumerate_exact succeeds on the instance.
+bool outcomes_at_most(const Graph& graph, DiffusionModel model,
+                      std::uint64_t limit) {
+  if (model == DiffusionModel::kIndependentCascade) {
+    return graph.edge_count() < 63 && (1ULL << graph.edge_count()) <= limit;
+  }
   std::uint64_t outcomes = 1;
   for (NodeId v = 0; v < graph.node_count(); ++v) {
     const std::uint64_t radix = graph.in_neighbors(v).size() + 1;
-    if (outcomes > (1ULL << 12) / radix) return false;
+    if (outcomes > limit / radix) return false;
     outcomes *= radix;
+  }
+  return true;
+}
+
+/// Whether a check has ground truth on the instance — the exact-level
+/// checks run only where enumerate_exact does; everything else is counted
+/// as skipped.
+bool check_applies(const std::string& check, const InstanceSpec& spec) {
+  if (check == "sampler_distribution") {
+    return outcomes_at_most(spec.build_graph(), spec.model, 1ULL << 12);
+  }
+  if (check == "imcaf_guarantee" || check == "dagum_guarantee") {
+    return spec.node_count <= kGuaranteeMaxNodes &&
+           outcomes_at_most(spec.build_graph(), spec.model,
+                            kGuaranteeOutcomes);
   }
   return true;
 }
@@ -1113,6 +1291,8 @@ std::vector<FuzzCheck> default_checks() {
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},
       {"dagum_draw", check_dagum_draw},
+      {"imcaf_guarantee", check_imcaf_guarantee},
+      {"dagum_guarantee", check_dagum_guarantee},
   };
 }
 
@@ -1181,8 +1361,7 @@ FuzzReport run_differential_fuzz(const FuzzConfig& config,
       continue;
     }
     for (const FuzzCheck& check : checks) {
-      if (check.name == "sampler_distribution" &&
-          !distribution_checkable(spec)) {
+      if (!check_applies(check.name, spec)) {
         ++report.checks_skipped;
         continue;
       }

@@ -39,6 +39,14 @@
 //                     draw, X and RNG state alike, plus
 //                     dagum_estimate_benefit vs a replay of Alg. 6 on
 //                     materialized samples: same value, T and convergence.
+//   * imcaf_guarantee — Theorem 7 end to end on enumerably tiny instances:
+//                     OPT by exhaustive k-subset search over exact c(S),
+//                     IMCAF + UBG under many seeds, and the share of runs
+//                     with c(S) < α(1 − ε)·OPT held to δ plus binomial
+//                     slack (α from solver.alpha on the run's pool).
+//   * dagum_guarantee — Alg. 6's (ε′, δ′) guarantee the same way: the
+//                     share of estimates outside (1 ± ε′)·c(S) of the
+//                     exact optimum's benefit held to δ′ plus slack.
 //
 // Runs are driven by (base seed, case index): case i's instance derives
 // from fuzz_case_seed(base, i), so any failure is pinned by a single
