@@ -551,21 +551,17 @@ const CommunitySet& ba_hub_communities() {
   return communities;
 }
 
-// End-to-end Alg. 5 runs, argument {threads}; the solver runs cold at
-// every doubling stage. threads == 0 is
-// the serial schedule (pipeline off, no engine worker pool; UBG's ν lane
-// still runs on default_pool(), DESIGN.md §5); threads > 0 runs the
-// pipelined engine (DESIGN.md §15) with that many workers overlapping each
-// stage's solve/estimate with the next stage's sample generation.
-// Sampling itself stays SERIAL in the rows with 0 or >= 2 threads
-// (parallel_sampling = false) so the pipeline's only lever is the overlap
-// — on a multi-core host the wall-clock should approach
-// max(sampling, solve + estimate) instead of their sum, i.e. the
-// solver_seconds counter disappears from the wall time at >= 2 threads.
-// The one-worker row /1 is the configuration perfbench runs
-// (--workers 1): parallel sampling on a one-worker pool, where the caller
-// that waits on a grow or at the stage boundary samples beside the
-// worker. items_per_second = RIC samples generated end to end.
+// End-to-end Alg. 5 runs, argument {threads}; every doubling stage grows,
+// solves cold, then estimates, one after another (DESIGN.md §15).
+// threads == 0 has no engine worker pool (UBG's ν lane still runs on
+// default_pool(), DESIGN.md §5). Sampling and the stop-stage estimate stay
+// SERIAL in the rows with 0 or >= 2 threads (parallel_sampling = false),
+// so those rows differ only in where UBG's ν lane runs. The one-worker
+// row /1 is the configuration perfbench runs (--workers 1): parallel
+// sampling on a one-worker pool, where the caller that waits on a grow or
+// an estimate block draws beside the worker. items_per_second = RIC
+// samples generated end to end. The overlap, speculative_* and pipeline
+// counters stay in the schema and read zero.
 void BM_ImcafEndToEnd(benchmark::State& state) {
   const Graph& graph = ba_hub_graph();
   const CommunitySet& communities = ba_hub_communities();
@@ -575,7 +571,6 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
   config.seed = 2024;
   config.parallel_sampling = threads == 1;
-  config.pipeline = threads > 0;
   std::unique_ptr<ThreadPool> workers;
   if (threads > 0) workers = std::make_unique<ThreadPool>(threads);
   double sampling_seconds = 0.0;
@@ -610,7 +605,7 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   state.counters["speculative_samples_committed"] = committed / iterations;
   state.counters["speculative_samples_discarded"] = discarded / iterations;
   state.counters["stop_stages"] = stop_stages;
-  state.counters["pipeline"] = config.pipeline ? 1.0 : 0.0;
+  state.counters["pipeline"] = 0.0;
   state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_ImcafEndToEnd)

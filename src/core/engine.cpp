@@ -125,62 +125,38 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     result.samples_generated += metrics.samples_added;
     result.solver_seconds += metrics.solver_seconds;
     result.estimate_seconds += metrics.estimate_seconds;
-    result.overlap_seconds += metrics.overlap_seconds;
-    result.speculative_samples_committed +=
-        metrics.speculative_samples_committed;
-    result.speculative_samples_discarded +=
-        metrics.speculative_samples_discarded;
     context_.record_stage(metrics);
   };
 
-  // Pipelined schedule state (DESIGN.md §15). While this stage's solve and
-  // estimate run, the NEXT doubling batch generates in the background into
-  // `staging` — a sampler-owned buffer that never touches the live pool —
-  // and the stage boundary either commits it (bit-identical to the grow()
-  // it replaces: same substreams, same stitched order, one watermark bump)
-  // or discards it when the stop condition won the race. Declaration order
-  // matters: `spec_job` must die before the staging locals its body writes,
-  // and its destructor cancel+joins, so an exception unwinding out of the
-  // solver or the Estimate can never leave the job running over freed
-  // state.
-  PoolStagingArena staging;
-  double staged_seconds = 0.0;  // generation wall time inside the job
-  BackgroundJob spec_job;
-  ThreadPool* const spec_workers =
-      context_.workers != nullptr ? context_.workers : &default_pool();
-
-  // Speculation policy: the next target is min(cap, |R|·2) — computable
-  // before the solve because the pool is immutable until the boundary —
-  // so a committed batch always matches the grow() the serial schedule
-  // would have issued. No launch when the pool is already at cap (the next
-  // stage, if any, grows nothing) or the run is winding down.
-  const auto launch_speculation = [&]() {
-    if (!config_.pipeline || spec_job.valid()) return;
-    if (pool_.size() >= cap || context_.stop_requested()) return;
-    const std::uint64_t count = std::min(cap, pool_.size() * 2) - pool_.size();
-    spec_job = submit_job(
-        *spec_workers,
-        [this, count, &staging, &staged_seconds](
-            const std::atomic<bool>& cancel) {
-          const Stopwatch stage_watch;
-          pool_.stage_samples(
-              count, config_.seed, config_.parallel_sampling,
-              context_.workers,
-              [this, &cancel] {
-                return cancel.load(std::memory_order_acquire) ||
-                       context_.stop_requested();
-              },
-              staging);
-          staged_seconds = stage_watch.elapsed_seconds();
-        });
+  // Every Estimate (Alg. 6) reads the config seed's RIC positions past the
+  // pool it certifies: a stage's draw j is position |R| + j, so S, which
+  // depends only on [0, |R|), is independent of its estimate (DESIGN.md
+  // §15). `unread` is the first position no estimate of this stage read;
+  // the cap/deadline exit estimate starts there. With parallel sampling
+  // the draws run on the caller and the sampling workers.
+  ThreadPool* const estimate_workers =
+      !config_.parallel_sampling ? nullptr
+      : context_.workers != nullptr ? context_.workers
+                                    : &default_pool();
+  std::uint64_t unread = 0;
+  const auto estimate = [&](std::span<const NodeId> seeds,
+                            std::uint64_t max_samples,
+                            StageMetrics& metrics) {
+    DagumOptions dagum;
+    dagum.eps_prime = params.ssa_eps2();
+    dagum.delta_prime = delta_stage;
+    dagum.max_samples = max_samples;
+    dagum.seed = config_.seed;
+    dagum.first = unread;
+    dagum.model = config_.model;
+    const Stopwatch estimate_watch;
+    const DagumEstimate drawn = dagum_estimate_benefit(
+        *graph_, *communities_, seeds, dagum, context_, estimate_workers);
+    metrics.estimate_seconds += estimate_watch.elapsed_seconds();
+    metrics.estimate_samples += drawn.samples;
+    unread += drawn.samples;
+    return drawn;
   };
-
-  // Pipeline fields of the NEXT stage's metrics row, set at the boundary
-  // that feeds it (mirrors the stage_samples/stage_sampling carry).
-  bool stage_pipelined = false;
-  double stage_overlap = 0.0;
-  std::uint64_t stage_committed = 0;
-  std::uint64_t stage_discarded = 0;
 
   // The row of the stage in progress. A terminal stage's row is recorded
   // after the loop, so it also carries the cap/deadline-exit estimate.
@@ -193,18 +169,7 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     metrics.pool_size = pool_.size();
     metrics.samples_added = stage_samples;
     metrics.sampling_seconds = stage_sampling;
-    metrics.pipelined = stage_pipelined;
-    metrics.overlap_seconds = stage_overlap;
-    metrics.speculative_samples_committed = stage_committed;
-    metrics.speculative_samples_discarded = stage_discarded;
-    stage_samples = 0;
-    stage_sampling = 0.0;
-    stage_pipelined = false;
-    stage_overlap = 0.0;
-    stage_committed = 0;
-    stage_discarded = 0;
-
-    launch_speculation();
+    unread = pool_.size();
 
     const Stopwatch solve_watch;
     solution = solver.solve(pool_, k);
@@ -215,27 +180,20 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     // Line 8 of Alg. 5: (|R|/b)·ĉ_R(S) = #influenced samples >= Λ.
     const std::uint64_t influenced = pool_.influenced_count(solution.seeds);
     if (static_cast<double>(influenced) >= result.lambda) {
-      // Line 9: independent estimate of c(S) on FRESH samples (Alg. 6).
-      DagumOptions dagum;
-      dagum.eps_prime = params.ssa_eps2();
-      dagum.delta_prime = delta_stage;
-      dagum.seed = config_.seed ^ (0xABCD1234ULL * result.stop_stages);
-      dagum.model = config_.model;
+      // Line 9: independent estimate of c(S) on fresh samples (Alg. 6).
       const double e2 = params.ssa_eps2();
       const double e3 = params.ssa_eps3();
-      dagum.max_samples = static_cast<std::uint64_t>(std::ceil(
-          static_cast<double>(pool_.size()) * (1.0 + e2) / (1.0 - e2) *
-          (e3 * e3) / (e2 * e2)));
-      dagum.max_samples = std::max<std::uint64_t>(dagum.max_samples, 1000);
-      const Stopwatch estimate_watch;
-      const DagumEstimate estimate = dagum_estimate_benefit(
-          *graph_, *communities_, solution.seeds, dagum, context_);
-      metrics.estimate_seconds = estimate_watch.elapsed_seconds();
-      metrics.estimate_samples = estimate.samples;
+      const auto max_samples = std::max<std::uint64_t>(
+          static_cast<std::uint64_t>(std::ceil(
+              static_cast<double>(pool_.size()) * (1.0 + e2) / (1.0 - e2) *
+              (e3 * e3) / (e2 * e2))),
+          1000);
+      const DagumEstimate stage_estimate =
+          estimate(solution.seeds, max_samples, metrics);
       // Line 10: accept when the pool does not over-estimate the benefit.
-      if (estimate.converged &&
-          solution.c_hat <= (1.0 + params.ssa_eps1()) * estimate.value) {
-        result.estimated_benefit = estimate.value;
+      if (stage_estimate.converged &&
+          solution.c_hat <= (1.0 + params.ssa_eps1()) * stage_estimate.value) {
+        result.estimated_benefit = stage_estimate.value;
         metrics.accepted = true;
         break;
       }
@@ -253,79 +211,20 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     }
     record_stage(metrics);
 
-    // Stage boundary: the serial schedule grows here; the pipelined one
-    // harvests the background batch instead. The speculation is valid
-    // exactly when it targeted THIS boundary's grow (base/count/seed all
-    // match — a solve never mutates the pool, so only a cancelled staging
-    // can miss); anything else falls back to the synchronous grow, which
-    // regenerates the identical samples from the same substreams.
-    const std::uint64_t target = std::min(cap, pool_.size() * 2);
-    stage_samples = target - pool_.size();
-    bool committed = false;
-    if (spec_job.valid()) {
-      const Stopwatch wait_watch;
-      spec_job.join();
-      const double wait_seconds = wait_watch.elapsed_seconds();
-      if (staging.complete() && staging.base() == pool_.size() &&
-          staging.count() == stage_samples &&
-          staging.seed() == config_.seed &&
-          staging.epoch() == pool_.grow_epoch()) {
-        const Stopwatch commit_watch;
-        pool_.commit_staged(std::move(staging), config_.parallel_sampling,
-                            context_.workers);
-        const double commit_seconds = commit_watch.elapsed_seconds();
-        // sampling_seconds stays "time spent generating + splicing" so the
-        // realized-throughput numbers compare across schedules; the hidden
-        // slice (generation minus what the boundary actually waited) is
-        // reported separately as overlap.
-        stage_sampling = staged_seconds + commit_seconds;
-        stage_overlap = std::max(0.0, staged_seconds - wait_seconds);
-        stage_pipelined = true;
-        stage_committed = stage_samples;
-        committed = true;
-        log(LogLevel::kDebug)
-            << "IMCAF commit: " << stage_samples << " staged samples in "
-            << commit_seconds << " s (" << stage_overlap
-            << " s generation hidden), |R|=" << pool_.size();
-      } else {
-        // Cancelled mid-staging (deadline raced the stop check): drop the
-        // partial batch and regrow synchronously — identical samples by
-        // the substream contract. The next row carries the discard count.
-        stage_discarded = staging.staged_count();
-        staging.clear();
-      }
-    }
-    if (!committed) stage_sampling = timed_grow(stage_samples);
+    // Stage boundary: double the pool, clamped to the cap.
+    stage_samples = std::min(cap, pool_.size() * 2) - pool_.size();
+    stage_sampling = timed_grow(stage_samples);
   }
 
-  // The terminal stage (accept/deadline/cap) invalidates the in-flight
-  // speculation: cancel, join, and account the partial batch as discarded
-  // on its row (nothing launches at cap). Regenerating later (a subsequent
-  // query on the shared pool) reproduces the identical samples by the
-  // substream contract, so discarding loses work, never determinism.
-  if (spec_job.valid()) {
-    spec_job.cancel();
-    spec_job.join();
-    metrics.speculative_samples_discarded += staging.staged_count();
-    staging.clear();
-  }
   result.seeds = std::move(solution.seeds);
   result.c_hat = solution.c_hat;
   result.samples_used = pool_.size();
   if (result.estimated_benefit == 0.0 && !result.seeds.empty()) {
     // Cap/deadline exit: still report an independent estimate.
-    DagumOptions dagum;
-    dagum.eps_prime = params.ssa_eps2();
-    dagum.delta_prime = delta_stage;
-    dagum.seed = config_.seed ^ 0xFEEDFACEULL;
-    dagum.model = config_.model;
-    dagum.max_samples = std::max<std::uint64_t>(pool_.size(), 10'000);
-    const Stopwatch estimate_watch;
-    const DagumEstimate estimate = dagum_estimate_benefit(
-        *graph_, *communities_, result.seeds, dagum, context_);
-    metrics.estimate_seconds += estimate_watch.elapsed_seconds();
-    metrics.estimate_samples += estimate.samples;
-    result.estimated_benefit = estimate.value;
+    result.estimated_benefit =
+        estimate(result.seeds, std::max<std::uint64_t>(pool_.size(), 10'000),
+                 metrics)
+            .value;
   }
   record_stage(metrics);
   result.runtime_seconds = watch.elapsed_seconds();

@@ -1,30 +1,24 @@
 // ImcEngine — the staged IMCAF driver (paper Alg. 5) behind imcaf_solve.
 //
 // The engine owns the RIC sample pool and runs the SSA-style doubling loop
-// as three cooperating layers:
-//   sampling   — RicPool growth, watermarked by PoolEpoch so a staged
-//                speculative batch can tell whether the pool moved;
+// as three layers, one after another at every stop stage (DESIGN.md §15):
+//   sampling   — RicPool growth to the stage's size (parallel on the
+//                sampling workers when ImcafConfig::parallel_sampling);
 //   core       — the MAXR solver, run cold on the pool at every stage;
-//   estimation — the stop-stage Dagum Estimate, deadline-aware through
-//                the ExecutionContext.
+//   estimation — the stop-stage Dagum Estimate on the RIC positions past
+//                the pool, on the caller plus the sampling workers, and
+//                deadline-aware through the ExecutionContext.
 // Keeping the pool in the engine (instead of a local of imcaf_solve) is
 // what enables solve_many: several (k, solver) queries amortize one
 // sample pool, each paying only the growth its own stop stages demand.
 //
-// Determinism: for a fresh engine, solve(k, solver) reproduces the
-// pre-engine imcaf_solve bit-for-bit — same seed derivations, same growth
-// schedule, same stage math; golden pins in tests/core/engine_test.cpp
-// hold the recorded outputs. The ExecutionContext adds only *optional*
-// behavior (deadline, cancellation, metrics) that is inert by default.
-//
-// Pipelining (ImcafConfig::pipeline, DESIGN.md §15): each stage's solve
-// and stop-estimate overlap with speculative background generation of the
-// next doubling batch into a PoolStagingArena; the stage boundary commits
-// the batch through the regular merge (or discards it when the stop
-// condition fired first). The speculative batch uses the same per-sample
-// RNG substreams and stitched order as the grow() it replaces, so the
-// pipelined schedule is bit-identical to the serial one — the golden pins
-// hold with the pipeline on and off, at any thread count.
+// Determinism: the pool position p is drawn from the substream
+// splitmix_of(config.seed, p) whether the pool or an Estimate reads it,
+// and every layer reduces in position order, so an ImcafResult is the
+// same at every thread count and with parallel_sampling on or off; golden
+// pins in tests/core/engine_test.cpp hold the recorded outputs. The
+// ExecutionContext adds only *optional* behavior (deadline, cancellation,
+// metrics) that is inert by default.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +80,7 @@ class ImcEngine {
   /// `graph` and `communities` MUST be the exact objects this engine was
   /// constructed over (identity-checked; the engine holds const views, so
   /// the caller supplies the mutable aliases) — std::invalid_argument
-  /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs, which
-  /// invalidates any staged speculative batch (the pipeline's commit check
-  /// rejects it and regrows synchronously).
+  /// otherwise, nothing mutated. A repair bumps PoolEpoch::repairs.
   /// A move that would grow a community past kMaxCommunityPopulation is
   /// rejected by the free apply_delta() before anything mutates. One case
   /// still gives only the basic guarantee: on an LT engine, an edge update

@@ -29,14 +29,11 @@ struct ImcafConfig {
   /// conservative on real inputs; benches set this to bound memory/time
   /// exactly like the paper's runtime limit.
   std::uint64_t max_samples = 0;
+  /// Grow the pool and draw each stop-stage Estimate on the caller plus
+  /// the context's workers (default_pool() when none). Results are the
+  /// same either way: every sample and every Estimate draw reads its own
+  /// positional RNG substream (DESIGN.md §15).
   bool parallel_sampling = true;
-  /// Overlap each stage's solve/estimate with speculative generation of
-  /// the NEXT stage's samples into a staging arena, committed at the stage
-  /// boundary (DESIGN.md §15). Results are BIT-IDENTICAL either way — the
-  /// committed batch uses the same RNG substreams and merge as the serial
-  /// schedule; off exists for benchmarking the serial baseline and for
-  /// hosts where the background thread is pure overhead.
-  bool pipeline = true;
 };
 
 struct ImcafResult {
@@ -64,11 +61,9 @@ struct ImcafResult {
   /// that completed — never empty, since stopping is only checked after a
   /// solve.
   bool reached_deadline = false;
-  /// Pipelined-execution accounting (all zero when ImcafConfig::pipeline
-  /// is off or no speculation ran): sampling time hidden under the
-  /// solve/estimate phases (generation seconds minus the boundary wait),
-  /// and how many speculatively generated samples were committed vs
-  /// thrown away because the stop condition fired first.
+  /// Speculative-growth accounting of an earlier pipelined schedule. The
+  /// engine runs its stages one after another and leaves these at zero;
+  /// they stay for the readers of the benchmark counter schema.
   double overlap_seconds = 0.0;
   std::uint64_t speculative_samples_committed = 0;
   std::uint64_t speculative_samples_discarded = 0;

@@ -1,7 +1,6 @@
 #include "sampling/ric_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -26,11 +25,10 @@ ThreadPool* sampling_pool(bool parallel, ThreadPool* workers) {
   return workers != nullptr ? workers : &default_pool();
 }
 
-/// Target samples per staging part. Staging runs as one task per part, so
-/// a batch splits into many small tasks and a thread that joins the
-/// staging job late (the engine's stage boundary) still finds parts left
-/// to help-run instead of idling behind the one worker generating them.
-constexpr std::uint64_t kStagePartSamples = 256;
+/// Target samples per generation part. Each part is one pool task, so a
+/// batch splits into many small tasks and the caller that help-runs
+/// while it waits always finds parts left beside the workers.
+constexpr std::uint64_t kPartSamples = 256;
 
 /// One sample's evaluator slot: the reached-member mask fused with its
 /// epoch mark and threshold into 16 bytes, so both the accumulation sweep
@@ -245,7 +243,7 @@ void RicPool::check_capacity(std::uint64_t count) const {
   }
 }
 
-std::unique_ptr<RicSampler> RicPool::acquire_sampler() const {
+std::unique_ptr<RicSampler> RicPool::acquire_sampler() {
   {
     const std::lock_guard<std::mutex> lock(sampler_mutex_);
     if (!sampler_cache_.empty()) {
@@ -257,7 +255,7 @@ std::unique_ptr<RicSampler> RicPool::acquire_sampler() const {
   return std::make_unique<RicSampler>(*graph_, *communities_, model_);
 }
 
-void RicPool::release_sampler(std::unique_ptr<RicSampler> sampler) const {
+void RicPool::release_sampler(std::unique_ptr<RicSampler> sampler) {
   const std::lock_guard<std::mutex> lock(sampler_mutex_);
   sampler_cache_.push_back(std::move(sampler));
 }
@@ -272,17 +270,58 @@ void RicPool::register_metadata(CommunityId community, std::uint32_t threshold,
 
 void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
                    ThreadPool* workers) {
-  PoolStagingArena staged;
-  stage_samples(count, seed, parallel, workers, {}, staged);
-  commit_staged(std::move(staged), parallel, workers);
+  if (count == 0) return;  // an empty batch is no growth operation
+  check_capacity(count);
+  ThreadPool* const pool = sampling_pool(parallel, workers);
+  const std::uint64_t base = size();
+  std::vector<GeneratedPart> parts;
+  generate_parts(
+      count, seed, [base](std::uint64_t i) { return base + i; }, pool, parts);
+
+  // Stitch the part arenas into the sample-major arena in part order
+  // (= global sample order): prefix-sum the part sizes, bulk-copy each
+  // part into its slot, then append the metadata serially. The bytes do
+  // not depend on the part count.
+  std::vector<std::uint64_t> part_base(parts.size() + 1, 0);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    part_base[p + 1] = part_base[p] + parts[p].touches.size();
+  }
+  const std::uint64_t old_arena = sample_arena_.size();
+  sample_arena_.resize_for_overwrite(old_arena + part_base.back());
+  const auto stitch_parts = [&](std::uint64_t begin, std::uint64_t end,
+                                unsigned /*chunk*/) {
+    for (std::uint64_t p = begin; p < end; ++p) {
+      std::copy(parts[p].touches.begin(), parts[p].touches.end(),
+                sample_arena_.begin() +
+                    static_cast<std::ptrdiff_t>(old_arena + part_base[p]));
+    }
+  };
+  if (pool == nullptr) {
+    stitch_parts(0, parts.size(), 0);
+  } else {
+    parallel_for(*pool, parts.size(), stitch_parts);
+  }
+
+  thresholds_.reserve(thresholds_.size() + count);
+  source_community_.reserve(source_community_.size() + count);
+  sample_offsets_.reserve(sample_offsets_.size() + count);
+  for (const GeneratedPart& part : parts) {
+    for (const RicSampleMeta& meta : part.metas) {
+      register_metadata(meta.community, meta.threshold, meta.touch_count);
+    }
+  }
+
+  // Merge the fresh batch into the CSR eagerly, then bump the watermark
+  // exactly once.
+  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
+  ++grows_;
 }
 
 template <typename IndexOf>
 void RicPool::generate_parts(std::uint64_t count, std::uint64_t seed,
                              IndexOf index_of, ThreadPool* pool,
-                             const std::function<bool()>& cancelled,
-                             PoolStagingArena& out) const {
-  // Fixed (count, pool size) -> part mapping: ~kStagePartSamples per part,
+                             std::vector<GeneratedPart>& out) {
+  // Fixed (count, pool size) -> part mapping: ~kPartSamples per part,
   // one pool task each. The part structure only decides buffer boundaries:
   // every caller concatenates the parts in order, so the bytes it splices
   // do not depend on it.
@@ -291,26 +330,18 @@ void RicPool::generate_parts(std::uint64_t count, std::uint64_t seed,
           ? 1
           : std::min<std::uint64_t>(
                 count, std::max<std::uint64_t>(
-                           ceil_div(count, kStagePartSamples),
+                           ceil_div(count, kPartSamples),
                            static_cast<std::uint64_t>(pool->size()) * 4));
   const auto part_begin = [&](std::uint64_t p) { return count * p / parts; };
-  out.parts_.resize(parts);
+  out.resize(parts);
 
-  std::atomic<bool> stopped{false};
   const auto generate_part = [&](std::uint64_t p) {
-    if (stopped.load(std::memory_order_relaxed)) return;
-    PoolStagingArena::Part& part = out.parts_[p];
+    GeneratedPart& part = out[p];
     const std::uint64_t lo = part_begin(p);
     const std::uint64_t hi = part_begin(p + 1);
     part.metas.reserve(hi - lo);
     std::unique_ptr<RicSampler> sampler = acquire_sampler();
     for (std::uint64_t i = lo; i < hi; ++i) {
-      // Polled per sample: speculation must wind down promptly when the
-      // engine cancels it (stop condition fired, deadline expired).
-      if (cancelled && cancelled()) {
-        stopped.store(true, std::memory_order_relaxed);
-        break;
-      }
       // One substream per global sample index, so the samples do not
       // depend on the part mapping or on which batch produced them.
       Rng rng(splitmix_of(seed, index_of(i)));
@@ -324,107 +355,6 @@ void RicPool::generate_parts(std::uint64_t count, std::uint64_t seed,
     parallel_for_shards(*pool, static_cast<unsigned>(parts),
                         [&](unsigned p) { generate_part(p); });
   }
-  out.complete_ = !stopped.load(std::memory_order_relaxed);
-}
-
-void RicPool::stage_samples(std::uint64_t count, std::uint64_t seed,
-                            bool parallel, ThreadPool* workers,
-                            const std::function<bool()>& cancelled,
-                            PoolStagingArena& out) const {
-  out.clear();
-  out.base_ = size();
-  out.count_ = count;
-  out.seed_ = seed;
-  out.epoch_ = grow_epoch();
-  if (count == 0) {
-    out.complete_ = true;
-    return;
-  }
-  check_capacity(count);
-  const std::uint64_t base = out.base_;
-  generate_parts(
-      count, seed, [base](std::uint64_t i) { return base + i; },
-      sampling_pool(parallel, workers), cancelled, out);
-}
-
-void RicPool::commit_staged(PoolStagingArena&& staged, bool parallel,
-                            ThreadPool* workers) {
-  if (!staged.complete_) {
-    throw std::invalid_argument(
-        "RicPool::commit_staged: staging arena is incomplete (staging was "
-        "cancelled or never ran)");
-  }
-  if (staged.base_ != size() || !(staged.epoch_ == grow_epoch())) {
-    throw std::invalid_argument(
-        "RicPool::commit_staged: stale staging arena (the pool grew since "
-        "stage_samples captured it)");
-  }
-  if (staged.count_ == 0) {
-    staged.clear();
-    return;  // an empty batch (grow(0)) is no growth operation
-  }
-  check_capacity(staged.count_);
-
-  ThreadPool* const pool = sampling_pool(parallel, workers);
-
-  // Stitch the staged part arenas into the sample-major arena in part
-  // order (= global sample order): prefix-sum the part sizes, bulk-copy
-  // each part into its slot, then append the metadata serially. The
-  // committed bytes do not depend on the staging part count.
-  const std::uint64_t parts = staged.parts_.size();
-  std::vector<std::uint64_t> part_base(parts + 1, 0);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    part_base[p + 1] = part_base[p] + staged.parts_[p].touches.size();
-  }
-  const std::uint64_t old_arena = sample_arena_.size();
-  sample_arena_.resize_for_overwrite(old_arena + part_base[parts]);
-  const auto stitch_parts = [&](std::uint64_t begin, std::uint64_t end,
-                                unsigned /*chunk*/) {
-    for (std::uint64_t p = begin; p < end; ++p) {
-      std::copy(staged.parts_[p].touches.begin(),
-                staged.parts_[p].touches.end(),
-                sample_arena_.begin() +
-                    static_cast<std::ptrdiff_t>(old_arena + part_base[p]));
-    }
-  };
-  if (pool == nullptr) {
-    stitch_parts(0, parts, 0);
-  } else {
-    parallel_for(*pool, parts, stitch_parts);
-  }
-
-  thresholds_.reserve(thresholds_.size() + staged.count_);
-  source_community_.reserve(source_community_.size() + staged.count_);
-  sample_offsets_.reserve(sample_offsets_.size() + staged.count_);
-  for (std::uint64_t p = 0; p < parts; ++p) {
-    for (const RicSampleMeta& meta : staged.parts_[p].metas) {
-      register_metadata(meta.community, meta.threshold, meta.touch_count);
-    }
-  }
-
-  // Merge the fresh batch into the CSR eagerly, then bump the watermark
-  // exactly once: grow() is this same stage + commit.
-  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
-  ++grows_;
-  staged.clear();
-}
-
-std::uint64_t PoolStagingArena::staged_count() const noexcept {
-  std::uint64_t total = 0;
-  for (const Part& part : parts_) total += part.metas.size();
-  return total;
-}
-
-void PoolStagingArena::clear() noexcept {
-  for (Part& part : parts_) {
-    part.touches.clear();
-    part.metas.clear();
-  }
-  base_ = 0;
-  count_ = 0;
-  seed_ = 0;
-  epoch_ = RicPool::PoolEpoch{};
-  complete_ = false;
 }
 
 void RicPool::append(RicSample sample) {
@@ -693,7 +623,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   }
 
   if (stats.total == 0) {
-    ++repairs_;  // future samples may differ: stale stagers must not commit
+    ++repairs_;  // future samples may differ
     return stats;
   }
 
@@ -730,9 +660,9 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // would feed sample g — through the same part loop growth uses, with
   // position j of the repair order mapped to sample repair_ids[j].
   const std::uint64_t count = repair_ids.size();
-  PoolStagingArena regenerated;
+  std::vector<GeneratedPart> regenerated;
   generate_parts(
-      count, seed, [&](std::uint64_t j) { return repair_ids[j]; }, pool, {},
+      count, seed, [&](std::uint64_t j) { return repair_ids[j]; }, pool,
       regenerated);
 
   // Flatten the parts (contiguous runs of repair order, so concatenation
@@ -741,7 +671,7 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   std::vector<const RicSampleMeta*> repaired_meta(count);
   {
     std::uint64_t j = 0;
-    for (const PoolStagingArena::Part& part : regenerated.parts_) {
+    for (const GeneratedPart& part : regenerated) {
       std::uint64_t offset = 0;
       for (const RicSampleMeta& meta : part.metas) {
         repaired_data[j] = part.touches.data() + offset;
@@ -865,11 +795,6 @@ std::vector<RicPool::SampleShard> RicPool::selection_shards(
                                   std::min(samples, begin + span))});
   }
   return out;
-}
-
-std::uint64_t RicPool::splitmix_of(std::uint64_t seed, std::uint64_t index) {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
-  return splitmix64(state);
 }
 
 std::uint64_t RicPool::influenced_count(std::span<const NodeId> seeds) const {

@@ -12,12 +12,11 @@
 // AoS sample store: the sample-major arena (`sample_offsets_` +
 // `sample_arena_`) IS the canonical per-sample storage, and `sample()`
 // materializes a RicSample view on demand (serialization/tests only).
-// One sample generator (DESIGN.md §9): `stage_samples()` fills per-part
-// arenas via `RicSampler::generate_into`, `commit_staged()` stitches them
-// into the sample-major arena in index order, and `grow()` is exactly that
-// stage + commit. The CSR is rebuilt incrementally: every mutation
-// (`commit_staged()`, `append()`) merges its fresh samples with a two-pass
-// build (per-chunk count, exclusive prefix-sum, parallel scatter) before
+// One sample generator (DESIGN.md §9): `grow()` fills per-part arenas
+// via `RicSampler::generate_into` and stitches them into the sample-major
+// arena in index order. The CSR is rebuilt incrementally: every mutation
+// (`grow()`, `append()`) merges its fresh samples with a two-pass build
+// (per-chunk count, exclusive prefix-sum, parallel scatter) before
 // returning, so the index is never stale and const readers never write.
 // A delta repair regenerates through the same part loop and patches both
 // arenas in place (DESIGN.md §16).
@@ -25,7 +24,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -42,7 +40,6 @@
 namespace imc {
 
 class ThreadPool;
-class PoolStagingArena;
 
 class RicPool {
  public:
@@ -58,14 +55,12 @@ class RicPool {
   };
   static_assert(sizeof(Touch) == 16, "Touch must stay two words");
 
-  /// Growth watermark, captured by grow_epoch(). A staging arena records
-  /// it at stage time and commit_staged() requires it unchanged; snapshots
-  /// persist it. `grows` counts completed grow()/append() operations, so a
-  /// pool that was rebuilt to the same size still reads as a different
-  /// lineage. `repairs` counts completed invalidate_and_repair() calls: a
-  /// repair rewrites samples IN PLACE (size and grows unchanged), so a
-  /// staged batch keys on it to detect that the prefix it was staged
-  /// against is no longer the prefix the pool serves (DESIGN.md §16).
+  /// Growth watermark, captured by grow_epoch(); snapshots persist it.
+  /// `grows` counts completed grow()/append() operations, so a pool that
+  /// was rebuilt to the same size still reads as a different lineage.
+  /// `repairs` counts completed invalidate_and_repair() calls: a repair
+  /// rewrites samples IN PLACE (size and grows unchanged), so the counter
+  /// is what tells a repaired pool from the one before it (DESIGN.md §16).
   struct PoolEpoch {
     std::uint64_t samples = 0;  // pool size at capture
     std::uint64_t grows = 0;    // growth operations completed at capture
@@ -83,48 +78,19 @@ class RicPool {
   RicPool& operator=(const RicPool&) = delete;
 
   /// Appends `count` fresh samples, deterministically derived from `seed`
-  /// and the current pool size (so grow(a); grow(b) == grow(a+b) given the
-  /// same base seed, for ANY parallelism/worker combination — per-sample
-  /// RNG substreams make chunking irrelevant). A synchronous
-  /// stage_samples() into a local arena (no cancel predicate) followed by
-  /// commit_staged(), so a direct grow and a committed stage are one code
-  /// path. When `parallel` is set the generation runs on `workers`
-  /// (default_pool() when null) plus the calling thread, which help-runs
-  /// parts while it waits. Throws std::length_error once sample ids would
-  /// no longer fit in 32 bits.
+  /// and the current pool size: sample i is drawn from the RNG substream
+  /// splitmix_of(seed, size() + i), so grow(a); grow(b) == grow(a + b)
+  /// given the same base seed, for ANY parallelism/worker combination.
+  /// Generation runs in parts of ~256 samples (one part when serial), each
+  /// emitted into its own arena and stitched in index order; the CSR
+  /// index is merged and the growth watermark bumped once. When
+  /// `parallel` is set the parts run on `workers` (default_pool() when
+  /// null) plus the calling thread, which help-runs parts while it waits.
+  /// Sampler instances are cached and reused across parts and calls (no
+  /// O(n) scratch construction per part). Throws std::length_error once
+  /// sample ids would no longer fit in 32 bits.
   void grow(std::uint64_t count, std::uint64_t seed, bool parallel = true,
             ThreadPool* workers = nullptr);
-
-  /// Generates the samples grow(count, seed, ...) appends next — per-sample
-  /// RNG substreams splitmix_of(seed, size() + i), one part when serial and
-  /// ~256 samples per part otherwise, each part emitted into its own arena
-  /// via RicSampler::generate_into — into caller-owned staging buffers
-  /// without touching the pool (const: the live arenas, the CSR index and
-  /// the PoolEpoch watermark are all unchanged). `commit_staged` later
-  /// splices the batch in, or the staging arena is simply dropped when the
-  /// speculation missed. Sampler instances are cached and reused across
-  /// parts and calls (no O(n) scratch construction per part). `cancelled`
-  /// (may be empty) is polled once per sample; on cancellation the arena is
-  /// left incomplete (complete() == false) and commit will refuse it. Safe
-  /// to run concurrently with const readers of this pool (the engine
-  /// overlaps it with solve/estimate); the only shared mutable state is the
-  /// mutex-guarded sampler cache. Throws std::length_error when the batch
-  /// would overflow 32-bit sample ids.
-  void stage_samples(std::uint64_t count, std::uint64_t seed, bool parallel,
-                     ThreadPool* workers,
-                     const std::function<bool()>& cancelled,
-                     PoolStagingArena& out) const;
-
-  /// Appends a batch staged by stage_samples() to the pool — stitch into
-  /// the sample-major arena in index order, register metadata, merge the
-  /// CSR index with the two-pass build, bump the growth watermark — so
-  /// the resulting pool (content AND PoolEpoch) is bit-identical to having
-  /// called grow(staged.count(), staged.seed()) at the staging point.
-  /// Consumes the arena (left cleared). Throws std::invalid_argument when
-  /// the arena is incomplete (cancelled staging) or stale (the pool grew
-  /// since staging — base/epoch mismatch); the pool is untouched then.
-  void commit_staged(PoolStagingArena&& staged, bool parallel = true,
-                     ThreadPool* workers = nullptr);
 
   /// Appends one externally produced sample (tests, hand-made pools).
   /// Validates community id, threshold and touching node ids; throws
@@ -145,7 +111,7 @@ class RicPool {
   /// Outcome of invalidate_and_repair(): how much of the pool had to be
   /// regenerated. `repaired == 0` means the delta could not have changed
   /// any existing sample (the epoch still bumps — future samples could
-  /// differ, so staged arenas must not survive).
+  /// differ).
   struct RepairStats {
     std::uint64_t repaired = 0;  // samples regenerated in place
     std::uint64_t total = 0;     // pool size at repair time
@@ -178,10 +144,9 @@ class RicPool {
   /// write, so nothing throws once the pool is being rewritten. The
   /// community_frequency counters are recounted, not drifted. Bumps
   /// PoolEpoch::repairs when any sample was regenerated OR any future
-  /// sample could differ (i.e. whenever `effects` is non-empty),
-  /// invalidating staged arenas. Returns how many
-  /// samples were repaired. Not safe to run concurrently with readers or
-  /// stagers of this pool. Throws std::invalid_argument (pool untouched)
+  /// sample could differ (i.e. whenever `effects` is non-empty). Returns
+  /// how many samples were repaired. Not safe to run concurrently with
+  /// readers of this pool. Throws std::invalid_argument (pool untouched)
   /// when the mutated structures violate sampling invariants — community
   /// population > kMaxCommunityPopulation, LT in-weight sums > 1.
   RepairStats invalidate_and_repair(const DeltaEffects& effects,
@@ -354,32 +319,32 @@ class RicPool {
   [[nodiscard]] DiffusionModel model() const noexcept { return model_; }
 
  private:
-  /// Per-sample RNG seed derivation (stable across chunkings).
-  [[nodiscard]] static std::uint64_t splitmix_of(std::uint64_t seed,
-                                                 std::uint64_t index);
-
   /// Throws std::length_error when adding `count` samples would push ids
   /// past the 32-bit Touch::sample range.
   void check_capacity(std::uint64_t count) const;
 
-  /// The one sample generator behind stage_samples(), grow() and
-  /// invalidate_and_repair(): fills `out`'s parts with the samples
-  /// index_of(0), ..., index_of(count - 1), sample index_of(i) drawn from
-  /// Rng(splitmix_of(seed, index_of(i))). Parts hold contiguous runs of i,
-  /// so concatenating them in order yields i order for any part count.
-  /// Runs serially when `pool` is null; `cancelled` (may be empty) is
-  /// polled once per sample and sets out.complete() false when it fires.
+  /// One generation part: a contiguous run of a batch's sample indices,
+  /// its touch pairs emitted arena-direct by RicSampler::generate_into.
+  struct GeneratedPart {
+    RicSampler::TouchArena touches;
+    std::vector<RicSampleMeta> metas;
+  };
+
+  /// The one sample generator behind grow() and invalidate_and_repair():
+  /// fills `out` with the samples index_of(0), ..., index_of(count - 1),
+  /// sample index_of(i) drawn from Rng(splitmix_of(seed, index_of(i))).
+  /// Parts hold contiguous runs of i, so concatenating them in order
+  /// yields i order for any part count. Runs serially when `pool` is null.
   template <typename IndexOf>
   void generate_parts(std::uint64_t count, std::uint64_t seed,
                       IndexOf index_of, ThreadPool* pool,
-                      const std::function<bool()>& cancelled,
-                      PoolStagingArena& out) const;
+                      std::vector<GeneratedPart>& out);
 
   /// Pops a cached sampler or constructs one; return via release_sampler.
-  /// Const because read-side producers (stage_samples) borrow samplers
-  /// too; the cache is mutable state guarded by sampler_mutex_.
-  [[nodiscard]] std::unique_ptr<RicSampler> acquire_sampler() const;
-  void release_sampler(std::unique_ptr<RicSampler> sampler) const;
+  /// Parts on different workers borrow samplers concurrently, so the
+  /// cache is guarded by sampler_mutex_.
+  [[nodiscard]] std::unique_ptr<RicSampler> acquire_sampler();
+  void release_sampler(std::unique_ptr<RicSampler> sampler);
 
   /// Registers one sample's metadata (SoA mirrors + community counter +
   /// sample-major offset for `touch_count` freshly appended arena pairs).
@@ -421,10 +386,9 @@ class RicPool {
   ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena_;
 
   // Cached RicSampler instances, reused across generation parts and calls
-  // so repeated growth never reconstructs O(n) scratch buffers. Mutable:
-  // const staging reuses the cache under the mutex.
-  mutable std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
-  mutable std::mutex sampler_mutex_;
+  // so repeated growth never reconstructs O(n) scratch buffers.
+  std::vector<std::unique_ptr<RicSampler>> sampler_cache_;
+  std::mutex sampler_mutex_;
 
   // Flat CSR inverted index over samples [0, indexed_samples_); every
   // mutation merges its fresh samples before returning, so outside one
@@ -432,61 +396,6 @@ class RicPool {
   ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
   ArenaVector<Touch> touches_;                // contiguous arena
   std::uint64_t indexed_samples_ = 0;
-};
-
-/// Sampler-owned staging buffers for one speculative growth batch — the
-/// double-buffer half of the pipelined engine (DESIGN.md §15). Holds the
-/// per-part touch arenas and metadata stage_samples() produced, plus the
-/// provenance (base size, seed, epoch at staging) commit_staged() checks
-/// before splicing the batch into the live pool. A default-constructed
-/// arena is empty and reusable across stages: commit and clear both reset
-/// it, and the buffers keep their capacity for the next staging round.
-class PoolStagingArena {
- public:
-  PoolStagingArena() = default;
-  PoolStagingArena(PoolStagingArena&&) noexcept = default;
-  PoolStagingArena& operator=(PoolStagingArena&&) noexcept = default;
-  PoolStagingArena(const PoolStagingArena&) = delete;
-  PoolStagingArena& operator=(const PoolStagingArena&) = delete;
-
-  /// True once stage_samples() generated the full batch (not cancelled).
-  [[nodiscard]] bool complete() const noexcept { return complete_; }
-  /// Requested batch size (what commit will append when complete).
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  /// Pool size at staging time — the batch's sample ids start here.
-  [[nodiscard]] std::uint64_t base() const noexcept { return base_; }
-  /// Seed the substreams were derived from.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// Full pool watermark at staging time. Besides the base()/size match,
-  /// commit requires this to still equal the pool's grow_epoch() — in
-  /// particular a delta repair between staging and commit (which rewrites
-  /// samples without changing the size) bumps PoolEpoch::repairs and
-  /// makes the staged batch stale, since it was generated from the
-  /// pre-delta graph.
-  [[nodiscard]] RicPool::PoolEpoch epoch() const noexcept { return epoch_; }
-  /// Samples actually generated so far (== count() when complete; the
-  /// partial progress of a cancelled staging otherwise).
-  [[nodiscard]] std::uint64_t staged_count() const noexcept;
-
-  /// Drops any staged content; capacity is retained for reuse.
-  void clear() noexcept;
-
- private:
-  friend class RicPool;
-
-  /// One generation part: a contiguous run of the batch's sample indices,
-  /// its touch pairs emitted arena-direct by RicSampler::generate_into.
-  struct Part {
-    RicSampler::TouchArena touches;
-    std::vector<RicSampleMeta> metas;
-  };
-
-  std::vector<Part> parts_;
-  std::uint64_t base_ = 0;
-  std::uint64_t count_ = 0;
-  std::uint64_t seed_ = 0;
-  RicPool::PoolEpoch epoch_;
-  bool complete_ = false;
 };
 
 }  // namespace imc

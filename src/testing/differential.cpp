@@ -31,8 +31,7 @@ namespace imc::testing {
 
 std::uint64_t fuzz_case_seed(std::uint64_t base_seed,
                              std::uint64_t index) noexcept {
-  std::uint64_t state = base_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
-  return splitmix64(state);
+  return splitmix_of(base_seed, index);
 }
 
 namespace {
@@ -478,110 +477,6 @@ std::optional<std::string> check_kernel_variants(const InstanceSpec& spec,
     if (got_celf.seeds != ref_celf.seeds || got_celf.nu != ref_celf.nu) {
       return "celf_greedy_nu(k=" + std::to_string(k) + ") diverged" + tag;
     }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Check: pipelined_vs_serial
-// ---------------------------------------------------------------------------
-
-/// The pipelined engine schedule (ImcafConfig::pipeline, DESIGN.md §15)
-/// against the serial one: same instance, same config, overlap on vs off,
-/// must agree bit-for-bit — seeds, ĉ and the independent estimate, final
-/// |R|, stop-stage count, the PoolEpoch watermark, and the per-stage
-/// sample accounting rows. The thread count rotates across the case
-/// population ({1, 2, 8} by case seed), so the contract is exercised under
-/// no concurrency, mild concurrency and oversubscription. Shrunk ε/δ
-/// bounds keep Λ small enough that the doubling loop runs 2–3 real stages
-/// per case.
-std::optional<std::string> check_pipelined_vs_serial(const InstanceSpec& spec,
-                                                     std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-
-  Rng rng(case_seed ^ 0x9191e11eULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-
-  ImcafConfig config;
-  config.params.epsilon = 0.8;  // Λ ≈ 143: multiple doubling stages, fast
-  config.params.delta = 0.4;
-  config.seed = case_seed;
-  config.model = spec.model;
-  config.max_samples = 300 + case_seed % 101;  // 2–3 stages before the cap
-  config.parallel_sampling = true;
-
-  const unsigned threads = std::array<unsigned, 3>{1, 2, 8}[
-      (case_seed >> 11) % 3];
-  ThreadPool workers(threads);
-  ExecutionContext context;
-  context.workers = &workers;
-
-  const UbgSolver solver;
-  struct Run {
-    ImcafResult result;
-    std::vector<StageMetrics> rows;
-    RicPool::PoolEpoch epoch;
-  };
-  const auto run_engine = [&](bool pipeline) {
-    RecordingMetricsSink sink;
-    ExecutionContext run_context = context;
-    run_context.metrics = &sink;
-    ImcafConfig run_config = config;
-    run_config.pipeline = pipeline;
-    ImcEngine engine(graph, communities, run_config, run_context);
-    Run run;
-    run.result = engine.solve(k, solver);
-    run.rows = sink.stages();
-    run.epoch = engine.pool().grow_epoch();
-    return run;
-  };
-
-  const Run serial = run_engine(false);
-  const Run pipelined = run_engine(true);
-  const std::string at = " at k=" + std::to_string(k) +
-                         ", threads=" + std::to_string(threads) +
-                         ", cap=" + std::to_string(config.max_samples);
-
-  if (pipelined.result.seeds != serial.result.seeds) {
-    return "pipelined seeds " + describe_nodes(pipelined.result.seeds) +
-           " != serial " + describe_nodes(serial.result.seeds) + at;
-  }
-  if (pipelined.result.c_hat != serial.result.c_hat) {
-    return "pipelined c_hat not bit-identical to serial" + at;
-  }
-  if (pipelined.result.estimated_benefit != serial.result.estimated_benefit) {
-    return "pipelined estimated_benefit not bit-identical to serial" + at;
-  }
-  if (pipelined.result.samples_used != serial.result.samples_used ||
-      pipelined.result.stop_stages != serial.result.stop_stages ||
-      pipelined.result.reached_cap != serial.result.reached_cap) {
-    return "pipelined stage/sample schedule diverged from serial" + at;
-  }
-  if (!(pipelined.epoch == serial.epoch)) {
-    return "pipelined PoolEpoch {" + std::to_string(pipelined.epoch.samples) +
-           "," + std::to_string(pipelined.epoch.grows) + "} != serial {" +
-           std::to_string(serial.epoch.samples) + "," +
-           std::to_string(serial.epoch.grows) + "}" + at;
-  }
-  if (pipelined.rows.size() != serial.rows.size()) {
-    return "pipelined metrics row count diverged" + at;
-  }
-  for (std::size_t i = 0; i < serial.rows.size(); ++i) {
-    const StageMetrics& p = pipelined.rows[i];
-    const StageMetrics& s = serial.rows[i];
-    if (p.pool_size != s.pool_size || p.samples_added != s.samples_added ||
-        p.estimate_samples != s.estimate_samples ||
-        p.accepted != s.accepted) {
-      return "stage " + std::to_string(i + 1) +
-             " metrics diverged between schedules" + at;
-    }
-  }
-  // Sanity on the serial baseline: it must never report speculation.
-  if (serial.result.speculative_samples_committed != 0 ||
-      serial.result.overlap_seconds != 0.0) {
-    return "serial schedule reported speculative work" + at;
   }
   return std::nullopt;
 }
@@ -1038,12 +933,14 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
     }
   }
 
-  // The estimator end to end: Alg. 6 replayed on materialized samples.
+  // The estimator end to end: Alg. 6 replayed on materialized samples,
+  // draw j being the sample at position first + j of the seed's stream.
   DagumOptions options;
   options.eps_prime = 0.3;
   options.delta_prime = 0.2;
   options.max_samples = 3000;
   options.seed = case_seed ^ 0xe571ULL;
+  options.first = case_seed % 1000;
   options.model = spec.model;
   const DagumEstimate got =
       dagum_estimate_benefit(graph, communities, seeds, options);
@@ -1051,9 +948,9 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
       dagum_lambda_prime(options.eps_prime, options.delta_prime);
   const double b = communities.total_benefit();
   DagumEstimate want;
-  Rng rng(options.seed);
   std::uint64_t influenced = 0;
   for (std::uint64_t t = 1; t <= options.max_samples; ++t) {
+    Rng rng(splitmix_of(options.seed, options.first + t - 1));
     if (reference.generate(rng).influenced_by(seeds)) ++influenced;
     want.samples = t;
     if (static_cast<double>(influenced) >= lambda_prime) {
@@ -1066,12 +963,29 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
     want.value = b * static_cast<double>(influenced) /
                  static_cast<double>(want.samples);
   }
-  if (got.value != want.value || got.samples != want.samples ||
-      got.converged != want.converged) {
+  const auto differs = [](const DagumEstimate& x, const DagumEstimate& y) {
+    return x.value != y.value || x.samples != y.samples ||
+           x.converged != y.converged;
+  };
+  if (differs(got, want)) {
     return "dagum_estimate_benefit (" + std::to_string(got.value) + ", T=" +
            std::to_string(got.samples) + ") vs materialized replay (" +
            std::to_string(want.value) + ", T=" +
            std::to_string(want.samples) + ")";
+  }
+  // The blocks drawn on the caller plus a pool's workers and scanned in
+  // position order: the same estimate at every thread count.
+  for (const unsigned threads : {1U, 2U, 8U}) {
+    ThreadPool workers(threads);
+    const DagumEstimate parallel = dagum_estimate_benefit(
+        graph, communities, seeds, options, ExecutionContext{}, &workers);
+    if (differs(parallel, want)) {
+      return "dagum_estimate_benefit on " + std::to_string(threads) +
+             " workers (" + std::to_string(parallel.value) + ", T=" +
+             std::to_string(parallel.samples) + ") vs serial (" +
+             std::to_string(want.value) + ", T=" +
+             std::to_string(want.samples) + ")";
+    }
   }
   return std::nullopt;
 }
@@ -1286,7 +1200,6 @@ std::vector<FuzzCheck> default_checks() {
       {"evaluators", check_evaluators},
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},
-      {"pipelined_vs_serial", check_pipelined_vs_serial},
       {"pool_roundtrip", check_pool_roundtrip},
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},

@@ -38,7 +38,9 @@
 //                     exit draw) vs generate().influenced_by() draw for
 //                     draw, X and RNG state alike, plus
 //                     dagum_estimate_benefit vs a replay of Alg. 6 on
-//                     materialized samples: same value, T and convergence.
+//                     materialized samples, draw j being the sample at
+//                     position first + j: same value, T and convergence,
+//                     also with the blocks drawn on {1, 2, 8} workers.
 //   * imcaf_guarantee — Theorem 7 end to end on enumerably tiny instances:
 //                     OPT by exhaustive k-subset search over exact c(S),
 //                     IMCAF + UBG under many seeds, and the share of runs

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string_view>
@@ -73,6 +74,17 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   return parse_bool(it->second);
+}
+
+std::optional<std::string> ArgParser::first_unknown(
+    std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : options_) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<std::string> env_string(const char* name) {

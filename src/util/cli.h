@@ -2,13 +2,17 @@
 //
 // Accepts `--name=value`, `--name value` and boolean `--flag` forms, plus
 // environment-variable fallbacks so the benchmark harness can be tuned
-// without arguments (e.g. IMC_BENCH_SCALE).
+// without arguments (e.g. IMC_BENCH_SCALE). Any `--name` is accepted;
+// a front end that wants misspelt or retired flags rejected checks them
+// against its own list with first_unknown().
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace imc {
@@ -27,6 +31,11 @@ class ArgParser {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The first passed option (in name order) that is not in `known`, or
+  /// nullopt when every passed option is known.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      std::span<const std::string_view> known) const;
 
   /// Non-option (positional) arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -48,8 +48,7 @@ void RecordingMetricsSink::write_json(std::ostream& out) const {
 }
 
 std::uint64_t ExecutionContext::substream(std::uint64_t stream) const noexcept {
-  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (stream + 1));
-  return splitmix64(state);
+  return splitmix_of(seed, stream);
 }
 
 }  // namespace imc

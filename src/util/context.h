@@ -37,12 +37,10 @@ struct StageMetrics {
   double estimate_seconds = 0.0;       // time inside the Dagum Estimate
   std::uint64_t estimate_samples = 0;  // T drawn by the Estimate (0 = none)
   bool accepted = false;               // stop-stage test passed here
-  // Pipelined-engine accounting (DESIGN.md §15; all zero on the serial
-  // schedule). `pipelined` marks a stage whose samples arrived via a
-  // committed speculative batch; `overlap_seconds` is the slice of that
-  // batch's generation hidden under the PREVIOUS stage's solve/estimate.
-  // Discards land on the row of the stage whose stop/deadline/cap exit
-  // invalidated the speculation.
+  // Speculative-growth accounting of an earlier pipelined schedule. The
+  // engine runs its stages one after another (DESIGN.md §15), so these
+  // stay zero; they are kept for the readers of the benchmark counter
+  // schema.
   bool pipelined = false;
   double overlap_seconds = 0.0;
   std::uint64_t speculative_samples_committed = 0;

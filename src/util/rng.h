@@ -25,6 +25,16 @@ namespace imc {
   return z ^ (z >> 31);
 }
 
+/// Seed of substream `index` under base seed `seed`: one splitmix step
+/// over the index-mixed seed. RIC pool position p, Dagum draw position p
+/// and fuzz case p all read the substream splitmix_of(seed, p), so a
+/// value depends only on its position, never on how the work was split.
+[[nodiscard]] constexpr std::uint64_t splitmix_of(std::uint64_t seed,
+                                                  std::uint64_t index) noexcept {
+  std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
+  return splitmix64(state);
+}
+
 /// xoshiro256** engine with convenience sampling methods.
 ///
 /// Satisfies std::uniform_random_bit_generator, so it can also be plugged

@@ -92,9 +92,8 @@ namespace {
 /// Core help-running wait: spins between try_run_one and blocking waits
 /// until `f` is ready. A task is always either done, running on some
 /// worker, or in the queue — and queued tasks get run by this very loop,
-/// so a caller that is itself a pool worker (nested parallel_for, a
-/// BackgroundJob joined from a worker) makes progress instead of
-/// deadlocking behind its own tasks. Does NOT consume the future.
+/// so a caller that is itself a pool worker (a nested parallel_for) makes
+/// progress instead of deadlocking behind its own tasks. Does NOT consume the future.
 void help_until_ready(ThreadPool& pool, std::future<void>& f) {
   while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     if (!pool.try_run_one()) {
@@ -127,65 +126,6 @@ void help_wait_all(ThreadPool& pool,
 void help_wait(ThreadPool& pool, std::future<void>& pending) {
   help_until_ready(pool, pending);
   pending.get();
-}
-
-BackgroundJob::~BackgroundJob() {
-  // Never abandon a running task: the body may reference caller state that
-  // dies with this scope (the pipelined engine's staging arena). Cancel,
-  // then help-wait it out — this is the exception-unwind safety net; the
-  // normal paths join explicitly and observe the body's outcome.
-  if (future_.valid()) {
-    cancel();
-    try {
-      join();
-    } catch (...) {
-      // Destructor must not throw; the exception was the body's last word.
-    }
-  }
-}
-
-bool BackgroundJob::done() const {
-  if (!future_.valid()) return true;
-  return future_.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
-}
-
-void BackgroundJob::cancel() noexcept {
-  if (state_ != nullptr) {
-    state_->cancel.store(true, std::memory_order_release);
-  }
-}
-
-bool BackgroundJob::cancelled() const noexcept {
-  return state_ != nullptr && state_->cancel.load(std::memory_order_acquire);
-}
-
-bool BackgroundJob::skipped() const noexcept {
-  return state_ != nullptr && state_->skipped.load(std::memory_order_acquire);
-}
-
-void BackgroundJob::join() {
-  if (!future_.valid()) return;
-  help_wait(*pool_, future_);  // consumes the future; rethrows body errors
-}
-
-BackgroundJob submit_job(
-    ThreadPool& pool,
-    std::function<void(const std::atomic<bool>& cancel)> body) {
-  BackgroundJob job;
-  job.pool_ = &pool;
-  job.state_ = std::make_shared<BackgroundJob::State>();
-  std::shared_ptr<BackgroundJob::State> state = job.state_;
-  job.future_ = pool.submit([state, body = std::move(body)] {
-    // Cancel-before-run: a body that never started has no partial output
-    // to clean up, so skip it entirely and record that it was skipped.
-    if (state->cancel.load(std::memory_order_acquire)) {
-      state->skipped.store(true, std::memory_order_release);
-      return;
-    }
-    body(state->cancel);
-  });
-  return job;
 }
 
 void fork_join(ThreadPool& pool, const std::function<void()>& main,

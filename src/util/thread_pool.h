@@ -8,12 +8,10 @@
 // queued behind the caller can never deadlock it.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -70,72 +68,6 @@ class ThreadPool {
 /// never blocks while the queue is non-empty). Calls `get()`, so the
 /// task's exception (if any) rethrows here and the future is consumed.
 void help_wait(ThreadPool& pool, std::future<void>& pending);
-
-/// Handle to one cancellable task submitted via `submit_job` — the unit
-/// the pipelined engine uses to overlap speculative sample generation
-/// with the solve/estimate phases. The handle is the only way to observe
-/// the task: `join()` help-runs until it finishes (so waiting from a pool
-/// worker cannot deadlock) and rethrows the body's exception, `cancel()`
-/// requests cooperative wind-down through the flag the body polls. A job
-/// cancelled before a worker picks it up never runs its body at all
-/// (`skipped()` reports that case). Destroying a valid handle cancels and
-/// joins first (swallowing the body's exception) — the body may reference
-/// caller state that dies with the owner's scope, so the handle never
-/// abandons a running task; owners that care about the body's outcome
-/// must `join()` explicitly.
-class BackgroundJob {
- public:
-  BackgroundJob() = default;
-  BackgroundJob(BackgroundJob&&) noexcept = default;
-  BackgroundJob& operator=(BackgroundJob&&) noexcept = default;
-  BackgroundJob(const BackgroundJob&) = delete;
-  BackgroundJob& operator=(const BackgroundJob&) = delete;
-  ~BackgroundJob();
-
-  /// True when this handle owns a submitted, not-yet-joined task.
-  [[nodiscard]] bool valid() const noexcept { return future_.valid(); }
-
-  /// Non-blocking: has the task finished (or been skipped)?
-  [[nodiscard]] bool done() const;
-
-  /// Requests cooperative cancellation: the body's `cancel` flag flips,
-  /// and a body that has not started yet is skipped entirely. Does not
-  /// wait — follow with `join()`.
-  void cancel() noexcept;
-
-  /// True once cancel() was called.
-  [[nodiscard]] bool cancelled() const noexcept;
-
-  /// True when cancel() won the race: the body never ran.
-  [[nodiscard]] bool skipped() const noexcept;
-
-  /// Blocks until the task finishes, help-running queued pool tasks while
-  /// waiting; rethrows the body's exception. Idempotent (later calls are
-  /// no-ops) and safe on a default-constructed handle.
-  void join();
-
- private:
-  friend BackgroundJob submit_job(
-      ThreadPool& pool,
-      std::function<void(const std::atomic<bool>& cancel)> body);
-
-  struct State {
-    std::atomic<bool> cancel{false};
-    std::atomic<bool> skipped{false};
-  };
-
-  std::shared_ptr<State> state_;
-  std::future<void> future_;
-  ThreadPool* pool_ = nullptr;
-};
-
-/// Submits `body` as one pool task and returns its cancellation-aware
-/// handle. The body receives the job's cancel flag and should poll it at
-/// whatever granularity lets it wind down promptly; a body that ignores
-/// the flag simply runs to completion (cancel then only matters for the
-/// not-yet-started skip).
-[[nodiscard]] BackgroundJob submit_job(
-    ThreadPool& pool, std::function<void(const std::atomic<bool>& cancel)> body);
 
 /// Two-lane fork/join: runs `main` on the caller and `side` beside it on
 /// a free worker of `pool`, if there is one; with every worker busy the

@@ -174,23 +174,26 @@ TEST_F(ImcEngineTest, CancellationFlagStopsAfterCurrentStage) {
 }
 
 TEST_F(ImcEngineTest, MetricsSinkRecordsOneRowPerStopStage) {
-  // Every way a run ends, each with the pipeline on and off: the rows
-  // follow the doubling schedule, and every ImcafResult total is the sum
-  // of its rows — also the estimate a cap or deadline exit draws last.
+  // Every way a run ends, each on the calling thread and with parallel
+  // sampling on two workers: the rows follow the doubling schedule, and
+  // every ImcafResult total is the sum of its rows — also the estimate a
+  // cap or deadline exit draws last.
   enum class Exit { kAccepted, kCap, kDeadline };
   const CommunitySet communities = make_communities(1);
   const UbgSolver solver;
+  ThreadPool workers(2);
   for (const Exit exit : {Exit::kAccepted, Exit::kCap, Exit::kDeadline}) {
-    for (const bool pipeline : {true, false}) {
+    for (const bool parallel : {false, true}) {
       SCOPED_TRACE("exit=" + std::to_string(static_cast<int>(exit)) +
-                   (pipeline ? " pipelined" : " serial"));
+                   (parallel ? " parallel" : " serial"));
       ImcafConfig config = pinned_config();
-      config.pipeline = pipeline;
+      config.parallel_sampling = parallel;
       // The pinned run accepts at its third stage (|R| = 6000), so a cap
       // of 3000 ends it at the second.
       if (exit == Exit::kCap) config.max_samples = 3000;
       RecordingMetricsSink metrics;
       ExecutionContext context;
+      context.workers = &workers;
       context.metrics = &metrics;
       if (exit == Exit::kDeadline) context.deadline = Deadline(1e-9);
       ImcEngine engine(graph_, communities, config, context);

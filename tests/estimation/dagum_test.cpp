@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <vector>
 
 #include "community/threshold_policy.h"
 #include "diffusion/monte_carlo.h"
 #include "estimation/concentration.h"
 #include "test_support.h"
 #include "util/context.h"
+#include "util/thread_pool.h"
 
 namespace imc {
 namespace {
@@ -129,9 +132,9 @@ TEST(Dagum, ExpiredDeadlineWindsDownWithPartialEstimate) {
       gadget.graph, gadget.communities, seeds, options, context);
   EXPECT_TRUE(estimate.reached_deadline);
   EXPECT_FALSE(estimate.converged);
-  // Polling runs every 64 draws, so the wind-down happens within the
-  // first polling window.
-  EXPECT_LT(estimate.samples, 64U);
+  // Polling runs before every block after the first, so the wind-down
+  // happens right after the first block.
+  EXPECT_EQ(estimate.samples, kDagumBlockDraws);
 }
 
 TEST(Dagum, CancellationFlagStopsDraws) {
@@ -145,7 +148,55 @@ TEST(Dagum, CancellationFlagStopsDraws) {
       gadget.graph, gadget.communities, seeds, options, context);
   EXPECT_TRUE(estimate.reached_deadline);
   EXPECT_FALSE(estimate.converged);
-  EXPECT_LT(estimate.samples, 64U);
+  EXPECT_EQ(estimate.samples, kDagumBlockDraws);
+}
+
+TEST(Dagum, DrawJReadsPositionFirstPlusJ) {
+  // Draw j reads position first + j, so the influenced draws of [0, n)
+  // are those of [0, d) plus those of [d, n) for any split d, inside a
+  // block or across block boundaries. A T_max far below Λ' never
+  // converges and leaves the running mean b·Inf/T, which gives Inf back.
+  const test::NonSubmodularGadget gadget(0.5);
+  const std::vector<NodeId> seeds{0, 1};
+  const double b = gadget.communities.total_benefit();
+  const auto influenced_in = [&](std::uint64_t first, std::uint64_t count) {
+    DagumOptions options;
+    options.first = first;
+    options.max_samples = count;
+    const DagumEstimate running = dagum_estimate_benefit(
+        gadget.graph, gadget.communities, seeds, options);
+    EXPECT_FALSE(running.converged);
+    EXPECT_EQ(running.samples, count);
+    return std::llround(running.value * static_cast<double>(count) / b);
+  };
+  const long long whole = influenced_in(0, 700);
+  EXPECT_GT(whole, 0);
+  EXPECT_LT(whole, 700);
+  for (const std::uint64_t d : {7ULL, 256ULL, 600ULL}) {
+    EXPECT_EQ(influenced_in(0, d) + influenced_in(d, 700 - d), whole) << d;
+  }
+}
+
+TEST(Dagum, WorkersGiveTheSerialEstimate) {
+  const test::NonSubmodularGadget gadget(0.5);
+  const std::vector<NodeId> seeds{0, 1};
+  for (const std::uint64_t max_samples : {300ULL, 2'000'000ULL}) {
+    DagumOptions options;
+    options.max_samples = max_samples;  // 300: T_max inside round one
+    options.first = 12345;
+    const DagumEstimate serial = dagum_estimate_benefit(
+        gadget.graph, gadget.communities, seeds, options);
+    for (const unsigned threads : {1U, 2U, 8U}) {
+      ThreadPool workers(threads);
+      const DagumEstimate parallel =
+          dagum_estimate_benefit(gadget.graph, gadget.communities, seeds,
+                                 options, ExecutionContext{}, &workers);
+      EXPECT_EQ(parallel.value, serial.value) << threads;
+      EXPECT_EQ(parallel.samples, serial.samples) << threads;
+      EXPECT_EQ(parallel.converged, serial.converged) << threads;
+      EXPECT_FALSE(parallel.reached_deadline) << threads;
+    }
+  }
 }
 
 TEST(Dagum, EmptyCommunitiesGiveZero) {

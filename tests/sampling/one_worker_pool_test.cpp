@@ -1,19 +1,16 @@
 // A one-worker ThreadPool is a parallel pool, not a serial one: the caller
 // that waits on a parallel_for help-runs queued parts, so it samples beside
-// the worker (DESIGN.md §15). Growth, staging + commit and delta repair on
-// ThreadPool(1) must therefore take the part-split paths and still produce
-// arenas and an index byte-identical to parallel=false; a staging job
-// must finish through the caller's join() even while the only worker is
-// held busy, and the joining caller must sample beside the worker. Part of
-// the concurrency binary, so TSan covers it.
+// the worker (DESIGN.md §15). Growth and delta repair on ThreadPool(1) must
+// therefore take the part-split paths and still produce arenas and an
+// index byte-identical to parallel=false, and a grow must finish on the
+// caller alone while the only worker is held busy. Part of the concurrency
+// binary, so TSan covers it.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <thread>
-#include <utility>
 
 #include "community/threshold_policy.h"
 #include "graph/delta.h"
@@ -62,25 +59,6 @@ TEST(OneWorkerPool, GrowMatchesSerial) {
   test::expect_same_pool(lanes, serial);
 }
 
-TEST(OneWorkerPool, StagedCommitMatchesSerialGrow) {
-  const Graph graph = make_graph();
-  const CommunitySet communities = make_communities();
-  ThreadPool workers(1);
-  RicPool serial(graph, communities);
-  RicPool staged(graph, communities);
-  serial.grow(300, kSeed, /*parallel=*/false);
-  staged.grow(300, kSeed, /*parallel=*/false);
-  // 1500 samples span several ~256-sample staging parts.
-  serial.grow(1500, kSeed, /*parallel=*/false);
-  PoolStagingArena staging;
-  staged.stage_samples(1500, kSeed, /*parallel=*/true, &workers, {}, staging);
-  ASSERT_TRUE(staging.complete());
-  EXPECT_EQ(staging.staged_count(), 1500U);
-  staged.commit_staged(std::move(staging), /*parallel=*/true, &workers);
-  test::expect_same_pool(staged, serial);
-  EXPECT_EQ(staged.grow_epoch(), serial.grow_epoch());
-}
-
 TEST(OneWorkerPool, RepairMatchesSerial) {
   Graph serial_graph = make_graph();
   CommunitySet serial_communities = make_communities();
@@ -107,14 +85,14 @@ TEST(OneWorkerPool, RepairMatchesSerial) {
   test::expect_same_pool(lanes, serial);
 }
 
-TEST(OneWorkerPool, StagingCompletesThroughCallerJoinWhileWorkerIsBusy) {
+TEST(OneWorkerPool, GrowCompletesOnTheCallerWhileTheWorkerIsBusy) {
   const Graph graph = make_graph();
   const CommunitySet communities = make_communities();
   ThreadPool workers(1);
   RicPool pool(graph, communities);
   pool.grow(200, kSeed, /*parallel=*/false);
 
-  // Park the only worker until the staging job has been joined.
+  // Park the only worker until the grow has returned.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   std::atomic<bool> parked{false};
@@ -124,74 +102,15 @@ TEST(OneWorkerPool, StagingCompletesThroughCallerJoinWhileWorkerIsBusy) {
   });
   while (!parked.load(std::memory_order_acquire)) std::this_thread::yield();
 
-  PoolStagingArena staging;
-  BackgroundJob job = submit_job(
-      workers, [&pool, &workers, &staging](const std::atomic<bool>& cancel) {
-        pool.stage_samples(
-            1000, kSeed, /*parallel=*/true, &workers,
-            [&cancel] { return cancel.load(std::memory_order_acquire); },
-            staging);
-      });
-  // The worker is parked, so the caller's join() runs the job body and
-  // every part it queues.
-  job.join();
-  EXPECT_FALSE(job.skipped());
-  EXPECT_TRUE(staging.complete());
-  EXPECT_EQ(staging.staged_count(), 1000U);
+  // The worker is parked, so the caller runs every part the grow queues
+  // (1000 samples span several ~256-sample parts), the stitch and the
+  // index merge.
+  pool.grow(1000, kSeed, /*parallel=*/true, &workers);
   release.set_value();
   blocker.get();
 
-  pool.commit_staged(std::move(staging), /*parallel=*/true, &workers);
   RicPool serial(graph, communities);
   serial.grow(1200, kSeed, /*parallel=*/false);
-  test::expect_same_pool(pool, serial);
-}
-
-TEST(OneWorkerPool, CallerSamplesBesideTheWorker) {
-  // The worker runs the staging job and stalls in its samples until the
-  // caller has sampled too (or a 5 s deadline passes). Only a caller that
-  // help-runs staging parts from join() releases it; with serial staging
-  // on the worker the caller never samples and the stall times out.
-  const Graph graph = make_graph();
-  const CommunitySet communities = make_communities();
-  ThreadPool workers(1);
-  RicPool pool(graph, communities);
-  const std::thread::id caller = std::this_thread::get_id();
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  std::atomic<bool> worker_sampling{false};
-  std::atomic<bool> caller_sampled{false};
-  const auto stall_until_caller_samples = [&] {
-    if (std::this_thread::get_id() == caller) {
-      caller_sampled.store(true, std::memory_order_release);
-      return false;
-    }
-    worker_sampling.store(true, std::memory_order_release);
-    while (!caller_sampled.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::yield();
-    }
-    return false;
-  };
-
-  PoolStagingArena staging;
-  BackgroundJob job = submit_job(workers, [&](const std::atomic<bool>&) {
-    pool.stage_samples(1000, kSeed, /*parallel=*/true, &workers,
-                       stall_until_caller_samples, staging);
-  });
-  // Join once the worker is sampling: the job owns the worker and every
-  // part it will queue is queued, so the caller can only sample by
-  // help-running those parts.
-  while (!worker_sampling.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  job.join();
-  EXPECT_TRUE(caller_sampled.load(std::memory_order_acquire));
-  ASSERT_TRUE(staging.complete());
-
-  pool.commit_staged(std::move(staging), /*parallel=*/true, &workers);
-  RicPool serial(graph, communities);
-  serial.grow(1000, kSeed, /*parallel=*/false);
   test::expect_same_pool(pool, serial);
 }
 

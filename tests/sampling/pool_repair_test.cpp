@@ -2,7 +2,7 @@
 // bit-identical to rebuilding from scratch on the mutated graph/community
 // structures with the same seed — arenas, metadata, counters and the CSR
 // index alike — while regenerating only the affected samples. Also covers
-// the epoch bump (carrier/staging invalidation), the snapshot interplay
+// the epoch bump, the snapshot interplay
 // and ImcEngine::apply_delta end to end.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -200,7 +200,7 @@ TEST(PoolRepair, RepairBumpsEpochEvenWhenNoSampleWasAffected) {
 
   // Inserting an edge into an untouched corner of the graph may repair
   // zero samples, but FUTURE samples could walk it: the epoch must bump so
-  // staged arenas cannot survive.
+  // the repaired pool reads as a different lineage.
   GraphDelta delta;
   delta.upsert_edge(2, 5, 0.0001);
   const DeltaEffects effects = apply_delta(graph, communities, delta);
@@ -212,34 +212,6 @@ TEST(PoolRepair, RepairBumpsEpochEvenWhenNoSampleWasAffected) {
   (void)pool.invalidate_and_repair(DeltaEffects{}, kSeed,
                                    /*parallel=*/false);
   EXPECT_EQ(pool.grow_epoch(), after);
-}
-
-TEST(PoolRepair, StagedArenaIsRejectedAfterRepair) {
-  Graph graph = make_graph(11, 60);
-  CommunitySet communities = make_communities(60, 1);
-  RicPool pool(graph, communities);
-  pool.grow(200, kSeed, /*parallel=*/false);
-
-  PoolStagingArena staging;
-  pool.stage_samples(100, kSeed, /*parallel=*/false, nullptr, [] {
-    return false;
-  }, staging);
-  ASSERT_TRUE(staging.complete());
-
-  GraphDelta delta;
-  delta.upsert_edge(0, 59, 0.2);
-  const DeltaEffects effects = apply_delta(graph, communities, delta);
-  (void)pool.invalidate_and_repair(effects, kSeed, /*parallel=*/false);
-  EXPECT_FALSE(staging.epoch() == pool.grow_epoch());
-  EXPECT_THROW(pool.commit_staged(std::move(staging), /*parallel=*/false),
-               std::invalid_argument);
-  EXPECT_EQ(pool.size(), 200U);
-
-  // Regrowing synchronously instead yields the rebuild-identical pool.
-  pool.grow(100, kSeed, /*parallel=*/false);
-  RicPool rebuilt(graph, communities);
-  rebuilt.grow(300, kSeed, /*parallel=*/false);
-  test::expect_same_pool(pool, rebuilt);
 }
 
 TEST(PoolRepair, RepairRejectsInvariantBreakingDeltaUntouched) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string_view>
+#include <vector>
 
 namespace imc {
 namespace {
@@ -52,6 +55,17 @@ TEST(ArgParser, FlagFollowedByOption) {
   const auto args = parse({"prog", "--flag", "--k=2"});
   EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_EQ(args.get_int("k", 0), 2);
+}
+
+TEST(ArgParser, FirstUnknownNamesAnOptionOutsideTheKnownSet) {
+  const auto args =
+      parse({"prog", "solve", "--k=3", "--trust-pool", "--scale", "0.5"});
+  const std::vector<std::string_view> known = {"k", "scale"};
+  EXPECT_EQ(args.first_unknown(known), "trust-pool");
+  const std::vector<std::string_view> all = {"k", "scale", "trust-pool"};
+  EXPECT_EQ(args.first_unknown(all), std::nullopt);
+  // Positionals are not options.
+  EXPECT_EQ(parse({"prog", "solve"}).first_unknown({}), std::nullopt);
 }
 
 TEST(EnvHelpers, ReadAndFallback) {

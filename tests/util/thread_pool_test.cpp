@@ -383,107 +383,5 @@ TEST(HelpWait, FromInsideWorkerHelpRuns) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(BackgroundJob, RunsBodyAndJoins) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  BackgroundJob job = submit_job(
-      pool, [&counter](const std::atomic<bool>&) { ++counter; });
-  EXPECT_TRUE(job.valid());
-  job.join();
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_FALSE(job.valid());  // join consumed the task
-  EXPECT_TRUE(job.done());
-  EXPECT_FALSE(job.skipped());
-  job.join();  // idempotent
-}
-
-TEST(BackgroundJob, JoinRethrowsBodyException) {
-  ThreadPool pool(1);
-  BackgroundJob job = submit_job(pool, [](const std::atomic<bool>&) {
-    throw std::runtime_error("job failed");
-  });
-  EXPECT_THROW(job.join(), std::runtime_error);
-  EXPECT_TRUE(job.done());
-}
-
-TEST(BackgroundJob, CancelBeforeRunSkipsBody) {
-  ThreadPool pool(1);
-  // Park the worker so the job stays queued until after cancel().
-  std::atomic<bool> parked_started{false};
-  std::atomic<bool> release{false};
-  auto parked = pool.submit([&] {
-    parked_started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!parked_started.load()) std::this_thread::yield();
-  std::atomic<int> counter{0};
-  BackgroundJob job = submit_job(
-      pool, [&counter](const std::atomic<bool>&) { ++counter; });
-  job.cancel();
-  EXPECT_TRUE(job.cancelled());
-  release.store(true);
-  parked.get();
-  job.join();
-  EXPECT_TRUE(job.skipped());
-  EXPECT_EQ(counter.load(), 0);
-}
-
-TEST(BackgroundJob, CancelFlagReachesRunningBody) {
-  ThreadPool pool(2);
-  std::atomic<bool> body_started{false};
-  BackgroundJob job =
-      submit_job(pool, [&body_started](const std::atomic<bool>& cancel) {
-        body_started.store(true);
-        while (!cancel.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      });
-  while (!body_started.load()) std::this_thread::yield();
-  job.cancel();
-  job.join();  // terminates because the body saw the flag
-  EXPECT_FALSE(job.skipped());
-}
-
-TEST(BackgroundJob, SubmittedAndJoinedFromWorkerDoesNotDeadlock) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  auto outer = pool.submit([&] {
-    BackgroundJob job = submit_job(
-        pool, [&counter](const std::atomic<bool>&) { ++counter; });
-    job.join();  // help-runs on the 1-thread pool
-  });
-  outer.get();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(BackgroundJob, DestructorCancelsAndJoinsRunningBody) {
-  ThreadPool pool(2);
-  std::atomic<bool> body_started{false};
-  std::atomic<bool> body_finished{false};
-  {
-    BackgroundJob job = submit_job(
-        pool, [&body_started, &body_finished](const std::atomic<bool>& cancel) {
-          body_started.store(true);
-          while (!cancel.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          body_finished.store(true);
-        });
-    while (!body_started.load()) std::this_thread::yield();
-    // Dropping the handle must cancel + wait, never abandon the body.
-  }
-  EXPECT_TRUE(body_finished.load());
-}
-
-TEST(BackgroundJob, DefaultConstructedIsInertlyJoinable) {
-  BackgroundJob job;
-  EXPECT_FALSE(job.valid());
-  EXPECT_TRUE(job.done());
-  EXPECT_FALSE(job.cancelled());
-  EXPECT_FALSE(job.skipped());
-  job.cancel();
-  job.join();  // all no-ops
-}
-
 }  // namespace
 }  // namespace imc

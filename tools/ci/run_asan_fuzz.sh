@@ -22,9 +22,9 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # abort_on_error turns the first ASan report into a test failure instead of
 # a log line; detect_leaks catches pool/arena ownership bugs the
 # differential checks can't see. halt_on_error does the same for UBSan.
-# The engine label rides along: the staged engine commits speculative
-# staging arenas into the pool and the ĉ gain row is patched in place per
-# pick, both heap-buffer surfaces ASan should watch too. The io label
+# The engine label rides along: grow() stitches its part arenas into the
+# pool and the ĉ gain row is patched in place per pick, both heap-buffer
+# surfaces ASan should watch too. The io label
 # rides along for the same reason: arena growth and the snapshot loader,
 # which reads raw section bytes into freshly sized arenas, move raw bytes
 # with lifetimes that the sanitizers — not the differential checks — are

@@ -22,10 +22,11 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # The engine label rides along: every stage's cold solve and solve_many
 # exercise the thread pool through the same deterministic-parallel sweeps
 # (the sharded ĉ row compute and update, the CELF refresh bursts), and the
-# pipelined-engine tests (both labels carry pipeline_engine_test.cpp) drive
-# the staging-commit handoff — background stage_samples overlapping const
-# pool readers, then the boundary join + commit_staged — which is exactly
-# the surface TSan must prove clean. The delta label rides along because
+# stage-schedule tests (both labels carry pipeline_engine_test.cpp) run the
+# engine at threads {1, 2, 8} with parallel sampling on: pool growth and
+# the stop-stage estimate's blocks on the caller plus the workers, each
+# lane with its own sampler and X buffer — exactly the surface TSan must
+# prove clean. The delta label rides along because
 # invalidate_and_repair fans regeneration chunks out over the same thread
 # pool and then patches the sample-major arena and the CSR index in place
 # side by side, one on a worker and one on the calling thread (DESIGN.md

@@ -7,8 +7,7 @@
 //   imc_cli solve       [graph opts] [community opts] --algo ubg|maf|bt|mb
 //                       [--k K] [--max-samples N] [--model ic|lt]
 //                       [--parallel] [--threads N] [--time-budget-s S]
-//                       [--metrics-json FILE] [--no-pipeline]
-//                       [--save-pool FILE]
+//                       [--metrics-json FILE] [--save-pool FILE]
 //                       [--load-pool FILE]
 //                       [--apply-deltas FILE]
 //   imc_cli baseline    [graph opts] [community opts]
@@ -18,10 +17,13 @@
 //
 // Graphs come either from the synthetic Table-I stand-ins (--dataset) or a
 // SNAP edge-list file (--graph; weighted-cascade IC probabilities applied).
+// A flag the subcommand does not read is a usage error (exit 2).
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "imc/imc.h"
@@ -205,7 +207,6 @@ int cmd_solve(const ArgParser& args) {
   config.model = load_model(args);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   config.parallel_sampling = args.get_bool("parallel-sampling", true);
-  config.pipeline = !args.get_bool("no-pipeline", false);
 
   const double time_budget = args.get_double("time-budget-s", 0.0);
   if (args.has("time-budget-s") && !(time_budget > 0.0)) {
@@ -358,6 +359,33 @@ int cmd_simulate(const ArgParser& args) {
   return 0;
 }
 
+/// The flags each subcommand reads: the graph inputs and --threads, plus
+/// the community inputs everywhere but stats, plus its own. nullopt for an
+/// unknown subcommand.
+std::optional<std::vector<std::string_view>> subcommand_flags(
+    std::string_view command) {
+  std::vector<std::string_view> flags = {"dataset", "graph", "undirected",
+                                         "scale", "threads"};
+  if (command == "stats") return flags;
+  flags.insert(flags.end(), {"communities", "method", "size-cap", "regime",
+                             "threshold-fraction", "threshold", "seed"});
+  if (command == "communities") {
+    flags.push_back("save");
+  } else if (command == "solve") {
+    flags.insert(flags.end(),
+                 {"k", "algo", "parallel", "max-samples", "model",
+                  "parallel-sampling", "time-budget-s", "metrics-json",
+                  "save-pool", "load-pool", "apply-deltas"});
+  } else if (command == "baseline") {
+    flags.insert(flags.end(), {"k", "algo"});
+  } else if (command == "simulate") {
+    flags.insert(flags.end(), {"seeds", "simulations", "model"});
+  } else {
+    return std::nullopt;
+  }
+  return flags;
+}
+
 void print_usage() {
   std::cout <<
       "imc_cli — Influence Maximization at Community Level\n"
@@ -372,15 +400,13 @@ void print_usage() {
       "  --scale S, --method louvain|random|lpa, --size-cap S,\n"
       "  --regime regular|bounded, --k K, --model ic|lt, --seed N,\n"
       "  --threads N (pool workers; also via IMC_THREADS env; sampling\n"
-      "    runs on the N workers plus the waiting caller),\n"
+      "    and the stop-stage estimate run on the N workers plus the\n"
+      "    waiting caller, with the same results at every N),\n"
       "  --parallel (deterministic parallel seed selection in solve)\n"
       "solve-only options:\n"
       "  --time-budget-s S   wall-clock budget; returns the best seeds from\n"
       "                      the stages that completed in time\n"
       "  --metrics-json F    write per-stage engine telemetry as JSON to F\n"
-      "  --no-pipeline       serial grow/solve/estimate schedule instead of\n"
-      "                      overlapping the next stage's sampling with the\n"
-      "                      solve (results are bit-identical either way)\n"
       "  --save-pool F       write the final pool as a binary v4 snapshot\n"
       "  --load-pool F       start from a v4 snapshot, read into memory\n"
       "                      and fully verified\n"
@@ -401,14 +427,10 @@ int main(int argc, char** argv) {
   }
   const std::string& command = args.positional().front();
   try {
-    if (command != "solve") {
-      for (const char* flag : {"time-budget-s", "metrics-json",
-                               "no-pipeline", "save-pool", "load-pool",
-                               "apply-deltas"}) {
-        if (args.has(flag)) {
-          throw UsageError(std::string("--") + flag +
-                           " only applies to the solve subcommand");
-        }
+    if (const auto flags = subcommand_flags(command)) {
+      if (const auto flag = args.first_unknown(*flags)) {
+        throw UsageError("--" + *flag + " is not an option of the " +
+                         command + " subcommand");
       }
     }
     // Size the shared pool before anything touches it.
