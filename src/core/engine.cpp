@@ -133,7 +133,10 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
   // depends only on [0, |R|), is independent of its estimate (DESIGN.md
   // §15). `unread` is the first position no estimate of this stage read;
   // the cap/deadline exit estimate starts there. With parallel sampling
-  // the draws run on the caller and the sampling workers.
+  // the draws run on the caller and the sampling workers. A pool at its
+  // cap never grows again, so its Estimates go through the pool's
+  // estimate tail: a repeated query reads kept samples of the positions an
+  // earlier one read, instead of redrawing them.
   ThreadPool* const estimate_workers =
       !config_.parallel_sampling ? nullptr
       : context_.workers != nullptr ? context_.workers
@@ -150,8 +153,10 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     dagum.first = unread;
     dagum.model = config_.model;
     const Stopwatch estimate_watch;
+    EstimateTail tail = pool_.estimate_tail(config_.seed);
     const DagumEstimate drawn = dagum_estimate_benefit(
-        *graph_, *communities_, seeds, dagum, context_, estimate_workers);
+        *graph_, *communities_, seeds, dagum, context_, estimate_workers,
+        pool_.size() >= cap ? &tail : nullptr);
     metrics.estimate_seconds += estimate_watch.elapsed_seconds();
     metrics.estimate_samples += drawn.samples;
     unread += drawn.samples;

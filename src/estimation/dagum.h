@@ -14,7 +14,9 @@
 // seed — so a draw depends only on its position. Draws run in blocks of
 // kDagumBlockDraws, on the caller plus the workers of a given ThreadPool,
 // and are scanned in position order: T, the value and `converged` are the
-// same at every thread count and on every overload (DESIGN.md §15).
+// same at every thread count and on every overload (DESIGN.md §15). A
+// pool's estimate tail may serve the positions past the pool from kept
+// full samples; X is the same, so the result is too.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 namespace imc {
 
+class EstimateTail;
 class ThreadPool;
 
 /// Draws per block: the unit one lane draws between two deadline polls.
@@ -65,10 +68,17 @@ struct DagumEstimate {
 /// it then winds down with reached_deadline == true and the partial
 /// running estimate. With `workers` set, each round draws one block per
 /// lane on the caller and the pool's workers (parallel_for_shards). With
-/// an inactive context the result equals the overload above.
+/// `tail` set (a pool's estimate tail, sampling/ric_pool.h), the blocks go
+/// through it: kept positions are looked up, the others drawn in full and
+/// kept; the result is the same. The tail must be bound to the same graph,
+/// communities and model and hold options.seed's stream, and options.first
+/// must lie in [tail->begin(), tail->kept_end()], so that what it keeps
+/// stays one prefix; otherwise std::invalid_argument is thrown. With an
+/// inactive context and no tail the result equals the overload above.
 [[nodiscard]] DagumEstimate dagum_estimate_benefit(
     const Graph& graph, const CommunitySet& communities,
     std::span<const NodeId> seeds, const DagumOptions& options,
-    const ExecutionContext& context, ThreadPool* workers = nullptr);
+    const ExecutionContext& context, ThreadPool* workers = nullptr,
+    EstimateTail* tail = nullptr);
 
 }  // namespace imc

@@ -268,13 +268,16 @@ void read_exactly(std::istream& in, void* out, std::size_t bytes,
 /// Reads one section into an owned arena (sized once, written once) and
 /// adds it to the payload digest. The section goes in chunks, each hashed
 /// right after its read while it is still in cache, so the checksum does
-/// not cost a second pass over memory.
+/// not cost a second pass over memory. With `headroom`, the arena gets an
+/// eighth more capacity than the section needs (see the caller).
 template <typename T>
 void read_section(std::istream& in, const std::string& path,
                   const SectionLayout& section, ArenaVector<T>& arena,
-                  WordLaneHash& digest) {
+                  WordLaneHash& digest, bool headroom) {
   constexpr std::size_t kChunk = std::size_t{1} << 18;  // a multiple of 32
-  arena.resize_for_overwrite(section.bytes / sizeof(T));
+  const std::size_t count = section.bytes / sizeof(T);
+  if (headroom) arena.reserve(count + count / 8);
+  arena.resize_for_overwrite(count);
   in.seekg(static_cast<std::streamoff>(section.offset));
   char* out = reinterpret_cast<char*>(arena.data());
   std::size_t done = 0;
@@ -346,8 +349,18 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
   const SnapshotLayout layout = SnapshotLayout::of(header);
   RicPool::PoolArenas arenas;
   WordLaneHash digest;
+  // A delta repair lengthens only the sample-major pair arena and the CSR
+  // touch arena; the other sections keep their size. Those two get an
+  // eighth of headroom, so that the repairs of an attached pool grow them
+  // in place instead of reallocating and copying them mid-repair. Nothing
+  // writes the headroom, so its pages are not faulted in until a repair
+  // uses them (DESIGN.md §16).
+  const auto repairs_grow = [&](const void* arena) {
+    return arena == &arenas.sample_arena || arena == &arenas.touches;
+  };
   for_each_section(arenas, [&](int i, auto& arena) {
-    read_section(in, path, layout.sections[i], arena, digest);
+    read_section(in, path, layout.sections[i], arena, digest,
+                 repairs_grow(&arena));
   });
   if (digest.value() != header.payload_checksum) {
     fail("payload checksum mismatch (corrupt snapshot)");

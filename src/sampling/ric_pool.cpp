@@ -178,6 +178,18 @@ class RowPatch {
   std::uint64_t inserted_;
 };
 
+/// X(S) of one sample from its touch list: the OR of the seeds' member
+/// masks reaches the threshold.
+bool seeds_reach(const std::pair<NodeId, std::uint64_t>* touches,
+                 std::uint64_t count, std::uint32_t threshold,
+                 std::span<const std::uint8_t> is_seed) {
+  std::uint64_t reached = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (is_seed[touches[i].first]) reached |= touches[i].second;
+  }
+  return static_cast<std::uint32_t>(popcount64(reached)) >= threshold;
+}
+
 }  // namespace
 
 RicPool::RicPool(const Graph& graph, const CommunitySet& communities,
@@ -211,7 +223,8 @@ RicPool::RicPool(RicPool&& other) noexcept
       sampler_cache_(std::move(other.sampler_cache_)),
       touch_offsets_(std::move(other.touch_offsets_)),
       touches_(std::move(other.touches_)),
-      indexed_samples_(other.indexed_samples_) {}
+      indexed_samples_(other.indexed_samples_),
+      tail_(std::move(other.tail_)) {}
 
 RicPool& RicPool::operator=(RicPool&& other) noexcept {
   if (this == &other) return *this;
@@ -230,6 +243,7 @@ RicPool& RicPool::operator=(RicPool&& other) noexcept {
   touch_offsets_ = std::move(other.touch_offsets_);
   touches_ = std::move(other.touches_);
   indexed_samples_ = other.indexed_samples_;
+  tail_ = std::move(other.tail_);
   return *this;
 }
 
@@ -272,6 +286,7 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
                    ThreadPool* workers) {
   if (count == 0) return;  // an empty batch is no growth operation
   check_capacity(count);
+  drop_tail();
   ThreadPool* const pool = sampling_pool(parallel, workers);
   const std::uint64_t base = size();
   std::vector<GeneratedPart> parts;
@@ -312,8 +327,10 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
   }
 
   // Merge the fresh batch into the CSR eagerly, then bump the watermark
-  // exactly once.
-  merge_fresh_into_index(pool == nullptr ? 1 : pool->size(), pool);
+  // exactly once. One chunk per worker plus one for the caller, which
+  // help-runs chunks while it waits, so a one-worker pool merges on two
+  // lanes (the merged index does not depend on the chunk count).
+  merge_fresh_into_index(pool == nullptr ? 1 : pool->size() + 1, pool);
   ++grows_;
 }
 
@@ -390,6 +407,7 @@ void RicPool::append(RicSample sample) {
     first = false;
   }
   check_capacity(1);
+  drop_tail();
   sample_arena_.append(sample.touching.data(),
                        sample.touching.data() + sample.touching.size());
   register_metadata(sample.community, sample.threshold,
@@ -463,7 +481,9 @@ void RicPool::merge_fresh_into_index(unsigned chunks, ThreadPool* workers) {
       total = running;
     }
     new_offsets[n] = total;
-    new_arena.resize(total);  // sized exactly from the counting pass
+    // Sized exactly from the counting pass; relocation and scatter write
+    // every slot, so nothing is filled first.
+    new_arena.resize_for_overwrite(total);
   };
 
   // Pass 2a — relocate each node's existing run into its new position.
@@ -622,22 +642,24 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     sampler_cache_.push_back(std::move(probe));
   }
 
-  if (stats.total == 0) {
-    ++repairs_;  // future samples may differ
-    return stats;
-  }
+  // A tail kept under another seed would be repaired from the wrong
+  // stream.
+  if (seed != tail_.seed) drop_tail();
 
   // Affected = samples touching a changed in-adjacency head (their walk
   // examined that node's in-edges — see the header's identification rule)
   // ∪ samples sourced at a community whose member list moved (their mask
   // bit layout changed). Everything else replays bit-identically.
+  std::vector<std::uint8_t> moved;
+  if (!effects.changed_communities.empty()) {
+    moved.assign(communities_->size(), 0);
+    for (const CommunityId c : effects.changed_communities) moved[c] = 1;
+  }
   std::vector<std::uint8_t> affected(stats.total, 0);
   for (const NodeId v : effects.changed_in_nodes) {
     for (const Touch& touch : touches_of(v)) affected[touch.sample] = 1;
   }
-  if (!effects.changed_communities.empty()) {
-    std::vector<std::uint8_t> moved(communities_->size(), 0);
-    for (const CommunityId c : effects.changed_communities) moved[c] = 1;
+  if (!moved.empty()) {
     const std::span<const CommunityId> sources = source_community_.span();
     for (std::uint64_t g = 0; g < stats.total; ++g) {
       if (moved[sources[g]]) affected[g] = 1;
@@ -648,8 +670,31 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     if (affected[g]) repair_ids.push_back(static_cast<std::uint32_t>(g));
   }
   stats.repaired = repair_ids.size();
-  if (repair_ids.empty()) {
-    ++repairs_;
+
+  // The tail's affected samples, by the same rule. It has no CSR, so its
+  // arena is scanned against a bitmap of the changed in-nodes.
+  const std::uint64_t tail_total = tail_.thresholds.size();
+  std::vector<std::uint8_t> tail_affected(tail_total, 0);
+  std::vector<std::uint32_t> tail_ids;
+  if (tail_total > 0) {
+    std::vector<std::uint8_t> changed(graph_->node_count(), 0);
+    for (const NodeId v : effects.changed_in_nodes) changed[v] = 1;
+    const std::span<const std::uint64_t> offsets = tail_.sample_offsets.span();
+    const std::span<const std::pair<NodeId, std::uint64_t>> pairs =
+        tail_.sample_arena.span();
+    for (std::uint64_t t = 0; t < tail_total; ++t) {
+      bool hit = !moved.empty() && moved[tail_.source_community[t]];
+      for (std::uint64_t i = offsets[t]; !hit && i < offsets[t + 1]; ++i) {
+        hit = changed[pairs[i].first] != 0;
+      }
+      if (hit) {
+        tail_affected[t] = 1;
+        tail_ids.push_back(static_cast<std::uint32_t>(t));
+      }
+    }
+  }
+  if (repair_ids.empty() && tail_ids.empty()) {
+    ++repairs_;  // future samples may differ
     return stats;
   }
 
@@ -657,18 +702,25 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
 
   // Regenerate the affected samples with their ORIGINAL substreams —
   // Rng(splitmix_of(seed, g)) is exactly what a rebuild-from-scratch
-  // would feed sample g — through the same part loop growth uses, with
-  // position j of the repair order mapped to sample repair_ids[j].
+  // would feed sample g — through the same part loop growth uses, in one
+  // batch: position j of the repair order maps to pool sample
+  // repair_ids[j], then to tail sample tail_ids[j - count], which is
+  // stream position size() + tail_ids[j - count].
   const std::uint64_t count = repair_ids.size();
+  const std::uint64_t tail_count = tail_ids.size();
   std::vector<GeneratedPart> regenerated;
   generate_parts(
-      count, seed, [&](std::uint64_t j) { return repair_ids[j]; }, pool,
-      regenerated);
+      count + tail_count, seed,
+      [&](std::uint64_t j) -> std::uint64_t {
+        return j < count ? repair_ids[j] : stats.total + tail_ids[j - count];
+      },
+      pool, regenerated);
 
   // Flatten the parts (contiguous runs of repair order, so concatenation
   // IS repair order) into per-repaired-sample views for the patches.
-  std::vector<const std::pair<NodeId, std::uint64_t>*> repaired_data(count);
-  std::vector<const RicSampleMeta*> repaired_meta(count);
+  using Pair = std::pair<NodeId, std::uint64_t>;
+  std::vector<const Pair*> repaired_data(count + tail_count);
+  std::vector<const RicSampleMeta*> repaired_meta(count + tail_count);
   {
     std::uint64_t j = 0;
     for (const GeneratedPart& part : regenerated) {
@@ -682,53 +734,70 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     }
   }
 
-  // Every repaired sample's old pairs leave both arenas (each pair is one
-  // CSR touch) and its regenerated pairs arrive in both.
-  std::uint64_t dropped = 0;
-  std::uint64_t inserted = 0;
-  {
-    const std::span<const std::uint64_t> offsets = sample_offsets_.span();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      dropped += offsets[repair_ids[j] + 1] - offsets[repair_ids[j]];
-      inserted += repaired_meta[j]->touch_count;
+  // Every repaired sample's old pairs leave its sample-major arena (and,
+  // for a pool sample, the CSR: each pair is one touch) and its
+  // regenerated pairs arrive there.
+  const auto churn = [&](const ArenaVector<std::uint64_t>& offsets,
+                         const std::vector<std::uint32_t>& ids,
+                         std::uint64_t first) {
+    std::pair<std::uint64_t, std::uint64_t> dropped_inserted{0, 0};
+    for (std::uint64_t j = 0; j < ids.size(); ++j) {
+      dropped_inserted.first += offsets[ids[j] + 1] - offsets[ids[j]];
+      dropped_inserted.second += repaired_meta[first + j]->touch_count;
     }
-  }
+    return dropped_inserted;
+  };
+  const auto [dropped, inserted] = churn(sample_offsets_, repair_ids, 0);
+  const auto [tail_dropped, tail_inserted] =
+      churn(tail_.sample_offsets, tail_ids, count);
 
   // Everything that allocates happens here, before the first write into
   // the pool: a throw up to this point leaves the pool as it was.
-  RowPatch<std::pair<NodeId, std::uint64_t>> sample_patch(
-      sample_offsets_, sample_arena_, dropped, inserted);
+  RowPatch<Pair> sample_patch(sample_offsets_, sample_arena_, dropped,
+                              inserted);
+  RowPatch<Pair> tail_patch(tail_.sample_offsets, tail_.sample_arena,
+                            tail_dropped, tail_inserted);
   RowPatch<Touch> index_patch(touch_offsets_, touches_, dropped, inserted);
   const NodeId n = graph_->node_count();
   std::vector<std::uint64_t> fresh_offsets(n + 1, 0);
   std::vector<std::uint64_t> fresh_cursor(n, 0);
   std::vector<Touch> fresh_touches(inserted);
 
-  // From here on nothing throws. The two arenas' patches are independent,
-  // so one runs on a worker while the calling thread runs the other.
-  const auto patch_samples = [&] {
+  // From here on nothing throws. The pool's two arenas are independent,
+  // so the CSR patch runs on a worker while the calling thread patches
+  // the sample-major arenas of the pool and then of the tail.
+  const auto patch_sample_major = [](RowPatch<Pair>& patch,
+                                     const std::vector<std::uint8_t>& hit,
+                                     const std::vector<std::uint32_t>& ids,
+                                     const Pair* const* data,
+                                     const RicSampleMeta* const* meta,
+                                     ArenaVector<std::uint32_t>& thresholds,
+                                     ArenaVector<CommunityId>& sources) {
+    if (ids.empty()) return;
     // A row is either kept whole or replaced whole, so the helper's merge
     // never compares two pairs.
-    sample_patch.apply(
-        [&](std::uint64_t g, const std::pair<NodeId, std::uint64_t>&) {
-          return affected[g] == 0;
-        },
-        [&](std::uint64_t g) -> std::span<const std::pair<NodeId,
-                                                          std::uint64_t>> {
-          if (affected[g] == 0) return {};
+    patch.apply(
+        [&](std::uint64_t g, const Pair&) { return hit[g] == 0; },
+        [&](std::uint64_t g) -> std::span<const Pair> {
+          if (hit[g] == 0) return {};
           const std::uint64_t j = static_cast<std::uint64_t>(
-              std::lower_bound(repair_ids.begin(), repair_ids.end(), g) -
-              repair_ids.begin());
-          return {repaired_data[j], repaired_meta[j]->touch_count};
+              std::lower_bound(ids.begin(), ids.end(), g) - ids.begin());
+          return {data[j], meta[j]->touch_count};
         },
-        [](const std::pair<NodeId, std::uint64_t>& a,
-           const std::pair<NodeId, std::uint64_t>& b) {
-          return a.first < b.first;
-        });
-    for (std::uint64_t j = 0; j < count; ++j) {
-      thresholds_[repair_ids[j]] = repaired_meta[j]->threshold;
-      source_community_[repair_ids[j]] = repaired_meta[j]->community;
+        [](const Pair& a, const Pair& b) { return a.first < b.first; });
+    for (std::uint64_t j = 0; j < ids.size(); ++j) {
+      thresholds[ids[j]] = meta[j]->threshold;
+      sources[ids[j]] = meta[j]->community;
     }
+  };
+  const auto patch_samples = [&] {
+    patch_sample_major(sample_patch, affected, repair_ids,
+                       repaired_data.data(), repaired_meta.data(),
+                       thresholds_, source_community_);
+    patch_sample_major(tail_patch, tail_affected, tail_ids,
+                       repaired_data.data() + count,
+                       repaired_meta.data() + count, tail_.thresholds,
+                       tail_.source_community);
   };
   const auto patch_index = [&] {
     // Bucket the regenerated touches by node straight from the part
@@ -761,7 +830,9 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
         },
         [](const Touch& a, const Touch& b) { return a.sample < b.sample; });
   };
-  if (pool == nullptr) {
+  if (count == 0) {
+    patch_samples();  // the tail alone
+  } else if (pool == nullptr) {
     patch_samples();
     patch_index();
   } else {
@@ -771,13 +842,89 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   }
 
   // Counters recomputed from the repaired metadata, never drifted.
-  community_frequency_.assign(communities_->size(), 0);
-  for (const CommunityId c : source_community_.span()) {
-    ++community_frequency_[c];
+  if (count > 0) {
+    community_frequency_.assign(communities_->size(), 0);
+    for (const CommunityId c : source_community_.span()) {
+      ++community_frequency_[c];
+    }
   }
 
   ++repairs_;
   return stats;
+}
+
+void RicPool::drop_tail() {
+  tail_.thresholds.clear();
+  tail_.source_community.clear();
+  tail_.sample_offsets.assign(1, 0);
+  tail_.sample_arena.clear();
+}
+
+EstimateTail RicPool::estimate_tail(std::uint64_t seed) {
+  if (seed != tail_.seed) {
+    drop_tail();
+    tail_.seed = seed;
+  }
+  return EstimateTail(*this);
+}
+
+RicPool::TailView RicPool::tail_view() const {
+  return TailView{tail_.seed, tail_.thresholds.span(),
+                  tail_.source_community.span(), tail_.sample_offsets.span(),
+                  tail_.sample_arena.span()};
+}
+
+void EstimateTail::serve(std::uint64_t from, std::uint64_t to,
+                         std::span<const std::uint8_t> is_seed,
+                         std::vector<std::uint8_t>& x, Fill& fill) const {
+  const RicPool::TailStore& tail = pool_->tail_;
+  const std::uint64_t base = begin();
+  assert(base <= from && fill.parts_.empty());
+  std::uint64_t p = from;
+  for (; p < std::min(to, kept_end()); ++p) {
+    const std::uint64_t t = p - base;
+    const std::uint64_t first = tail.sample_offsets[t];
+    x.push_back(seeds_reach(tail.sample_arena.data() + first,
+                            tail.sample_offsets[t + 1] - first,
+                            tail.thresholds[t], is_seed)
+                    ? 1
+                    : 0);
+  }
+  if (p >= to) return;
+  fill.begin_ = p;
+  pool_->generate_parts(
+      to - p, tail.seed, [p](std::uint64_t i) { return p + i; }, nullptr,
+      fill.parts_);
+  const RicPool::GeneratedPart& part = fill.parts_.front();
+  std::uint64_t offset = 0;
+  for (const RicSampleMeta& meta : part.metas) {
+    x.push_back(seeds_reach(part.touches.data() + offset, meta.touch_count,
+                            meta.threshold, is_seed)
+                    ? 1
+                    : 0);
+    offset += meta.touch_count;
+  }
+}
+
+void EstimateTail::commit(std::span<Fill> fills) {
+  RicPool::TailStore& tail = pool_->tail_;
+  bool contiguous = true;
+  for (Fill& fill : fills) {
+    if (fill.parts_.empty()) continue;
+    contiguous = contiguous && fill.begin_ == kept_end();
+    if (contiguous) {
+      const RicPool::GeneratedPart& part = fill.parts_.front();
+      tail.sample_arena.append(part.touches.data(),
+                               part.touches.data() + part.touches.size());
+      for (const RicSampleMeta& meta : part.metas) {
+        tail.thresholds.push_back(meta.threshold);
+        tail.source_community.push_back(meta.community);
+        tail.sample_offsets.push_back(tail.sample_offsets.back() +
+                                      meta.touch_count);
+      }
+    }
+    fill.parts_.clear();
+  }
 }
 
 std::vector<RicPool::SampleShard> RicPool::selection_shards(

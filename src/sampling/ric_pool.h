@@ -19,7 +19,9 @@
 // (per-chunk count, exclusive prefix-sum, parallel scatter) before
 // returning, so the index is never stale and const readers never write.
 // A delta repair regenerates through the same part loop and patches both
-// arenas in place (DESIGN.md §16).
+// arenas in place (DESIGN.md §16). Past the pool, the estimate tail keeps
+// full samples at the stream positions size(), size() + 1, ... for the
+// Estimates of a pool at its cap (EstimateTail, DESIGN.md §15).
 #pragma once
 
 #include <cassert>
@@ -39,6 +41,7 @@
 
 namespace imc {
 
+class EstimateTail;
 class ThreadPool;
 
 class RicPool {
@@ -78,7 +81,8 @@ class RicPool {
   RicPool& operator=(const RicPool&) = delete;
 
   /// Appends `count` fresh samples, deterministically derived from `seed`
-  /// and the current pool size: sample i is drawn from the RNG substream
+  /// and the current pool size, and drops the estimate tail (its positions
+  /// now start past the grown pool): sample i is drawn from the RNG substream
   /// splitmix_of(seed, size() + i), so grow(a); grow(b) == grow(a + b)
   /// given the same base seed, for ANY parallelism/worker combination.
   /// Generation runs in parts of ~256 samples (one part when serial), each
@@ -95,7 +99,8 @@ class RicPool {
   /// Appends one externally produced sample (tests, hand-made pools).
   /// Validates community id, threshold and touching node ids; throws
   /// std::invalid_argument on mismatch with the bound structures. The CSR
-  /// index is merged before returning, exactly as grow() does.
+  /// index is merged and the estimate tail dropped before returning,
+  /// exactly as grow() does.
   void append(RicSample sample);
 
   [[nodiscard]] std::uint64_t size() const noexcept {
@@ -111,7 +116,7 @@ class RicPool {
   /// Outcome of invalidate_and_repair(): how much of the pool had to be
   /// regenerated. `repaired == 0` means the delta could not have changed
   /// any existing sample (the epoch still bumps — future samples could
-  /// differ).
+  /// differ). The estimate tail is not counted.
   struct RepairStats {
     std::uint64_t repaired = 0;  // samples regenerated in place
     std::uint64_t total = 0;     // pool size at repair time
@@ -144,11 +149,15 @@ class RicPool {
   /// write, so nothing throws once the pool is being rewritten. The
   /// community_frequency counters are recounted, not drifted. Bumps
   /// PoolEpoch::repairs when any sample was regenerated OR any future
-  /// sample could differ (i.e. whenever `effects` is non-empty). Returns
-  /// how many samples were repaired. Not safe to run concurrently with
-  /// readers of this pool. Throws std::invalid_argument (pool untouched)
-  /// when the mutated structures violate sampling invariants — community
-  /// population > kMaxCommunityPopulation, LT in-weight sums > 1.
+  /// sample could differ (i.e. whenever `effects` is non-empty). The
+  /// estimate tail is repaired by the same rule, in the same regeneration
+  /// batch (its touches are found by a scan, as it has no CSR), so it too
+  /// equals a rebuilt one; a tail kept under another seed is dropped.
+  /// Returns how many pool samples were repaired. Not safe to run
+  /// concurrently with readers of this pool. Throws std::invalid_argument
+  /// (pool untouched) when the mutated structures violate sampling
+  /// invariants — community population > kMaxCommunityPopulation, LT
+  /// in-weight sums > 1.
   RepairStats invalidate_and_repair(const DeltaEffects& effects,
                                     std::uint64_t seed, bool parallel = true,
                                     ThreadPool* workers = nullptr);
@@ -309,6 +318,23 @@ class RicPool {
   [[nodiscard]] std::uint64_t influenced_count(
       std::span<const NodeId> seeds) const;
 
+  /// The estimate tail under `seed` (see EstimateTail). A tail kept under
+  /// another seed is dropped first, so the handle never reads samples of a
+  /// different stream. The handle borrows the pool.
+  [[nodiscard]] EstimateTail estimate_tail(std::uint64_t seed);
+
+  /// Read-only view of the estimate tail: its seed and the kept samples'
+  /// arenas (tail sample t is stream position size() + t). What the tests
+  /// and the fuzz checks compare.
+  struct TailView {
+    std::uint64_t seed = 0;
+    std::span<const std::uint32_t> thresholds;
+    std::span<const CommunityId> source_community;
+    std::span<const std::uint64_t> sample_offsets;
+    std::span<const std::pair<NodeId, std::uint64_t>> sample_arena;
+  };
+  [[nodiscard]] TailView tail_view() const;
+
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
   [[nodiscard]] const CommunitySet& communities() const noexcept {
     return *communities_;
@@ -319,6 +345,8 @@ class RicPool {
   [[nodiscard]] DiffusionModel model() const noexcept { return model_; }
 
  private:
+  friend class EstimateTail;
+
   /// Throws std::length_error when adding `count` samples would push ids
   /// past the 32-bit Touch::sample range.
   void check_capacity(std::uint64_t count) const;
@@ -330,7 +358,8 @@ class RicPool {
     std::vector<RicSampleMeta> metas;
   };
 
-  /// The one sample generator behind grow() and invalidate_and_repair():
+  /// The one sample generator behind grow(), invalidate_and_repair() and
+  /// the estimate tail:
   /// fills `out` with the samples index_of(0), ..., index_of(count - 1),
   /// sample index_of(i) drawn from Rng(splitmix_of(seed, index_of(i))).
   /// Parts hold contiguous runs of i, so concatenating them in order
@@ -359,6 +388,9 @@ class RicPool {
   /// any chunk count (touches stay sorted by sample id within each node),
   /// which is what keeps selection deterministic.
   void merge_fresh_into_index(unsigned chunks, ThreadPool* workers);
+
+  /// Empties the estimate tail (its seed stays).
+  void drop_tail();
 
   const Graph* graph_;
   const CommunitySet* communities_;
@@ -396,6 +428,74 @@ class RicPool {
   ArenaVector<std::uint64_t> touch_offsets_;  // node -> begin
   ArenaVector<Touch> touches_;                // contiguous arena
   std::uint64_t indexed_samples_ = 0;
+
+  // The estimate tail: full samples at stream positions size() + t under
+  // `seed`, stored sample-major like the pool, without a CSR. Never part
+  // of size(), the index or a snapshot.
+  struct TailStore {
+    std::uint64_t seed = 0;
+    ArenaVector<std::uint32_t> thresholds;
+    ArenaVector<CommunityId> source_community;
+    ArenaVector<std::uint64_t> sample_offsets{1, 0};  // kept + 1 entries
+    ArenaVector<std::pair<NodeId, std::uint64_t>> sample_arena;
+  };
+  TailStore tail_;
+};
+
+/// Handle on a pool's estimate tail (DESIGN.md §15): full RIC samples at
+/// the stream positions past the pool, size(), size() + 1, ..., under one
+/// seed, kept so that a repeated Estimate on a pool at its cap reads X(S)
+/// from them instead of redrawing the same positions. Positions are global
+/// stream positions; the kept ones form the prefix [begin(), kept_end()).
+/// dagum_estimate_benefit hands each lane's block to serve(), which looks
+/// up the kept positions and draws the rest in full, and after each round
+/// hands the lanes' fills to commit(), which keeps them. Every position an
+/// Estimate reads through the tail is kept from then on, so only the first
+/// read of a position pays for a full sample (~1.6x an early-exit draw).
+class EstimateTail {
+ public:
+  /// The full samples one lane drew in serve(), until commit() keeps them.
+  class Fill {
+   private:
+    friend class EstimateTail;
+    std::uint64_t begin_ = 0;  // stream position of the first sample
+    std::vector<RicPool::GeneratedPart> parts_;
+  };
+
+  /// The pool whose tail this is.
+  [[nodiscard]] const RicPool& pool() const noexcept { return *pool_; }
+  /// The seed whose stream the tail holds.
+  [[nodiscard]] std::uint64_t seed() const noexcept {
+    return pool_->tail_.seed;
+  }
+  /// The first tail position: the pool's size.
+  [[nodiscard]] std::uint64_t begin() const noexcept { return pool_->size(); }
+  /// One past the last kept position.
+  [[nodiscard]] std::uint64_t kept_end() const noexcept {
+    return pool_->size() + pool_->tail_.thresholds.size();
+  }
+
+  /// Appends X_p(S) of positions p in [from, to) to `x`, where `is_seed`
+  /// flags S: whether the seeds reach the sample's threshold (OR of their
+  /// masks, then popcount), as RicSampler::draw_influenced decides it for
+  /// the same position. Kept positions are looked up; the rest are drawn
+  /// in full into `fill`, on the calling thread through the pool's part
+  /// loop and sampler cache. Needs begin() <= from and a `fill` that
+  /// commit() emptied (or a new one). Lanes may serve at once, each with
+  /// its own fill, but not while commit() runs.
+  void serve(std::uint64_t from, std::uint64_t to,
+             std::span<const std::uint8_t> is_seed,
+             std::vector<std::uint8_t>& x, Fill& fill) const;
+
+  /// Keeps the fills, given in position order, as long as each one starts
+  /// where the kept prefix ends; stops at the first that does not (a lane
+  /// that stopped at a deadline leaves a gap). Empties every fill.
+  void commit(std::span<Fill> fills);
+
+ private:
+  friend class RicPool;
+  explicit EstimateTail(RicPool& pool) noexcept : pool_(&pool) {}
+  RicPool* pool_;
 };
 
 }  // namespace imc

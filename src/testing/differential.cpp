@@ -991,6 +991,131 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
+// Check: estimate_tail
+// ---------------------------------------------------------------------------
+
+/// The pool's estimate tail against a rebuild: every kept sample t must be
+/// byte-equal to the sample a fresh sampler on the pool's (possibly
+/// mutated) structures draws at stream position size() + t.
+std::string tail_rebuild_diff(const RicPool& pool) {
+  const RicPool::TailView tail = pool.tail_view();
+  RicSampler sampler(pool.graph(), pool.communities(), pool.model());
+  RicSampler::TouchArena arena;
+  std::uint64_t offset = 0;
+  for (std::uint64_t t = 0; t < tail.thresholds.size(); ++t) {
+    Rng rng(splitmix_of(tail.seed, pool.size() + t));
+    arena.clear();
+    const RicSampleMeta meta = sampler.generate_into(rng, arena);
+    const bool same_pairs = std::equal(
+        arena.begin(), arena.end(), tail.sample_arena.begin() + offset,
+        tail.sample_arena.begin() + tail.sample_offsets[t + 1],
+        [](const auto& a, const auto& b) {
+          return a.first == b.first && a.second == b.second;
+        });
+    if (tail.sample_offsets[t] != offset || !same_pairs ||
+        tail.thresholds[t] != meta.threshold ||
+        tail.source_community[t] != meta.community) {
+      return "tail sample " + std::to_string(t) + " differs from a rebuild";
+    }
+    offset += meta.touch_count;
+  }
+  if (tail.sample_arena.size() != offset) return "tail arena has extra pairs";
+  return "";
+}
+
+/// Capped pools serially and on {1, 2, 8} workers, each with its estimate
+/// tail, under a stacked stream of random deltas. At every step two seed
+/// sets are estimated through the tail as A, B, A (the first read keeps
+/// what it draws, the later ones read it back and extend it where they
+/// need more positions), and every tail-backed DagumEstimate must equal
+/// the tail-less serial one field for field. The tail is compared byte for
+/// byte with a rebuild on the current structures after the reads and after
+/// every repair.
+std::optional<std::string> check_estimate_tail(const InstanceSpec& spec,
+                                               std::uint64_t case_seed) {
+  Graph graph = spec.build_graph();
+  CommunitySet communities = spec.build_communities();
+  const std::uint64_t count = pool_size_for(case_seed);
+  const NodeId n = graph.node_count();
+
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  struct Leg {
+    const char* name;
+    ThreadPool* workers;
+    RicPool pool;
+  };
+  Leg legs[] = {
+      {"serial", nullptr, RicPool(graph, communities, spec.model)},
+      {"threads=1", &one, RicPool(graph, communities, spec.model)},
+      {"threads=2", &two, RicPool(graph, communities, spec.model)},
+      {"threads=8", &eight, RicPool(graph, communities, spec.model)},
+  };
+  for (Leg& leg : legs) {
+    leg.pool.grow(count, case_seed, leg.workers != nullptr, leg.workers);
+  }
+
+  Rng rng(case_seed ^ 0x7a11ULL);
+  std::vector<std::vector<NodeId>> seed_sets(2);
+  for (std::vector<NodeId>& seeds : seed_sets) {
+    const std::uint64_t size = 1 + rng.below(std::min<NodeId>(3, n));
+    for (std::uint64_t i = 0; i < size; ++i) {
+      seeds.push_back(static_cast<NodeId>(rng.below(n)));
+    }
+  }
+  DagumOptions options;
+  options.eps_prime = 0.5;
+  options.delta_prime = 0.2;
+  options.max_samples = 300;
+  options.seed = case_seed;
+  options.first = count;
+  options.model = spec.model;
+
+  for (int step = 0; step < 4; ++step) {
+    const std::string at = " (step " + std::to_string(step) + ")";
+    if (step > 0) {
+      const GraphDelta delta = random_delta(graph, communities, rng);
+      const DeltaEffects effects = apply_delta(graph, communities, delta);
+      for (Leg& leg : legs) {
+        (void)leg.pool.invalidate_and_repair(
+            effects, case_seed, leg.workers != nullptr, leg.workers);
+        const std::string diff = tail_rebuild_diff(leg.pool);
+        if (!diff.empty()) {
+          return std::string(leg.name) + " repaired " + diff + at;
+        }
+      }
+    }
+    for (int read = 0; read < 3; ++read) {
+      const std::vector<NodeId>& seeds = seed_sets[read % 2];
+      const DagumEstimate want =
+          dagum_estimate_benefit(graph, communities, seeds, options);
+      for (Leg& leg : legs) {
+        EstimateTail tail = leg.pool.estimate_tail(case_seed);
+        const DagumEstimate got =
+            dagum_estimate_benefit(graph, communities, seeds, options,
+                                   ExecutionContext{}, leg.workers, &tail);
+        if (got.value != want.value || got.samples != want.samples ||
+            got.converged != want.converged ||
+            got.reached_deadline != want.reached_deadline) {
+          return std::string(leg.name) + " tail-backed estimate (" +
+                 std::to_string(got.value) + ", T=" +
+                 std::to_string(got.samples) + ") vs tail-less (" +
+                 std::to_string(want.value) + ", T=" +
+                 std::to_string(want.samples) + ") on read " +
+                 std::to_string(read) + at;
+        }
+      }
+    }
+    for (const Leg& leg : legs) {
+      const std::string diff = tail_rebuild_diff(leg.pool);
+      if (!diff.empty()) return std::string(leg.name) + " " + diff + at;
+    }
+  }
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
 // Checks: imcaf_guarantee, dagum_guarantee
 // ---------------------------------------------------------------------------
 
@@ -1204,6 +1329,7 @@ std::vector<FuzzCheck> default_checks() {
       {"delta_vs_rebuild", check_delta_vs_rebuild},
       {"sampler_distribution", check_sampler_distribution},
       {"dagum_draw", check_dagum_draw},
+      {"estimate_tail", check_estimate_tail},
       {"imcaf_guarantee", check_imcaf_guarantee},
       {"dagum_guarantee", check_dagum_guarantee},
   };

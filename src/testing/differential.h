@@ -41,6 +41,12 @@
 //                     materialized samples, draw j being the sample at
 //                     position first + j: same value, T and convergence,
 //                     also with the blocks drawn on {1, 2, 8} workers.
+//   * estimate_tail — capped pools with their estimate tails, serially
+//                     and on {1, 2, 8} workers, under a stacked delta
+//                     stream: every tail-backed DagumEstimate (filling,
+//                     then reading back) equals the tail-less one field
+//                     for field, and the tail, repaired with its pool,
+//                     is byte-equal to a rebuild on the mutated graph.
 //   * imcaf_guarantee — Theorem 7 end to end on enumerably tiny instances:
 //                     OPT by exhaustive k-subset search over exact c(S),
 //                     IMCAF + UBG under many seeds, and the share of runs

@@ -10,8 +10,11 @@
 // parallel sampling on and off.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "community/threshold_policy.h"
@@ -20,8 +23,10 @@
 #include "core/maf.h"
 #include "core/maxr_solver.h"
 #include "core/ubg.h"
+#include "graph/delta.h"
 #include "graph/generators/generators.h"
 #include "graph/weights.h"
+#include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "test_support.h"
 #include "util/context.h"
@@ -220,6 +225,139 @@ TEST_F(PipelineEngineTest, SolveManyIsIdenticalAcrossThreadsAndParallelSampling)
     }
     EXPECT_EQ(engine.pool().grow_epoch(), serial.pool().grow_epoch());
   }
+}
+
+/// Collects the stage rows since the last take().
+class RowSink final : public MetricsSink {
+ public:
+  void record_stage(const StageMetrics& metrics) override {
+    rows_.push_back(metrics);
+  }
+  std::vector<StageMetrics> take() { return std::exchange(rows_, {}); }
+
+ private:
+  std::vector<StageMetrics> rows_;
+};
+
+/// Every row field but the seconds.
+void expect_same_rows(const std::vector<StageMetrics>& got,
+                      const std::vector<StageMetrics>& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].stage, want[i].stage) << where;
+    EXPECT_EQ(got[i].pool_size, want[i].pool_size) << where;
+    EXPECT_EQ(got[i].samples_added, want[i].samples_added) << where;
+    EXPECT_EQ(got[i].estimate_samples, want[i].estimate_samples) << where;
+    EXPECT_EQ(got[i].accepted, want[i].accepted) << where;
+    EXPECT_EQ(got[i].pipelined, want[i].pipelined) << where;
+    EXPECT_EQ(got[i].speculative_samples_committed,
+              want[i].speculative_samples_committed)
+        << where;
+    EXPECT_EQ(got[i].speculative_samples_discarded,
+              want[i].speculative_samples_discarded)
+        << where;
+  }
+}
+
+TEST_F(PipelineEngineTest, EstimateTailRunsMatchTailLessRuns) {
+  // A pool at its cap estimates through its tail (DESIGN.md §15): repeated
+  // queries read kept samples, and deltas repair the tail with the pool.
+  // Every query must still equal a tail-less run — a serial engine that
+  // attaches a snapshot of the same pool, so its Estimate reads those
+  // positions for the first time — in the full result and in every stage
+  // row but the seconds, at threads {1, 2, 8} with parallel sampling on
+  // and off, through solve_many and across a stacked delta stream.
+  const UbgSolver ubg;
+  const MafSolver maf;
+  const std::string path =
+      ::testing::TempDir() + "/imc_tail_reference_" +
+      std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".snap";
+  struct Run {
+    ImcafResult result;
+    std::vector<StageMetrics> rows;
+  };
+  const auto tail_less = [&](const Graph& graph,
+                             const CommunitySet& communities,
+                             const RicPool& pool, const EngineQuery& query) {
+    save_ric_pool_snapshot(path, pool);
+    RowSink sink;
+    ExecutionContext context;
+    context.metrics = &sink;
+    ImcEngine engine(graph, communities, pinned_config(false), context);
+    engine.attach_pool(path);
+    Run run{engine.solve(query.k, *query.solver), {}};
+    run.rows = sink.take();
+    return run;
+  };
+
+  std::vector<GraphDelta> deltas(3);
+  deltas[0].upsert_edge(0, 57, 0.4).remove_edge(1, 0);
+  deltas[1].move_member(7, 5).upsert_edge(90, 3, 0.15);
+  deltas[2].remove_edge(3, 1).move_member(30, 0);
+  const std::vector<EngineQuery> queries = {{8, &ubg}, {5, &maf}, {8, &ubg}};
+
+  for (const unsigned threads : {1U, 2U, 8U}) {
+    ThreadPool workers(threads);
+    for (const bool parallel : {true, false}) {
+      const std::string leg = "threads=" + std::to_string(threads) +
+                              (parallel ? " parallel" : " serial");
+      Graph graph = graph_;
+      CommunitySet communities = make_communities(1);
+      RowSink sink;
+      ExecutionContext context;
+      context.workers = &workers;
+      context.metrics = &sink;
+      ImcEngine engine(graph, communities, pinned_config(parallel), context);
+
+      // The first query grows the pool to its cap; solve_many then
+      // queries the capped pool, each query against its tail-less twin.
+      (void)engine.solve(8, ubg);
+      ASSERT_EQ(engine.pool().size(), 6000U) << leg;
+      std::vector<Run> want;
+      for (const EngineQuery& query : queries) {
+        want.push_back(tail_less(graph, communities, engine.pool(), query));
+      }
+      (void)sink.take();
+      const std::vector<ImcafResult> got = engine.solve_many(queries);
+      const std::vector<StageMetrics> rows = sink.take();
+      ASSERT_EQ(got.size(), want.size()) << leg;
+      std::size_t row = 0;
+      for (std::size_t q = 0; q < got.size(); ++q) {
+        const std::string where = leg + " solve_many query " +
+                                  std::to_string(q);
+        expect_same_result(got[q], want[q].result, where);
+        EXPECT_EQ(got[q].reached_deadline, want[q].result.reached_deadline)
+            << where;
+        const std::vector<StageMetrics> query_rows(
+            rows.begin() + static_cast<std::ptrdiff_t>(row),
+            rows.begin() +
+                static_cast<std::ptrdiff_t>(row + got[q].stop_stages));
+        row += got[q].stop_stages;
+        expect_same_rows(query_rows, want[q].rows, where);
+      }
+      EXPECT_GT(engine.pool().tail_view().thresholds.size(), 0U) << leg;
+
+      for (std::size_t d = 0; d < deltas.size(); ++d) {
+        (void)engine.apply_delta(graph, communities, deltas[d]);
+        for (const EngineQuery& query :
+             {EngineQuery{8, &ubg}, EngineQuery{5, &maf}}) {
+          const std::string where = leg + " delta " + std::to_string(d) +
+                                    " k=" + std::to_string(query.k);
+          const Run reference =
+              tail_less(graph, communities, engine.pool(), query);
+          (void)sink.take();
+          const ImcafResult result = engine.solve(query.k, *query.solver);
+          expect_same_result(result, reference.result, where);
+          EXPECT_EQ(result.reached_deadline, reference.result.reached_deadline)
+              << where;
+          expect_same_rows(sink.take(), reference.rows, where);
+        }
+      }
+      EXPECT_GT(engine.pool().tail_view().thresholds.size(), 0U) << leg;
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -32,7 +32,10 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # The delta label rides along: in-place sample repair rewrites arena spans
 # and splices CSR adjacency in place — exactly the kind of off-by-one
 # surface ASan exists for (the fuzz label's delta_vs_rebuild check covers
-# the randomized side of the same path).
+# the randomized side of the same path). The estimate tail is patched by
+# the same row patch in the same repair (estimate_tail_test.cpp, delta
+# label), and the fuzz label's estimate_tail check fills, reads and
+# repairs it on serial and {1, 2, 8}-worker pools.
 ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1 detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}" \
   ctest --test-dir "${build_dir}" -L 'fuzz|engine|io|delta' \

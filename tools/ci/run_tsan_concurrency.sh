@@ -26,11 +26,17 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # engine at threads {1, 2, 8} with parallel sampling on: pool growth and
 # the stop-stage estimate's blocks on the caller plus the workers, each
 # lane with its own sampler and X buffer — exactly the surface TSan must
-# prove clean. The delta label rides along because
+# prove clean. Both labels also run the estimate tail of a capped pool
+# (estimate_tail_test.cpp, PipelineEngineTest.EstimateTailRunsMatch...):
+# the lanes look kept samples up and draw the tail's full samples through
+# the pool's shared sampler cache (EstimateTail::serve), and the caller
+# keeps them between rounds (EstimateTail::commit). The delta label rides
+# along because
 # invalidate_and_repair fans regeneration chunks out over the same thread
 # pool and then patches the sample-major arena and the CSR index in place
 # side by side, one on a worker and one on the calling thread (DESIGN.md
-# §16). The concurrency label also covers UBG's two lanes: the ν greedy
+# §16), the estimate tail's patch following the sample-major one on the
+# caller. The concurrency label also covers UBG's two lanes: the ν greedy
 # on a pool worker beside the caller's ĉ greedy over the same const
 # pool, including the caller running ν itself when the worker is busy
 # (`fork_join`, DESIGN.md §5, parallel_greedy_test.cpp and
