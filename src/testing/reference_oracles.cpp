@@ -1,6 +1,7 @@
 #include "testing/reference_oracles.h"
 
 #include <algorithm>
+#include <deque>
 #include <stdexcept>
 
 namespace imc::testing {
@@ -91,6 +92,72 @@ RicSample naive_ric_sample(const Graph& graph,
     if (mask != 0) sample.touching.emplace_back(v, mask);
   }
   return sample;  // touching is sorted by node id by construction
+}
+
+RicSample replay_ric_sample(const Graph& graph,
+                            const CommunitySet& communities,
+                            DiffusionModel model, CommunityId community,
+                            Rng& rng) {
+  const auto members = communities.members(community);
+  RicSample sample;
+  sample.community = community;
+  sample.threshold = communities.threshold(community);
+  sample.member_count = static_cast<std::uint32_t>(members.size());
+
+  LiveEdges live(graph.node_count());
+  std::vector<std::uint8_t> visited(graph.node_count(), 0);
+  std::deque<NodeId> queue;
+  const auto visit = [&](NodeId v) {
+    if (!visited[v]) {
+      visited[v] = 1;
+      queue.push_back(v);
+    }
+  };
+  for (const NodeId u : members) visit(u);
+  while (!queue.empty()) {
+    const NodeId v = queue.front();
+    queue.pop_front();
+    const auto in = graph.in_neighbors(v);
+    const float p = graph.in_uniform_weights()[v];
+    if (model == DiffusionModel::kLinearThreshold) {
+      double x = rng.uniform();
+      for (const Neighbor& nb : in) {
+        x -= static_cast<double>(nb.weight);
+        if (x < 0.0) {
+          live[nb.node].push_back(v);
+          visit(nb.node);
+          break;
+        }
+      }
+    } else if (p > 0.0F) {
+      const double inv_log1p = graph.in_uniform_inv_log1ps()[v];
+      for (std::uint64_t i = rng.geometric_skip(inv_log1p); i < in.size();
+           i += 1 + rng.geometric_skip(inv_log1p)) {
+        live[in[i].node].push_back(v);
+        visit(in[i].node);
+      }
+    } else if (p < 0.0F) {
+      for (const Neighbor& nb : in) {
+        if (rng.bernoulli(static_cast<double>(nb.weight))) {
+          live[nb.node].push_back(v);
+          visit(nb.node);
+        }
+      }
+    }
+  }
+
+  std::vector<std::uint8_t> seen(graph.node_count(), 0);
+  std::vector<NodeId> stack;
+  for (NodeId v = 0; v < graph.node_count(); ++v) {
+    if (!visited[v]) continue;
+    forward_reach(live, v, seen, stack);
+    std::uint64_t mask = 0;
+    for (std::uint32_t j = 0; j < members.size(); ++j) {
+      if (seen[members[j]]) mask |= 1ULL << j;
+    }
+    if (mask != 0) sample.touching.emplace_back(v, mask);
+  }
+  return sample;
 }
 
 RicSample naive_ric_sample(const Graph& graph,

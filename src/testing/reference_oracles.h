@@ -48,6 +48,20 @@ namespace imc::testing {
                                          DiffusionModel model,
                                          CommunityId community, Rng& rng);
 
+/// Replays RicSampler's RNG contract for `community` (kRicSamplerRngContract
+/// 2): a FIFO reverse BFS from the members in member order, drawing one
+/// geometric skip per realized in-edge of a node whose in-edges share one
+/// probability, one Bernoulli per in-edge of any other node, and one
+/// uniform per node under LT. Masks then come from one forward DFS per
+/// node over the realized edges, as in naive_ric_sample, and the pairs
+/// come out in node order by construction. Equals
+/// RicSampler::generate_for_community pair for pair and leaves `rng` in
+/// the same state.
+[[nodiscard]] RicSample replay_ric_sample(const Graph& graph,
+                                          const CommunitySet& communities,
+                                          DiffusionModel model,
+                                          CommunityId community, Rng& rng);
+
 /// Draws the source community ∝ benefit via a plain CDF scan (vs the
 /// Walker alias table), then defers to naive_ric_sample.
 [[nodiscard]] RicSample naive_ric_sample(const Graph& graph,

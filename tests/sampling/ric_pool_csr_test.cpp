@@ -6,18 +6,26 @@
 // guard.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "community/threshold_policy.h"
 #include "graph/generators/generators.h"
 #include "graph/weights.h"
+#include "sampling/pool_snapshot.h"
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace imc {
 namespace {
@@ -157,6 +165,55 @@ TEST_F(RicPoolCsrTest, SerialAndParallelGrowthProduceIdenticalPools) {
     EXPECT_EQ(serial_arena[i].sample, parallel_arena[i].sample);
     EXPECT_EQ(serial_arena[i].threshold, parallel_arena[i].threshold);
     EXPECT_EQ(serial_arena[i].mask, parallel_arena[i].mask);
+  }
+}
+
+/// Every byte of every arena the two pools own, CSR included.
+void expect_same_bytes(const RicPool& a, const RicPool& b) {
+  const auto same = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size_bytes()) == 0);
+  };
+  EXPECT_TRUE(same(a.thresholds(), b.thresholds()));
+  EXPECT_TRUE(same(a.source_communities(), b.source_communities()));
+  EXPECT_TRUE(same(a.community_frequencies(), b.community_frequencies()));
+  EXPECT_TRUE(same(a.sample_offsets(), b.sample_offsets()));
+  EXPECT_TRUE(same(a.sample_arena(), b.sample_arena()));
+  EXPECT_TRUE(same(a.touch_offsets(), b.touch_offsets()));
+  EXPECT_TRUE(same(a.touch_arena(), b.touch_arena()));
+}
+
+TEST_F(RicPoolCsrTest, StagedGrowthEqualsOneGrowByteForByte) {
+  // grow(a); grow(b) merges b's touches into a's CSR in place: every old
+  // row moves right, the fresh touches land behind it. The result must be
+  // the bytes of grow(a + b) for merge chunk counts 1 (serial), 2 (one
+  // worker and the caller) and 5 (four workers and the caller), and
+  // after a snapshot attach. The pools' arenas pass 1 MiB, so the second
+  // grow extends mapped slabs.
+  constexpr std::uint64_t kFirst = 3'000;
+  constexpr std::uint64_t kSecond = 5'000;
+  constexpr std::uint64_t kSeed = 13;
+  RicPool whole(graph_, communities_);
+  whole.grow(kFirst + kSecond, kSeed, /*parallel=*/false);
+  ASSERT_GT(whole.touch_arena().size_bytes(), detail::kMappedSlabBytes);
+
+  for (const unsigned workers : {0U, 1U, 4U}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+    RicPool staged(graph_, communities_);
+    staged.grow(kFirst, kSeed, workers > 0, pool.get());
+    const std::string path = ::testing::TempDir() + "/imc_staged_growth." +
+                             std::to_string(::getpid()) + "." +
+                             std::to_string(workers) + ".snap";
+    save_ric_pool_snapshot(path, staged);
+    staged.grow(kSecond, kSeed, workers > 0, pool.get());
+    expect_same_bytes(staged, whole);
+
+    RicPool attached = attach_ric_pool_snapshot(path, graph_, communities_);
+    std::remove(path.c_str());
+    attached.grow(kSecond, kSeed, workers > 0, pool.get());
+    expect_same_bytes(attached, whole);
   }
 }
 
