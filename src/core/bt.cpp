@@ -20,7 +20,7 @@ struct BtInstance {
   std::vector<std::uint32_t> threshold;
   std::vector<std::uint64_t> covered;  // member mask reached by fixed nodes
   // Per local sample: (node, full member mask the node reaches).
-  std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> touching;
+  std::vector<std::vector<TouchPair>> touching;
   // Inverted index.
   std::unordered_map<NodeId, std::vector<std::pair<std::uint32_t, std::uint64_t>>>
       index;

@@ -75,7 +75,7 @@ struct SampleGainView {
   const std::uint32_t* thresholds = nullptr;         // per sample: h_g
   const double* nu_base = nullptr;  // per sample: row_h[popcount(covered)]
   const std::uint64_t* sample_offsets = nullptr;     // size+1 entries
-  const std::pair<NodeId, std::uint64_t>* sample_arena = nullptr;
+  const TouchPair* sample_arena = nullptr;
   const double* fraction_table = nullptr;    // nu_fraction_row(0)
 };
 

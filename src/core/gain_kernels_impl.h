@@ -44,7 +44,7 @@ namespace {
 
 // The strided SIMD mask loads assume the sample-arena pair layout
 // {NodeId node; (pad); uint64_t mask} with the mask at byte offset 8.
-using ArenaPair = std::pair<NodeId, std::uint64_t>;
+using ArenaPair = TouchPair;
 static_assert(sizeof(ArenaPair) == 16, "arena pair must stay 16 bytes");
 static_assert(std::is_standard_layout_v<ArenaPair>,
               "mask-offset assumption needs standard layout");
