@@ -2,7 +2,9 @@
 //
 // Besides the console table, the binary writes a machine-readable summary
 // (name, ns/op, iterations, pool_size/threads counters) to BENCH_micro.json
-// — override the path with `--json <path>`, disable with `--json ""`.
+// — override the path with `--json <path>`, disable with `--json ""`. A run
+// with --benchmark_filter writes no file unless --json names one, so a
+// filtered run cannot replace the full baseline with its few rows.
 // Fixture knobs:
 //   IMC_BENCH_SCALE        small-fixture dataset scale       (default 0.12)
 //   IMC_MICRO_LARGE_SCALE  large-fixture dataset scale       (default 1.0)
@@ -679,18 +681,24 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_micro.json";
+  bool json_named = false;
+  bool filtered = false;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
+      json_named = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = std::string(arg.substr(7));
+      json_named = true;
     } else {
+      filtered = filtered || arg.rfind("--benchmark_filter", 0) == 0;
       passthrough.push_back(argv[i]);
     }
   }
+  if (filtered && !json_named) json_path.clear();
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
@@ -699,6 +707,9 @@ int main(int argc, char** argv) {
   JsonTeeReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   reporter.write(json_path);
+  if (filtered && !json_named) {
+    std::cout << "--benchmark_filter without --json: no JSON file written\n";
+  }
   benchmark::Shutdown();
   return 0;
 }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "sampling/row_patch.h"
 #include "util/mathx.h"
 #include "util/thread_pool.h"
 
@@ -96,87 +97,23 @@ EvalScratch& accumulate_masks(const RicPool& pool,
   return scratch;
 }
 
-/// In-place patch of one row-major arena — `offsets` (rows + 1 entries)
-/// over the flat `arena` — the one helper delta repair applies to both the
-/// sample-major arena (rows = samples) and the CSR index (rows = nodes).
-/// See DESIGN.md §16. Construction is the only step that may throw: it
-/// reserves room for both the old and the new size (growth past capacity
-/// reallocates here, doubling like push_back). apply() then rewrites the
-/// arena without allocating.
-template <typename T>
-class RowPatch {
- public:
-  RowPatch(ArenaVector<std::uint64_t>& offsets, ArenaVector<T>& arena,
-           std::uint64_t dropped, std::uint64_t inserted)
-      : offsets_(offsets.data()),
-        rows_(offsets.size() - 1),
-        arena_(arena),
-        old_size_(arena.size()),
-        new_size_(arena.size() - dropped + inserted),
-        inserted_(inserted) {
-    arena.reserve(std::max(old_size_, new_size_));
+/// Tasks per lane for the tail scan and the patch of a delta repair: enough
+/// that the lanes balance uneven chunks by taking the next one as they
+/// finish.
+constexpr unsigned kRepairTasksPerLane = 4;
+
+/// Runs body(0), ..., body(tasks - 1): on the calling thread when `pool`
+/// is null, else as one pool task each, the caller help-running. Either
+/// way every task runs exactly once (one that cannot be queued runs on
+/// the caller).
+void for_each_task(ThreadPool* pool, unsigned tasks,
+                   const std::function<void(unsigned)>& body) {
+  if (pool == nullptr) {
+    for (unsigned t = 0; t < tasks; ++t) body(t);
+  } else {
+    parallel_for_shards(*pool, tasks, body);
   }
-
-  /// Pass 1, left to right: compacts every row to the elements
-  /// keep(row, element) accepts. Pass 2, right to left: merges
-  /// inserted(row) — a span sorted under `less`, as the row's survivors
-  /// are — into the row's final offsets. Each row ends at or right of
-  /// where pass 1 left it and rows are finished from the right, so pass 2
-  /// never overwrites a survivor it has yet to move.
-  template <typename Keep, typename Inserted, typename Less>
-  void apply(const Keep& keep, const Inserted& inserted,
-             const Less& less) {
-    arena_.resize_for_overwrite(std::max(old_size_, new_size_));
-    T* const data = arena_.data();
-
-    std::uint64_t begin = 0;
-    std::uint64_t out = 0;
-    for (std::uint64_t r = 0; r < rows_; ++r) {
-      const std::uint64_t end = offsets_[r + 1];
-      for (std::uint64_t i = begin; i < end; ++i) {
-        if (keep(r, data[i])) data[out++] = data[i];
-      }
-      offsets_[r + 1] = out;  // compacted end of row r
-      begin = end;
-    }
-
-    std::uint64_t remaining = inserted_;
-    for (std::uint64_t r = rows_; r-- > 0 && remaining > 0;) {
-      const std::uint64_t kept_begin = offsets_[r];
-      const std::uint64_t kept_end = offsets_[r + 1];
-      const std::span<const T> add = inserted(r);
-      const std::uint64_t final_end = kept_end + remaining;
-      remaining -= add.size();
-      offsets_[r + 1] = final_end;
-      T* out_it = data + final_end;
-      const T* kept_it = data + kept_end;
-      const T* add_it = add.data() + add.size();
-      while (add_it != add.data()) {
-        if (kept_it != data + kept_begin && less(add_it[-1], kept_it[-1])) {
-          *--out_it = *--kept_it;
-        } else {
-          *--out_it = *--add_it;
-        }
-      }
-      const std::size_t survivors =
-          static_cast<std::size_t>(kept_it - (data + kept_begin));
-      if (out_it != kept_it && survivors > 0) {
-        std::memmove(static_cast<void*>(out_it - survivors),
-                     static_cast<const void*>(data + kept_begin),
-                     survivors * sizeof(T));
-      }
-    }
-    arena_.resize_for_overwrite(new_size_);
-  }
-
- private:
-  std::uint64_t* offsets_;
-  std::uint64_t rows_;
-  ArenaVector<T>& arena_;
-  std::uint64_t old_size_;
-  std::uint64_t new_size_;
-  std::uint64_t inserted_;
-};
+}
 
 /// X(S) of one sample from its touch list: the OR of the seeds' member
 /// masks reaches the threshold.
@@ -660,6 +597,12 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   // stream.
   if (seed != tail_.seed) drop_tail();
 
+  ThreadPool* const pool = sampling_pool(parallel, workers);
+  // Every fan-out below runs one task when serial, else one or a few per
+  // lane (the workers plus the calling thread, which help-runs).
+  const unsigned lanes = pool == nullptr ? 1 : pool->size() + 1;
+  const unsigned tasks = pool == nullptr ? 1 : lanes * kRepairTasksPerLane;
+
   // Affected = samples touching a changed in-adjacency head (their walk
   // examined that node's in-edges — see the header's identification rule)
   // ∪ samples sourced at a community whose member list moved (their mask
@@ -686,32 +629,37 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
   stats.repaired = repair_ids.size();
 
   // The tail's affected samples, by the same rule. It has no CSR, so its
-  // arena is scanned against a bitmap of the changed in-nodes.
+  // arena is scanned against a bitmap of the changed in-nodes, one slice
+  // per task; the slices' ids concatenate in position order.
   const std::uint64_t tail_total = tail_.thresholds.size();
-  std::vector<std::uint8_t> tail_affected(tail_total, 0);
   std::vector<std::uint32_t> tail_ids;
   if (tail_total > 0) {
     std::vector<std::uint8_t> changed(graph_->node_count(), 0);
     for (const NodeId v : effects.changed_in_nodes) changed[v] = 1;
     const std::span<const std::uint64_t> offsets = tail_.sample_offsets.span();
     const std::span<const TouchPair> pairs = tail_.sample_arena.span();
-    for (std::uint64_t t = 0; t < tail_total; ++t) {
-      bool hit = !moved.empty() && moved[tail_.source_community[t]];
-      for (std::uint64_t i = offsets[t]; !hit && i < offsets[t + 1]; ++i) {
-        hit = changed[pairs[i].first] != 0;
+    const std::span<const CommunityId> sources = tail_.source_community.span();
+    const auto slices =
+        static_cast<unsigned>(std::min<std::uint64_t>(tail_total, tasks));
+    std::vector<std::vector<std::uint32_t>> found(slices);
+    for_each_task(pool, slices, [&](unsigned slice) {
+      const std::uint64_t end = tail_total * (slice + 1) / slices;
+      for (std::uint64_t t = tail_total * slice / slices; t < end; ++t) {
+        bool hit = !moved.empty() && moved[sources[t]];
+        for (std::uint64_t i = offsets[t]; !hit && i < offsets[t + 1]; ++i) {
+          hit = changed[pairs[i].first] != 0;
+        }
+        if (hit) found[slice].push_back(static_cast<std::uint32_t>(t));
       }
-      if (hit) {
-        tail_affected[t] = 1;
-        tail_ids.push_back(static_cast<std::uint32_t>(t));
-      }
+    });
+    for (const std::vector<std::uint32_t>& ids : found) {
+      tail_ids.insert(tail_ids.end(), ids.begin(), ids.end());
     }
   }
   if (repair_ids.empty() && tail_ids.empty()) {
     ++repairs_;  // future samples may differ
     return stats;
   }
-
-  ThreadPool* const pool = sampling_pool(parallel, workers);
 
   // Regenerate the affected samples with their ORIGINAL substreams —
   // Rng(splitmix_of(seed, g)) is exactly what a rebuild-from-scratch
@@ -731,8 +679,10 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
 
   // Flatten the parts (contiguous runs of repair order, so concatenation
   // IS repair order) into per-repaired-sample views for the patches.
-  std::vector<const TouchPair*> repaired_data(count + tail_count);
-  std::vector<const RicSampleMeta*> repaired_meta(count + tail_count);
+  ArenaVector<const TouchPair*> repaired_data;
+  ArenaVector<const RicSampleMeta*> repaired_meta;
+  repaired_data.resize_for_overwrite(count + tail_count);
+  repaired_meta.resize_for_overwrite(count + tail_count);
   {
     std::uint64_t j = 0;
     for (const GeneratedPart& part : regenerated) {
@@ -746,114 +696,164 @@ RicPool::RepairStats RicPool::invalidate_and_repair(
     }
   }
 
-  // Every repaired sample's old pairs leave its sample-major arena (and,
-  // for a pool sample, the CSR: each pair is one touch) and its
-  // regenerated pairs arrive there.
-  const auto churn = [&](const ArenaVector<std::uint64_t>& offsets,
-                         const std::vector<std::uint32_t>& ids,
-                         std::uint64_t first) {
-    std::pair<std::uint64_t, std::uint64_t> dropped_inserted{0, 0};
-    for (std::uint64_t j = 0; j < ids.size(); ++j) {
-      dropped_inserted.first += offsets[ids[j] + 1] - offsets[ids[j]];
-      dropped_inserted.second += repaired_meta[first + j]->touch_count;
-    }
-    return dropped_inserted;
-  };
-  const auto [dropped, inserted] = churn(sample_offsets_, repair_ids, 0);
-  const auto [tail_dropped, tail_inserted] =
-      churn(tail_.sample_offsets, tail_ids, count);
-
-  // Everything that allocates happens here, before the first write into
-  // the pool: a throw up to this point leaves the pool as it was.
-  RowPatch<TouchPair> sample_patch(sample_offsets_, sample_arena_, dropped,
-                                   inserted);
-  RowPatch<TouchPair> tail_patch(tail_.sample_offsets, tail_.sample_arena,
-                                 tail_dropped, tail_inserted);
-  RowPatch<Touch> index_patch(touch_offsets_, touches_, dropped, inserted);
+  // The CSR rows that change: per node, the touches its regenerated
+  // samples bring, counted per block of the repair order (one block per
+  // lane), and those their old sample-major rows held, counted by one more
+  // task into a single array (first in the queue, as it is the longest).
+  // The inserted counts then become each block's write cursors into the
+  // node's bucket of regenerated touches.
   const NodeId n = graph_->node_count();
-  std::vector<std::uint64_t> fresh_offsets(n + 1, 0);
-  std::vector<std::uint64_t> fresh_cursor(n, 0);
-  std::vector<Touch> fresh_touches(inserted);
-
-  // From here on nothing throws. The pool's two arenas are independent,
-  // so the CSR patch runs on a worker while the calling thread patches
-  // the sample-major arenas of the pool and then of the tail.
-  const auto patch_sample_major = [](RowPatch<TouchPair>& patch,
-                                     const std::vector<std::uint8_t>& hit,
-                                     const std::vector<std::uint32_t>& ids,
-                                     const TouchPair* const* data,
-                                     const RicSampleMeta* const* meta,
-                                     ArenaVector<std::uint32_t>& thresholds,
-                                     ArenaVector<CommunityId>& sources) {
-    if (ids.empty()) return;
-    // A row is either kept whole or replaced whole, so the helper's merge
-    // never compares two pairs.
-    patch.apply(
-        [&](std::uint64_t g, const TouchPair&) { return hit[g] == 0; },
-        [&](std::uint64_t g) -> std::span<const TouchPair> {
-          if (hit[g] == 0) return {};
-          const std::uint64_t j = static_cast<std::uint64_t>(
-              std::lower_bound(ids.begin(), ids.end(), g) - ids.begin());
-          return {data[j], meta[j]->touch_count};
-        },
-        [](const TouchPair& a, const TouchPair& b) {
-          return a.first < b.first;
-        });
-    for (std::uint64_t j = 0; j < ids.size(); ++j) {
-      thresholds[ids[j]] = meta[j]->threshold;
-      sources[ids[j]] = meta[j]->community;
+  const auto blocks =
+      static_cast<unsigned>(std::clamp<std::uint64_t>(count, 1, lanes));
+  const auto block_begin = [&](std::uint64_t b) { return count * b / blocks; };
+  std::vector<std::uint64_t> block_inserted(std::uint64_t{blocks} * n, 0);
+  std::vector<std::uint64_t> dropped(n, 0);
+  for_each_task(pool, blocks + 1, [&](unsigned t) {
+    if (t == 0) {
+      for (std::uint64_t j = 0; j < count; ++j) {
+        for (const TouchPair& pair : sample_touches(repair_ids[j])) {
+          ++dropped[pair.first];
+        }
+      }
+      return;
     }
-  };
-  const auto patch_samples = [&] {
-    patch_sample_major(sample_patch, affected, repair_ids,
-                       repaired_data.data(), repaired_meta.data(),
-                       thresholds_, source_community_);
-    patch_sample_major(tail_patch, tail_affected, tail_ids,
-                       repaired_data.data() + count,
-                       repaired_meta.data() + count, tail_.thresholds,
-                       tail_.source_community);
-  };
-  const auto patch_index = [&] {
-    // Bucket the regenerated touches by node straight from the part
-    // arenas. Repair order is ascending sample id, so every bucket comes
-    // out sorted, as the CSR rows are.
-    for (std::uint64_t j = 0; j < count; ++j) {
+    std::uint64_t* const inserted =
+        block_inserted.data() + std::uint64_t{t - 1} * n;
+    for (std::uint64_t j = block_begin(t - 1); j < block_begin(t); ++j) {
       for (std::uint64_t i = 0; i < repaired_meta[j]->touch_count; ++i) {
-        ++fresh_offsets[repaired_data[j][i].first + 1];
+        ++inserted[repaired_data[j][i].first];
       }
     }
-    for (NodeId v = 0; v < n; ++v) {
-      fresh_offsets[v + 1] += fresh_offsets[v];
-      fresh_cursor[v] = fresh_offsets[v];
+  });
+  // Each pass over the counts streams through one block's array.
+  std::vector<std::uint64_t> fresh_offsets(n + 1, 0);
+  for (unsigned b = 0; b < blocks; ++b) {
+    const std::uint64_t* const inserted =
+        block_inserted.data() + std::uint64_t{b} * n;
+    for (NodeId v = 0; v < n; ++v) fresh_offsets[v + 1] += inserted[v];
+  }
+  std::vector<ChangedRow> index_rows;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::uint64_t inserted = fresh_offsets[v + 1];
+    fresh_offsets[v + 1] += fresh_offsets[v];
+    if (inserted != 0 || dropped[v] != 0) {
+      index_rows.push_back(ChangedRow{
+          v, touch_offsets_[v + 1] - touch_offsets_[v] - dropped[v] +
+                 inserted});
     }
-    for (std::uint64_t j = 0; j < count; ++j) {
+  }
+  // The drop counts are spent: the array now holds the running cursor.
+  std::vector<std::uint64_t>& next = dropped;
+  std::copy_n(fresh_offsets.begin(), n, next.begin());
+  for (unsigned b = 0; b < blocks; ++b) {
+    std::uint64_t* const cursor = block_inserted.data() + std::uint64_t{b} * n;
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint64_t brought = cursor[v];
+      cursor[v] = next[v];
+      next[v] += brought;
+    }
+  }
+  // Bucket the regenerated touches by node straight from the part arenas.
+  // Repair order is ascending sample id, so every bucket comes out sorted,
+  // as the CSR rows are.
+  ArenaVector<Touch> fresh_touches;
+  fresh_touches.resize_for_overwrite(fresh_offsets[n]);
+  for_each_task(pool, blocks, [&](unsigned b) {
+    std::uint64_t* const cursor = block_inserted.data() + std::uint64_t{b} * n;
+    for (std::uint64_t j = block_begin(b); j < block_begin(b + 1); ++j) {
       const RicSampleMeta& meta = *repaired_meta[j];
       for (std::uint64_t i = 0; i < meta.touch_count; ++i) {
         const auto& [node, mask] = repaired_data[j][i];
-        fresh_touches[fresh_cursor[node]++] =
+        fresh_touches[cursor[node]++] =
             Touch{repair_ids[j], meta.threshold, mask};
       }
     }
-    index_patch.apply(
-        [&](std::uint64_t, const Touch& touch) {
-          return affected[touch.sample] == 0;
-        },
-        [&](std::uint64_t v) -> std::span<const Touch> {
-          return {fresh_touches.data() + fresh_offsets[v],
-                  fresh_offsets[v + 1] - fresh_offsets[v]};
-        },
-        [](const Touch& a, const Touch& b) { return a.sample < b.sample; });
+  });
+
+  // A repaired sample's sample-major row is replaced whole.
+  const auto replaced_rows = [&](const std::vector<std::uint32_t>& ids,
+                                 std::uint64_t first) {
+    std::vector<ChangedRow> rows(ids.size());
+    for (std::uint64_t j = 0; j < ids.size(); ++j) {
+      rows[j] = ChangedRow{ids[j], repaired_meta[first + j]->touch_count};
+    }
+    return rows;
   };
-  if (count == 0) {
-    patch_samples();  // the tail alone
-  } else if (pool == nullptr) {
-    patch_samples();
-    patch_index();
-  } else {
-    std::future<void> index_lane = pool->submit(patch_index);
-    patch_samples();
-    help_wait(*pool, index_lane);
-  }
+  const std::vector<ChangedRow> sample_rows = replaced_rows(repair_ids, 0);
+  const std::vector<ChangedRow> tail_rows = replaced_rows(tail_ids, count);
+
+  // Chunks per arena in proportion to its work, a CSR element (a bitmap
+  // test and a merge step) weighing two sample-major ones.
+  const std::uint64_t index_work = 2 * touches_.size();
+  const std::uint64_t sample_work = sample_arena_.size();
+  const std::uint64_t tail_work = tail_.sample_arena.size();
+  const auto chunks_for = [&](std::uint64_t work) {
+    return static_cast<unsigned>(std::max<std::uint64_t>(
+        1, tasks * work / std::max<std::uint64_t>(
+                              1, index_work + sample_work + tail_work)));
+  };
+
+  // Everything that allocates happens up to here, before the first write
+  // into the pool: a throw up to this point leaves the pool as it was.
+  RowPatch<Touch> index_patch(touch_offsets_, touches_, index_rows,
+                              chunks_for(index_work),
+                              /*reads_old=*/true);
+  RowPatch<TouchPair> sample_patch(sample_offsets_, sample_arena_,
+                                   sample_rows,
+                                   chunks_for(sample_work),
+                                   /*reads_old=*/false);
+  RowPatch<TouchPair> tail_patch(tail_.sample_offsets, tail_.sample_arena,
+                                 tail_rows,
+                                 chunks_for(tail_work),
+                                 /*reads_old=*/false);
+
+  // From here on nothing throws. Every chunk of the three arenas is one
+  // task, the CSR's (the heaviest) first.
+  const auto merge_index_row = [&](std::uint64_t j, std::span<const Touch> old,
+                                   Touch* out) {
+    // Survivors and the node's bucket are both ascending by sample id;
+    // their merge is the row a rebuild writes.
+    const NodeId v = static_cast<NodeId>(index_rows[j].row);
+    const Touch* add = fresh_touches.data() + fresh_offsets[v];
+    const Touch* const add_end = fresh_touches.data() + fresh_offsets[v + 1];
+    for (const Touch& touch : old) {
+      if (affected[touch.sample] != 0) continue;
+      while (add != add_end && add->sample < touch.sample) *out++ = *add++;
+      *out++ = touch;
+    }
+    std::copy(add, add_end, out);
+  };
+  const auto replace_rows = [&](RowPatch<TouchPair>& patch, unsigned chunk,
+                                 const std::vector<std::uint32_t>& ids,
+                                 std::uint64_t first,
+                                 ArenaVector<std::uint32_t>& thresholds,
+                                 ArenaVector<CommunityId>& sources) {
+    patch.run(chunk, [&](std::uint64_t j, std::span<const TouchPair>,
+                         TouchPair* out) {
+      const RicSampleMeta& meta = *repaired_meta[first + j];
+      std::copy_n(repaired_data[first + j], meta.touch_count, out);
+      thresholds[ids[j]] = meta.threshold;
+      sources[ids[j]] = meta.community;
+    });
+  };
+  const unsigned index_chunks = index_patch.chunks();
+  const unsigned sample_chunks = sample_patch.chunks();
+  for_each_task(
+      pool, index_chunks + sample_chunks + tail_patch.chunks(),
+      [&](unsigned t) {
+        if (t < index_chunks) {
+          index_patch.run(t, merge_index_row);
+        } else if (t < index_chunks + sample_chunks) {
+          replace_rows(sample_patch, t - index_chunks, repair_ids, 0,
+                       thresholds_, source_community_);
+        } else {
+          replace_rows(tail_patch, t - index_chunks - sample_chunks, tail_ids,
+                       count, tail_.thresholds, tail_.source_community);
+        }
+      });
+  index_patch.finish();
+  sample_patch.finish();
+  tail_patch.finish();
 
   // Counters recomputed from the repaired metadata, never drifted.
   if (count > 0) {

@@ -140,20 +140,22 @@ class RicPool {
   /// repaired pool is BIT-IDENTICAL to a from-scratch rebuild on the
   /// mutated structures with the same seed — `seed` must therefore be the
   /// same base seed every grow() of this pool used (the engine's
-  /// config_.seed discipline). Both arenas are patched in place, with one
-  /// two-pass row patch each: pass 1 compacts out the repaired samples'
-  /// pairs (sample-major) and every touch of a repaired sample (CSR), pass
-  /// 2 merges the regenerated ones in at their final offsets, in sample-id
-  /// order within each CSR row — the same bytes a rebuild produces. With
-  /// a thread pool the two patches run side by side, one on a worker and
-  /// one on the calling thread. Every allocation happens before the first
+  /// config_.seed discipline). Both arenas are patched in place by one
+  /// row mover (RowPatch, sampling/row_patch.h) that moves every row once,
+  /// straight to its final offset: a repaired sample's sample-major row is
+  /// replaced whole, and a CSR row keeps its touches of unrepaired samples
+  /// merged by sample id with the regenerated ones — the same bytes a
+  /// rebuild produces. The arenas are split into row chunks, and with a
+  /// thread pool every chunk of every arena is one task on the workers and
+  /// the calling thread. Every allocation happens before the first
   /// write, so nothing throws once the pool is being rewritten. The
   /// community_frequency counters are recounted, not drifted. Bumps
   /// PoolEpoch::repairs when any sample was regenerated OR any future
   /// sample could differ (i.e. whenever `effects` is non-empty). The
   /// estimate tail is repaired by the same rule, in the same regeneration
-  /// batch (its touches are found by a scan, as it has no CSR), so it too
-  /// equals a rebuilt one; a tail kept under another seed is dropped.
+  /// batch and the same chunked patch (its touches are found by a scan, as
+  /// it has no CSR), so it too equals a rebuilt one; a tail kept under
+  /// another seed is dropped.
   /// Returns how many pool samples were repaired. Not safe to run
   /// concurrently with readers of this pool. Throws std::invalid_argument
   /// (pool untouched) when the mutated structures violate sampling

@@ -121,6 +121,36 @@ void help_wait_all(ThreadPool& pool,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+/// Runs task(i) for i in [0, count) on the pool and help-waits them all.
+/// A task that cannot be queued (submit threw) runs on the calling thread,
+/// and so does every later one. So past the up-front reserve, the only
+/// throw before any task runs, each task runs exactly once and the call
+/// throws only what a task threw (the lowest index first): a caller whose
+/// tasks write in place (delta repair) is never left with a part of them
+/// run.
+void fan_out(ThreadPool& pool, std::uint64_t count,
+             const std::function<void(std::uint64_t)>& task) {
+  std::vector<std::future<void>> pending;
+  pending.reserve(count);
+  std::exception_ptr inline_error;
+  std::uint64_t i = 0;
+  try {
+    for (; i < count; ++i) {
+      pending.push_back(pool.submit([&task, i] { task(i); }));
+    }
+  } catch (...) {
+    for (; i < count; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!inline_error) inline_error = std::current_exception();
+      }
+    }
+  }
+  help_wait_all(pool, pending);
+  if (inline_error) std::rethrow_exception(inline_error);
+}
+
 }  // namespace
 
 void help_wait(ThreadPool& pool, std::future<void>& pending) {
@@ -180,29 +210,17 @@ void parallel_for(ThreadPool& pool, std::uint64_t count,
   const std::uint64_t chunks = std::min<std::uint64_t>(count, workers * 4);
   const std::uint64_t base = count / chunks;
   const std::uint64_t remainder = count % chunks;
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
-  std::uint64_t begin = 0;
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    const std::uint64_t len = base + (c < remainder ? 1 : 0);
-    const std::uint64_t end = begin + len;
-    pending.push_back(pool.submit(
-        [&body, begin, end, c] { body(begin, end, static_cast<unsigned>(c)); }));
-    begin = end;
-  }
-  help_wait_all(pool, pending);
+  fan_out(pool, chunks, [&](std::uint64_t c) {
+    const std::uint64_t begin = c * base + std::min(c, remainder);
+    const std::uint64_t end = begin + base + (c < remainder ? 1 : 0);
+    body(begin, end, static_cast<unsigned>(c));
+  });
 }
 
 void parallel_for_shards(ThreadPool& pool, unsigned shards,
                          const std::function<void(unsigned)>& body) {
-  if (shards == 0) return;
-  std::vector<std::future<void>> pending;
-  pending.reserve(shards);
-  for (unsigned s = 0; s < shards; ++s) {
-    pending.push_back(pool.submit([&body, s] { body(s); }));
-  }
-  help_wait_all(pool, pending);
+  fan_out(pool, shards,
+          [&](std::uint64_t s) { body(static_cast<unsigned>(s)); });
 }
 
 namespace {

@@ -87,6 +87,8 @@ void fork_join(ThreadPool& pool, const std::function<void()>& main,
 /// Splits [0, count) into contiguous chunks and runs
 /// `body(begin, end, chunk_index)` on pool workers; blocks until done.
 /// Exceptions from the body propagate to the caller (first one wins).
+/// A chunk that cannot be queued runs on the caller, so once any chunk
+/// ran, every chunk runs exactly once and only a body's exception surfaces.
 void parallel_for(ThreadPool& pool, std::uint64_t count,
                   const std::function<void(std::uint64_t begin,
                                            std::uint64_t end,
@@ -100,7 +102,9 @@ void parallel_for(ThreadPool& pool, std::uint64_t count,
 /// worker, so the covered/arena pages a worker faulted in under
 /// first-touch are the pages it keeps sweeping. Exceptions propagate to
 /// the caller (first one wins); the caller help-runs queued tasks while
-/// waiting, so nested use cannot deadlock.
+/// waiting, so nested use cannot deadlock. Like `parallel_for`, it runs
+/// every shard exactly once: a shard that cannot be queued runs on the
+/// caller.
 void parallel_for_shards(ThreadPool& pool, unsigned shards,
                          const std::function<void(unsigned shard)>& body);
 

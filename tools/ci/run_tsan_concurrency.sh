@@ -31,12 +31,12 @@ cmake --build "${build_dir}" -j "${jobs}" \
 # the lanes look kept samples up and draw the tail's full samples through
 # the pool's shared sampler cache (EstimateTail::serve), and the caller
 # keeps them between rounds (EstimateTail::commit). The delta label rides
-# along because
-# invalidate_and_repair fans regeneration chunks out over the same thread
-# pool and then patches the sample-major arena and the CSR index in place
-# side by side, one on a worker and one on the calling thread (DESIGN.md
-# §16), the estimate tail's patch following the sample-major one on the
-# caller. The concurrency label also covers UBG's two lanes: the ν greedy
+# along because invalidate_and_repair fans regeneration chunks out over
+# the same thread pool and then patches the sample-major arena, the CSR
+# index and the estimate tail in place as one list of row chunks on the
+# workers and the calling thread (DESIGN.md §16); RowPatch's own test
+# runs its chunks concurrently too (row_patch_test.cpp). The concurrency
+# label also covers UBG's two lanes: the ν greedy
 # on a pool worker beside the caller's ĉ greedy over the same const
 # pool, including the caller running ν itself when the worker is busy
 # (`fork_join`, DESIGN.md §5, parallel_greedy_test.cpp and
