@@ -570,7 +570,7 @@ void BM_ImcafEndToEnd(benchmark::State& state) {
   const UbgSolver solver;
   const auto threads = static_cast<unsigned>(state.range(0));
   ImcafConfig config;
-  config.max_samples = 24000;  // 4 stop stages from Λ ≈ 2.7k
+  config.max_samples = 24000;  // 4 stop stages from Λ ≈ 1.0k to 8,048
   config.seed = 2024;
   config.parallel_sampling = threads == 1;
   std::unique_ptr<ThreadPool> workers;

@@ -98,11 +98,9 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
       std::min(result.psi, 1e18));
   if (config_.max_samples > 0) cap = std::min(cap, config_.max_samples);
 
-  // Number of doubling rounds bounds the union-bound split of δ for the
-  // per-stage Estimate calls (paper: δ / (3 log2(Ψ/Λ))).
-  const double stages_bound = std::max(
-      1.0, std::log2(std::max(2.0, result.psi / result.lambda)));
-  const double delta_stage = params.delta / (3.0 * stages_bound);
+  // The per-stage Estimates share δ/3 over the stages below Ψ.
+  const double delta_stage =
+      ssa_stage_delta(params, result.psi, result.lambda);
 
   // Stage 1 grows the pool up to Λ (capped). A shared pool a previous
   // query already grew past that point is reused as-is — the per-sample
@@ -186,15 +184,9 @@ ImcafResult ImcEngine::solve(std::uint32_t k, const MaxrSolver& solver) {
     const std::uint64_t influenced = pool_.influenced_count(solution.seeds);
     if (static_cast<double>(influenced) >= result.lambda) {
       // Line 9: independent estimate of c(S) on fresh samples (Alg. 6).
-      const double e2 = params.ssa_eps2();
-      const double e3 = params.ssa_eps3();
-      const auto max_samples = std::max<std::uint64_t>(
-          static_cast<std::uint64_t>(std::ceil(
-              static_cast<double>(pool_.size()) * (1.0 + e2) / (1.0 - e2) *
-              (e3 * e3) / (e2 * e2))),
-          1000);
-      const DagumEstimate stage_estimate =
-          estimate(solution.seeds, max_samples, metrics);
+      const DagumEstimate stage_estimate = estimate(
+          solution.seeds, ssa_estimate_max_samples(params, pool_.size()),
+          metrics);
       // Line 10: accept when the pool does not over-estimate the benefit.
       if (stage_estimate.converged &&
           solution.c_hat <= (1.0 + params.ssa_eps1()) * stage_estimate.value) {

@@ -83,6 +83,24 @@ double ssa_lambda(const ApproxParams& params) {
          std::log(3.0 / (2.0 * params.delta));
 }
 
+double ssa_stage_delta(const ApproxParams& params, double psi,
+                       double lambda) {
+  const double stages =
+      std::max(1.0, std::ceil(std::log2(std::max(1.0, psi / lambda))));
+  return params.delta / (3.0 * stages);
+}
+
+std::uint64_t ssa_estimate_max_samples(const ApproxParams& params,
+                                       std::uint64_t pool_size) {
+  const double e2 = params.ssa_eps2();
+  const double e3 = params.ssa_eps3();
+  return std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(
+          std::ceil(static_cast<double>(pool_size) * (1.0 + e2) /
+                    (1.0 - e2) * (e3 * e3) / (e2 * e2))),
+      1000);
+}
+
 double dagum_lambda_prime(double eps_prime, double delta_prime) {
   check_eps_delta(eps_prime, delta_prime, "dagum_lambda_prime");
   constexpr double kE = 2.718281828459045;

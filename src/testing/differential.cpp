@@ -1279,6 +1279,226 @@ std::optional<std::string> check_dagum_guarantee(const InstanceSpec& spec,
   return std::nullopt;
 }
 
+// ---------------------------------------------------------------------------
+// Checks: ssa_estimate_event, ssa_pool_event, ssa_stage_chain
+// ---------------------------------------------------------------------------
+
+/// ε and δ of the event-level checks: the perfbench setting, where the
+/// split's margins are as thin as the engine meets them.
+ApproxParams event_params() {
+  ApproxParams params;
+  params.epsilon = 0.3;
+  params.delta = 0.2;
+  return params;
+}
+
+/// Independent runs per case behind each per-stage event's failure rate.
+constexpr std::uint32_t kEventRuns = 32;
+
+/// Charged stages of the pool event checked per run; the Lemma 6 bound of
+/// each later one is the square of the one before it.
+constexpr std::uint32_t kPoolEventStages = 2;
+
+/// Ψ of the engine for a UBG run with k seeds (eq. 22).
+double engine_psi(const Graph& graph, const CommunitySet& communities,
+                  DiffusionModel model, std::uint32_t k,
+                  const ApproxParams& params) {
+  const RicPool empty(graph, communities, model);
+  return static_cast<double>(psi_sample_cap(
+      graph.node_count(), k, communities.total_benefit(),
+      communities.min_benefit(), communities.max_threshold(),
+      UbgSolver().alpha(empty, k), params));
+}
+
+/// Upper bound of the pool event's share that Λ buys, whatever the ε
+/// split: Σ_j (2δ/3)^(1.5·2^j) <= p/(1 − p) with p = (2δ/3)^1.5
+/// (DESIGN.md §15).
+double pool_event_share_bound(double delta) {
+  const double p = std::pow(2.0 * delta / 3.0, 1.5);
+  return p / (1.0 - p);
+}
+
+/// The Estimate event a stop stage charges (DESIGN.md §15, event E): a
+/// converged stopping-rule estimate of c(S) at the engine's ε′ = ε2 and
+/// per-stage δ′ may exceed (1 + ε2)·c(S) in at most a δ′ share of runs
+/// (plus binomial slack). S is the exact optimum, c(S) exact.
+std::optional<std::string> check_ssa_estimate_event(const InstanceSpec& spec,
+                                                    std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const auto k = static_cast<std::uint32_t>(
+      1 + (case_seed >> 5) % std::min<NodeId>(3, graph.node_count()));
+  const std::optional<ExactOptimum> opt =
+      exact_optimum(graph, communities, spec.model, k);
+  // A rarely influenced S needs T ≈ Λ′·b/c draws per run; skip it.
+  if (!opt || opt->value < 0.1 * communities.total_benefit()) {
+    return std::nullopt;
+  }
+  const ApproxParams params = event_params();
+  DagumOptions options;
+  options.eps_prime = params.ssa_eps2();
+  options.delta_prime = ssa_stage_delta(
+      params, engine_psi(graph, communities, spec.model, k, params),
+      ssa_lambda(params));
+  options.model = spec.model;
+  options.max_samples = 1ULL << 24;
+  std::uint32_t misses = 0;
+  for (std::uint32_t run = 0; run < kEventRuns; ++run) {
+    options.seed = fuzz_case_seed(case_seed ^ 0xe5715a7eULL, run);
+    const DagumEstimate estimate =
+        dagum_estimate_benefit(graph, communities, opt->seeds, options);
+    if (!estimate.converged) {
+      return "stage Estimate did not converge in T_max on seeds " +
+             describe_nodes(opt->seeds);
+    }
+    if (estimate.value > (1.0 + options.eps_prime) * opt->value) ++misses;
+  }
+  const std::uint32_t allowed =
+      binomial_miss_bound(kEventRuns, options.delta_prime);
+  if (misses > allowed) {
+    return "stage Estimate exceeded (1 + eps2)c(S) (c=" +
+           std::to_string(opt->value) + " at " + describe_nodes(opt->seeds) +
+           ", delta'=" + std::to_string(options.delta_prime) + ") in " +
+           std::to_string(misses) + "/" + std::to_string(kEventRuns) +
+           " runs, allowed " + std::to_string(allowed);
+  }
+  return std::nullopt;
+}
+
+/// The pool event a stop stage charges (DESIGN.md §15, event P): at every
+/// scheduled pool size N_t = ⌈Λ⌉·2^(t−1) with N_t·c(S*)/b >= Λ/((1+ε1)(1+ε2)),
+/// ĉ_{N_t}(S*) >= (1 − ε3)·c(S*). A run misses when any of the first
+/// kPoolEventStages such stages fails; the miss share is held to the sum
+/// of their Lemma 6 lower-tail bounds (plus binomial slack), and that sum
+/// to the share DESIGN.md charges, whatever the split.
+std::optional<std::string> check_ssa_pool_event(const InstanceSpec& spec,
+                                                std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const auto k = static_cast<std::uint32_t>(
+      1 + (case_seed >> 7) % std::min<NodeId>(3, graph.node_count()));
+  const std::optional<ExactOptimum> opt =
+      exact_optimum(graph, communities, spec.model, k);
+  const double b = communities.total_benefit();
+  // A rarely influenced S* needs pools of ≈ Λ·b/c(S*) samples; skip it.
+  if (!opt || opt->value < 0.1 * b) return std::nullopt;
+  const ApproxParams params = event_params();
+  const double lambda = ssa_lambda(params);
+  const double e3 = params.ssa_eps3();
+  const double upsilon =
+      lambda / ((1.0 + params.ssa_eps1()) * (1.0 + params.ssa_eps2()));
+  const double psi = engine_psi(graph, communities, spec.model, k, params);
+
+  std::vector<std::uint64_t> charged;
+  double share = 0.0;
+  for (auto n = static_cast<std::uint64_t>(std::ceil(lambda));
+       static_cast<double>(n) < psi && charged.size() < kPoolEventStages;
+       n *= 2) {
+    if (static_cast<double>(n) * opt->value / b >= upsilon) {
+      charged.push_back(n);
+      share += lemma6_lower_tail(static_cast<double>(n), e3, b, opt->value);
+    }
+  }
+  if (charged.empty()) return std::nullopt;
+  if (share > pool_event_share_bound(params.delta)) {
+    return "pool event bound " + std::to_string(share) +
+           " exceeds the share Lambda buys, " +
+           std::to_string(pool_event_share_bound(params.delta));
+  }
+
+  std::uint32_t misses = 0;
+  for (std::uint32_t run = 0; run < kEventRuns; ++run) {
+    const std::uint64_t seed = fuzz_case_seed(case_seed ^ 0x9001e7e7ULL, run);
+    RicPool pool(graph, communities, spec.model);
+    bool held = true;
+    for (const std::uint64_t n : charged) {
+      pool.grow(n - pool.size(), seed, false);
+      held = held && pool.c_hat(opt->seeds) >= (1.0 - e3) * opt->value;
+    }
+    if (!held) ++misses;
+  }
+  const std::uint32_t allowed =
+      binomial_miss_bound(kEventRuns, std::min(1.0, share));
+  if (misses > allowed) {
+    return "pool c_hat(S*) fell below (1 - eps3)c(S*) (c=" +
+           std::to_string(opt->value) + " at " + describe_nodes(opt->seeds) +
+           ", bound " + std::to_string(share) + ") in " +
+           std::to_string(misses) + "/" + std::to_string(kEventRuns) +
+           " runs, allowed " + std::to_string(allowed);
+  }
+  return std::nullopt;
+}
+
+/// Theorem 7's chain on the engine's accepted stages, with no tolerance:
+/// an accepted stage met line 8 (|R|·ĉ(S)/b >= Λ) and line 10
+/// (ĉ(S) <= (1+ε1)·estimate); when its Estimate event held it has
+/// |R|·c(S)/b >= Λ/((1+ε1)(1+ε2)); and when the Estimate event, the pool
+/// event and the solver's ĉ(S) >= α·ĉ(S*) all held, c(S) >= α(1−ε)·OPT.
+/// The last step is where the split's constraint
+/// (1+ε1)(1+ε2)(1−ε) <= 1−ε3 enters.
+std::optional<std::string> check_ssa_stage_chain(const InstanceSpec& spec,
+                                                 std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const auto k = static_cast<std::uint32_t>(
+      1 + (case_seed >> 9) % std::min<NodeId>(3, graph.node_count()));
+  const std::optional<ExactOptimum> opt =
+      exact_optimum(graph, communities, spec.model, k);
+  const double b = communities.total_benefit();
+  if (!opt || opt->value <= 0.0) return std::nullopt;
+
+  ImcafConfig config;
+  config.params = event_params();
+  config.model = spec.model;
+  config.parallel_sampling = false;
+  // Only accepted stages are checked; a run that would grow towards Ψ
+  // stops here instead.
+  config.max_samples = 1ULL << 16;
+  const ApproxParams& params = config.params;
+  const double e1 = params.ssa_eps1();
+  const double e2 = params.ssa_eps2();
+  const double e3 = params.ssa_eps3();
+  constexpr double kTol = 1.0 - 1e-9;
+  const UbgSolver solver;
+  for (std::uint32_t run = 0; run < kGuaranteeRuns / 2; ++run) {
+    config.seed = fuzz_case_seed(case_seed ^ 0xc4a1dULL, run);
+    ImcEngine engine(graph, communities, config);
+    const ImcafResult result = engine.solve(k, solver);
+    if (result.reached_cap || result.reached_deadline) continue;
+    const RicPool& pool = engine.pool();
+    const auto n = static_cast<double>(pool.size());
+    const std::string at = " (run " + std::to_string(run) + ", seeds " +
+                           describe_nodes(result.seeds) + ", |R|=" +
+                           std::to_string(pool.size()) + ")";
+    if (static_cast<double>(pool.influenced_count(result.seeds)) <
+        result.lambda) {
+      return "accepted below Lambda influenced samples" + at;
+    }
+    if (result.c_hat > (1.0 + e1) * result.estimated_benefit) {
+      return "accepted with c_hat above (1 + eps1) * estimate" + at;
+    }
+    const double c = exact_benefit(graph, communities, result.seeds,
+                                   spec.model);
+    if (result.estimated_benefit > (1.0 + e2) * c) continue;
+    const double upsilon = result.lambda / ((1.0 + e1) * (1.0 + e2));
+    if (n * c / b < upsilon * kTol) {
+      return "estimate event held, yet |R| c(S)/b = " +
+             std::to_string(n * c / b) + " < " + std::to_string(upsilon) + at;
+    }
+    const double alpha = solver.alpha(pool, k);
+    if (pool.c_hat(opt->seeds) < (1.0 - e3) * opt->value ||
+        result.c_hat < alpha * pool.c_hat(opt->seeds)) {
+      continue;
+    }
+    const double bound = alpha * (1.0 - params.epsilon) * opt->value;
+    if (c < bound * kTol) {
+      return "every charged event held, yet c(S)=" + std::to_string(c) +
+             " < alpha(1-eps)OPT=" + std::to_string(bound) + at;
+    }
+  }
+  return std::nullopt;
+}
+
 /// True when the live-edge outcome space has at most `limit` outcomes, so
 /// enumerate_exact succeeds on the instance.
 bool outcomes_at_most(const Graph& graph, DiffusionModel model,
@@ -1302,7 +1522,8 @@ bool check_applies(const std::string& check, const InstanceSpec& spec) {
   if (check == "sampler_distribution") {
     return outcomes_at_most(spec.build_graph(), spec.model, 1ULL << 12);
   }
-  if (check == "imcaf_guarantee" || check == "dagum_guarantee") {
+  if (check == "imcaf_guarantee" || check == "dagum_guarantee" ||
+      check.starts_with("ssa_")) {
     return spec.node_count <= kGuaranteeMaxNodes &&
            outcomes_at_most(spec.build_graph(), spec.model,
                             kGuaranteeOutcomes);
@@ -1332,6 +1553,9 @@ std::vector<FuzzCheck> default_checks() {
       {"estimate_tail", check_estimate_tail},
       {"imcaf_guarantee", check_imcaf_guarantee},
       {"dagum_guarantee", check_dagum_guarantee},
+      {"ssa_estimate_event", check_ssa_estimate_event},
+      {"ssa_pool_event", check_ssa_pool_event},
+      {"ssa_stage_chain", check_ssa_stage_chain},
   };
 }
 

@@ -55,6 +55,12 @@
 //   * dagum_guarantee — Alg. 6's (ε′, δ′) guarantee the same way: the
 //                     share of estimates outside (1 ± ε′)·c(S) of the
 //                     exact optimum's benefit held to δ′ plus slack.
+//   * ssa_estimate_event, ssa_pool_event, ssa_stage_chain — Theorem 7's
+//                     proof event by event at ε = 0.3 (DESIGN.md §15):
+//                     the stage Estimate at the engine's (ε2, δ′), the
+//                     pool's lower tail on the optimum at the engine's
+//                     schedule, each held to its own δ share, and the
+//                     proof's deterministic steps on accepted stages.
 //
 // Runs are driven by (base seed, case index): case i's instance derives
 // from fuzz_case_seed(base, i), so any failure is pinned by a single

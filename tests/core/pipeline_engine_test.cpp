@@ -77,12 +77,14 @@ struct GoldenPin {
 // The UBG/MAF engine pins from engine_test.cpp (same recording).
 const std::vector<GoldenPin>& golden_pins() {
   static const std::vector<GoldenPin> pins = {
-      {1, MaxrAlgorithm::kUbg, {1, 3, 0, 6, 8, 40, 97, 10},
-       0x1.2373333333333p+7},
-      {1, MaxrAlgorithm::kMaf, {1, 3, 0, 8, 10, 6, 2, 4}, 0x1.22cp+7},
-      {2, MaxrAlgorithm::kUbg, {1, 3, 0, 8, 6, 10, 20, 40}, 0x1.fap+6},
+      {1, MaxrAlgorithm::kUbg, {1, 3, 0, 6, 10, 40, 8, 109},
+       0x1.23935707a25a9p+7},
+      {1, MaxrAlgorithm::kMaf, {1, 3, 0, 8, 10, 6, 2, 4},
+       0x1.22750ec26ae0fp+7},
+      {2, MaxrAlgorithm::kUbg, {1, 3, 0, 8, 6, 20, 44, 24},
+       0x1.f99dc5fae918fp+6},
       {2, MaxrAlgorithm::kMaf, {1, 3, 0, 8, 10, 6, 2, 4},
-       0x1.f59999999999ap+6},
+       0x1.f4b221972834fp+6},
   };
   return pins;
 }
@@ -104,11 +106,11 @@ TEST_F(PipelineEngineTest, GoldenPinsHoldAtEveryThreadCountOnAndOff) {
                                   std::to_string(threads) +
                                   (parallel ? " parallel" : " serial");
         EXPECT_EQ(result.seeds, pin.seeds) << where;
-        EXPECT_EQ(result.samples_used, 6000U) << where;
+        EXPECT_EQ(result.samples_used, 4024U) << where;
         EXPECT_EQ(result.stop_stages, 3U) << where;
         EXPECT_EQ(result.c_hat, pin.c_hat) << where;
         EXPECT_EQ(engine.pool().grow_epoch(),
-                  (RicPool::PoolEpoch{6000, 3})) << where;
+                  (RicPool::PoolEpoch{4024, 3})) << where;
       }
     }
   }
@@ -277,6 +279,13 @@ TEST_F(PipelineEngineTest, EstimateTailRunsMatchTailLessRuns) {
     ImcafResult result;
     std::vector<StageMetrics> rows;
   };
+  // A cap of 4000 lies below the 4024 samples where the pinned UBG run
+  // accepts, so the first query ends with its pool at the cap.
+  const auto capped_config = [&](bool parallel) {
+    ImcafConfig config = pinned_config(parallel);
+    config.max_samples = 4000;
+    return config;
+  };
   const auto tail_less = [&](const Graph& graph,
                              const CommunitySet& communities,
                              const RicPool& pool, const EngineQuery& query) {
@@ -284,7 +293,7 @@ TEST_F(PipelineEngineTest, EstimateTailRunsMatchTailLessRuns) {
     RowSink sink;
     ExecutionContext context;
     context.metrics = &sink;
-    ImcEngine engine(graph, communities, pinned_config(false), context);
+    ImcEngine engine(graph, communities, capped_config(false), context);
     engine.attach_pool(path);
     Run run{engine.solve(query.k, *query.solver), {}};
     run.rows = sink.take();
@@ -308,12 +317,12 @@ TEST_F(PipelineEngineTest, EstimateTailRunsMatchTailLessRuns) {
       ExecutionContext context;
       context.workers = &workers;
       context.metrics = &sink;
-      ImcEngine engine(graph, communities, pinned_config(parallel), context);
+      ImcEngine engine(graph, communities, capped_config(parallel), context);
 
       // The first query grows the pool to its cap; solve_many then
       // queries the capped pool, each query against its tail-less twin.
       (void)engine.solve(8, ubg);
-      ASSERT_EQ(engine.pool().size(), 6000U) << leg;
+      ASSERT_EQ(engine.pool().size(), 4000U) << leg;
       std::vector<Run> want;
       for (const EngineQuery& query : queries) {
         want.push_back(tail_less(graph, communities, engine.pool(), query));
