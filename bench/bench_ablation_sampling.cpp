@@ -63,12 +63,14 @@ int main(int argc, char** argv) {
       const CommunitySet com =
           standard_communities(g, CommunityMethod::kLouvain, regime);
       RicSampler sampler(g, com);
+      RicSampler::TouchArena arena;
       Rng rng(0xAB1A3);
       Stopwatch watch;
       std::uint64_t touches = 0;
       constexpr int kSamples = 3000;
       for (int i = 0; i < kSamples; ++i) {
-        touches += sampler.generate(rng).touching.size();
+        arena.clear();
+        touches += sampler.generate_into(rng, arena).touch_count;
       }
       const double seconds = watch.elapsed_seconds();
       throughput.add_row(

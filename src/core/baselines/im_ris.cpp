@@ -90,7 +90,7 @@ ImRisResult im_ris_select(const Graph& graph, std::uint32_t k,
 
   RrPool pool(graph);
   Rng rng(config.seed);
-  pool.generate(static_cast<std::uint64_t>(std::ceil(lambda)), rng);
+  pool.grow(static_cast<std::uint64_t>(std::ceil(lambda)), rng);
 
   ImRisResult result;
   for (;;) {
@@ -114,7 +114,7 @@ ImRisResult im_ris_select(const Graph& graph, std::uint32_t k,
       result.rr_sets_used = pool.size();
       return result;
     }
-    pool.generate(pool.size(), rng);  // double
+    pool.grow(pool.size(), rng);  // double
   }
 }
 

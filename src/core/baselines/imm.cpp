@@ -68,7 +68,7 @@ ImmResult imm_select(const Graph& graph, std::uint32_t k,
     const auto theta_i = static_cast<std::uint64_t>(
         std::min(static_cast<double>(config.max_rr_sets),
                  std::ceil(lambda_prime / x)));
-    if (pool.size() < theta_i) pool.generate(theta_i - pool.size(), rng);
+    if (pool.size() < theta_i) pool.grow(theta_i - pool.size(), rng);
     const std::vector<NodeId> greedy_seeds = rr_greedy_max_coverage(pool, k);
     const double fraction = coverage_fraction(pool, greedy_seeds);
     if (n * fraction >= (1.0 + eps_prime) * x) {
@@ -92,7 +92,7 @@ ImmResult imm_select(const Graph& graph, std::uint32_t k,
   const auto theta = static_cast<std::uint64_t>(
       std::min(static_cast<double>(config.max_rr_sets),
                std::ceil(lambda_star / lower_bound)));
-  if (pool.size() < theta) pool.generate(theta - pool.size(), rng);
+  if (pool.size() < theta) pool.grow(theta - pool.size(), rng);
 
   result.seeds = rr_greedy_max_coverage(pool, k);
   result.estimated_spread = pool.estimate_spread(result.seeds);

@@ -197,34 +197,64 @@ void validate_header(const PoolSnapshotHeader& header, const Graph& graph,
 
 /// Content checks on a restored pool. RicPool::restore_snapshot has
 /// already checked the arena sizes and both offset tables' endpoints and
-/// monotonicity, so every span indexed here lies inside its arena.
+/// monotonicity, so every span indexed here lies inside its arena. The
+/// samples are walked in id order with one cursor per CSR row: pair
+/// (v, mask) of sample g must be the next touch {g, h_g, mask} of row v,
+/// and every row must be used up exactly, so the CSR is the transpose of
+/// the sample-major arena with each row sorted by sample id.
 void validate_content(const RicPool::SnapshotView& view, const Graph& graph,
                       const CommunitySet& communities) {
-  const auto& thresholds = view.thresholds;
+  const auto fail_sample = [](std::uint64_t g, const std::string& what) {
+    fail("sample " + std::to_string(g) + ": " + what);
+  };
+  const auto fail_unnamed = [](NodeId v) {
+    fail("csr: row of node " + std::to_string(v) +
+         " holds a touch no sample names");
+  };
+  const auto& touches = view.touches;
+  std::vector<std::uint64_t> cursor(view.touch_offsets.begin(),
+                                    view.touch_offsets.end() - 1);
   std::vector<std::uint32_t> frequency(communities.size(), 0);
-  for (std::size_t g = 0; g < view.source_community.size(); ++g) {
+  for (std::uint64_t g = 0; g < view.source_community.size(); ++g) {
     const CommunityId c = view.source_community[g];
-    if (c >= communities.size()) {
-      fail("sample " + std::to_string(g) + ": community id out of range");
-    }
+    if (c >= communities.size()) fail_sample(g, "community id out of range");
     ++frequency[c];
-    if (thresholds[g] != communities.threshold(c)) {
-      fail("sample " + std::to_string(g) +
-           ": threshold disagrees with the community structure");
+    const std::uint32_t threshold = view.thresholds[g];
+    if (threshold != communities.threshold(c)) {
+      fail_sample(g, "threshold disagrees with the community structure");
     }
     const NodeId population = communities.population(c);
     const std::uint64_t full =
         population >= 64 ? ~std::uint64_t{0}
                          : (std::uint64_t{1} << population) - 1;
-    const std::uint64_t end = view.sample_offsets[g + 1];
-    for (std::uint64_t i = view.sample_offsets[g]; i < end; ++i) {
+    const std::uint64_t begin = view.sample_offsets[g];
+    for (std::uint64_t i = begin; i < view.sample_offsets[g + 1]; ++i) {
       const auto& [node, mask] = view.sample_arena[i];
       if (node >= graph.node_count()) {
-        fail("sample " + std::to_string(g) + ": touching node out of range");
+        fail_sample(g, "touching node out of range");
       }
+      if (i > begin && node <= view.sample_arena[i - 1].first) {
+        fail_sample(g, "touching nodes not strictly ascending");
+      }
+      if (mask == 0) fail_sample(g, "empty member mask");
       if ((mask & ~full) != 0) {
-        fail("sample " + std::to_string(g) +
-             ": member mask wider than the community population");
+        fail_sample(g, "member mask wider than the community population");
+      }
+      // A touch of an earlier sample at the cursor was named by none of
+      // its pairs; a later one (or the row's end) means the row lacks g.
+      std::uint64_t& at = cursor[node];
+      if (at == view.touch_offsets[node + 1] || touches[at].sample > g) {
+        fail_sample(g, "node " + std::to_string(node) +
+                           " is missing from its csr row");
+      }
+      const RicPool::Touch& touch = touches[at++];
+      if (touch.sample < g) fail_unnamed(node);
+      if (touch.threshold != threshold) {
+        fail("csr: touch threshold disagrees with the sample metadata");
+      }
+      if (touch.mask != mask) {
+        fail_sample(g, "csr mask of node " + std::to_string(node) +
+                           " disagrees with the sample's pair");
       }
     }
   }
@@ -235,21 +265,8 @@ void validate_content(const RicPool::SnapshotView& view, const Graph& graph,
                   view.community_frequency.end())) {
     fail("community frequencies disagree with the sample communities");
   }
-  const auto& touch_offsets = view.touch_offsets;
-  const auto& touches = view.touches;
-  for (std::size_t v = 0; v + 1 < touch_offsets.size(); ++v) {
-    for (std::uint64_t i = touch_offsets[v]; i < touch_offsets[v + 1]; ++i) {
-      const RicPool::Touch& t = touches[i];
-      if (t.sample >= thresholds.size()) {
-        fail("csr: touch references a sample out of range");
-      }
-      if (t.threshold != thresholds[t.sample]) {
-        fail("csr: touch threshold disagrees with the sample metadata");
-      }
-      if (i > touch_offsets[v] && touches[i - 1].sample >= t.sample) {
-        fail("csr: touches not strictly ordered by sample id");
-      }
-    }
+  for (NodeId v = 0; v < cursor.size(); ++v) {
+    if (cursor[v] != view.touch_offsets[v + 1]) fail_unnamed(v);
   }
 }
 
@@ -351,15 +368,22 @@ RicPool attach_ric_pool_snapshot(const std::string& path, const Graph& graph,
   if (digest.value() != header.payload_checksum) {
     fail("payload checksum mismatch (corrupt snapshot)");
   }
+  return restore_ric_pool(
+      graph, communities, static_cast<DiffusionModel>(header.model),
+      RicPool::PoolEpoch{header.epoch_samples, header.epoch_grows,
+                         header.epoch_repairs},
+      std::move(arenas));
+}
+
+RicPool restore_ric_pool(const Graph& graph, const CommunitySet& communities,
+                         DiffusionModel model, RicPool::PoolEpoch epoch,
+                         RicPool::PoolArenas&& arenas) {
   // Structure first (sizes, offset endpoints and monotonicity, in
   // restore_snapshot), then the content checks that rely on it.
   RicPool pool = [&] {
     try {
-      return RicPool::restore_snapshot(
-          graph, communities, static_cast<DiffusionModel>(header.model),
-          RicPool::PoolEpoch{header.epoch_samples, header.epoch_grows,
-                             header.epoch_repairs},
-          std::move(arenas));
+      return RicPool::restore_snapshot(graph, communities, model, epoch,
+                                       std::move(arenas));
     } catch (const std::invalid_argument& error) {
       fail(error.what());
     }

@@ -7,7 +7,9 @@
 // sample-major twin, community counters AND the CSR inverted index — so
 // `attach_ric_pool_snapshot` reloads a pool with one read per section
 // straight into its owned arena, and no index rebuild. This is the only
-// on-disk pool format and attach is its only loader.
+// on-disk pool format and attach is its only loader; its post-read half,
+// `restore_ric_pool`, is the only way saved or hand-built arenas become a
+// pool.
 //
 // Layout (all integers little-endian, host-width as noted):
 //
@@ -35,10 +37,14 @@
 // verifies them in full. It checks magic, version, RNG contract, counts
 // against the supplied graph/communities, the epoch watermark, the two
 // fingerprints, the header checksum and the file size; then the payload
-// checksum; then the structure (RicPool::restore_snapshot: arena sizes,
-// both offset tables' endpoints and monotonicity); then the content
-// (community ids and frequencies, thresholds, masks, touch ordering).
-// Each invariant is checked in one place.
+// checksum; then, in restore_ric_pool, the structure
+// (RicPool::restore_snapshot: arena sizes, both offset tables' endpoints
+// and monotonicity) and the content: community ids and frequencies,
+// thresholds, each sample's pairs (nodes in range and strictly ascending,
+// masks nonzero and within the community), and the transpose check — the
+// CSR index holds exactly the touch {g, h_g, mask} for each pair
+// (v, mask) of each sample g, row v sorted by sample id. Each invariant is
+// checked in one place.
 // Endianness is not translated: a snapshot is portable between machines
 // of the same byte order only.
 //
@@ -96,12 +102,23 @@ void save_ric_pool_snapshot(const std::string& path, const RicPool& pool);
 
 /// Loads a snapshot into an owned pool: checks the header against the
 /// file size, reads each section straight into its arena (one copy per
-/// section, O(pool bytes)), then verifies the payload checksum, the
-/// structure and every per-sample invariant. Throws std::runtime_error
-/// prefixed "ric pool snapshot:" on a missing or unreadable path (naming
-/// it), a short read, a mismatch or corruption.
+/// section, O(pool bytes)), then verifies the payload checksum and hands
+/// the arenas to restore_ric_pool. Throws std::runtime_error prefixed
+/// "ric pool snapshot:" on a missing or unreadable path (naming it), a
+/// short read, a mismatch or corruption.
 [[nodiscard]] RicPool attach_ric_pool_snapshot(
     const std::string& path, const Graph& graph,
     const CommunitySet& communities);
+
+/// The one pool validator: installs `arenas` as a pool bound to `graph`
+/// and `communities` after checking the structure, then the content, as
+/// the validation contract above lists. O(pool bytes) plus one cursor per
+/// node. Throws std::runtime_error prefixed "ric pool snapshot:" naming
+/// the first violated invariant.
+[[nodiscard]] RicPool restore_ric_pool(const Graph& graph,
+                                       const CommunitySet& communities,
+                                       DiffusionModel model,
+                                       RicPool::PoolEpoch epoch,
+                                       RicPool::PoolArenas&& arenas);
 
 }  // namespace imc

@@ -211,14 +211,6 @@ void RicPool::release_sampler(std::unique_ptr<RicSampler> sampler) {
   sampler_cache_.push_back(std::move(sampler));
 }
 
-void RicPool::register_metadata(CommunityId community, std::uint32_t threshold,
-                                std::uint64_t touch_count) {
-  thresholds_.push_back(threshold);
-  source_community_.push_back(community);
-  ++community_frequency_[community];
-  sample_offsets_.push_back(sample_offsets_.back() + touch_count);
-}
-
 void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
                    ThreadPool* workers) {
   if (count == 0) return;  // an empty batch is no growth operation
@@ -261,7 +253,10 @@ void RicPool::grow(std::uint64_t count, std::uint64_t seed, bool parallel,
   sample_offsets_.reserve(sample_offsets_.size() + count);
   for (const GeneratedPart& part : parts) {
     for (const RicSampleMeta& meta : part.metas) {
-      register_metadata(meta.community, meta.threshold, meta.touch_count);
+      thresholds_.push_back(meta.threshold);
+      source_community_.push_back(meta.community);
+      ++community_frequency_[meta.community];
+      sample_offsets_.push_back(sample_offsets_.back() + meta.touch_count);
     }
   }
 
@@ -311,62 +306,6 @@ void RicPool::generate_parts(std::uint64_t count, std::uint64_t seed,
     parallel_for_shards(*pool, static_cast<unsigned>(parts),
                         [&](unsigned p) { generate_part(p); });
   }
-}
-
-void RicPool::append(RicSample sample) {
-  if (sample.community >= communities_->size()) {
-    throw std::invalid_argument("RicPool::append: bad community id");
-  }
-  if (sample.threshold == 0 ||
-      sample.threshold > communities_->population(sample.community)) {
-    throw std::invalid_argument("RicPool::append: threshold out of range");
-  }
-  // Reject masks with bits beyond the community population: popcount-based
-  // evaluators would count the phantom members toward h_g. (population is
-  // in [1, 64] here — empty communities are rejected by CommunitySet and
-  // the threshold check above bounds it — so the shift is well-defined.)
-  const std::uint64_t population = communities_->population(sample.community);
-  const std::uint64_t member_bits =
-      population >= 64 ? ~0ull : (1ull << population) - 1;
-  NodeId previous_node = 0;
-  bool first = true;
-  for (const auto& [node, mask] : sample.touching) {
-    if (node >= graph_->node_count() || mask == 0 ||
-        (mask & ~member_bits) != 0) {
-      throw std::invalid_argument("RicPool::append: bad touching entry");
-    }
-    // Touches must be strictly ascending by node (which also bans
-    // duplicates): sample() reads rely on it, and the CSR merge emits
-    // per-node runs whose sample-id order assumes one touch per node.
-    if (!first && node <= previous_node) {
-      throw std::invalid_argument(
-          "RicPool::append: touching entries not sorted by node");
-    }
-    previous_node = node;
-    first = false;
-  }
-  check_capacity(1);
-  drop_tail();
-  sample_arena_.append(sample.touching.data(),
-                       sample.touching.data() + sample.touching.size());
-  register_metadata(sample.community, sample.threshold,
-                    sample.touching.size());
-  merge_fresh_into_index(1, nullptr);
-  ++grows_;
-}
-
-RicSample RicPool::sample(std::uint32_t i) const {
-  if (i >= thresholds_.size()) {
-    throw std::out_of_range("RicPool::sample: index out of range");
-  }
-  RicSample s;
-  s.community = source_community_[i];
-  s.threshold = thresholds_[i];
-  s.member_count =
-      static_cast<std::uint32_t>(communities_->population(s.community));
-  const auto touches = sample_touches(i);
-  s.touching.assign(touches.begin(), touches.end());
-  return s;
 }
 
 void RicPool::merge_fresh_into_index(unsigned chunks, ThreadPool* workers) {

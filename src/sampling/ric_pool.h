@@ -8,15 +8,17 @@
 // greedy argmax sweep walks one cache-friendly span per candidate with no
 // pointer chasing. Per-sample metadata the hot loops need is split into
 // SoA arrays (`thresholds_`, `source_community_`): a marginal-gain probe
-// loads 4 bytes per sample, not a whole RicSample. There is NO retained
-// AoS sample store: the sample-major arena (`sample_offsets_` +
-// `sample_arena_`) IS the canonical per-sample storage, and `sample()`
-// materializes a RicSample view on demand (serialization/tests only).
-// One sample generator (DESIGN.md §9): `grow()` fills per-part arenas
-// via `RicSampler::generate_into` and stitches them into the sample-major
+// loads 4 bytes per sample, not a whole sample. There is NO retained AoS
+// sample store: the sample-major arena (`sample_offsets_` +
+// `sample_arena_`) IS the canonical per-sample storage.
+// A pool gets samples in exactly two ways: `grow()` draws them, and the
+// snapshot loader's one validated restore installs saved arenas
+// (`restore_ric_pool`, sampling/pool_snapshot.h). One sample generator
+// (DESIGN.md §9): `grow()` fills per-part arenas via
+// `RicSampler::generate_into` and stitches them into the sample-major
 // arena in index order. The CSR is merged incrementally and in place:
-// every mutation (`grow()`, `append()`) merges its fresh samples (per-chunk
-// count, a right-to-left shift of the old rows inside the lengthened arena,
+// every `grow()` merges its fresh samples (per-chunk count, a
+// right-to-left shift of the old rows inside the lengthened arena,
 // parallel scatter) before returning, so the index is never stale and
 // const readers never write.
 // A delta repair regenerates through the same part loop and patches both
@@ -60,8 +62,8 @@ class RicPool {
   static_assert(sizeof(Touch) == 16, "Touch must stay two words");
 
   /// Growth watermark, captured by grow_epoch(); snapshots persist it.
-  /// `grows` counts completed grow()/append() operations, so a pool that
-  /// was rebuilt to the same size still reads as a different lineage.
+  /// `grows` counts completed grow() operations, so a pool that was
+  /// rebuilt to the same size still reads as a different lineage.
   /// `repairs` counts completed invalidate_and_repair() calls: a repair
   /// rewrites samples IN PLACE (size and grows unchanged), so the counter
   /// is what tells a repaired pool from the one before it (DESIGN.md §16).
@@ -96,13 +98,6 @@ class RicPool {
   /// sample ids would no longer fit in 32 bits.
   void grow(std::uint64_t count, std::uint64_t seed, bool parallel = true,
             ThreadPool* workers = nullptr);
-
-  /// Appends one externally produced sample (tests, hand-made pools).
-  /// Validates community id, threshold and touching node ids; throws
-  /// std::invalid_argument on mismatch with the bound structures. The CSR
-  /// index is merged and the estimate tail dropped before returning,
-  /// exactly as grow() does.
-  void append(RicSample sample);
 
   [[nodiscard]] std::uint64_t size() const noexcept {
     return thresholds_.size();
@@ -194,32 +189,12 @@ class RicPool {
   };
   [[nodiscard]] SnapshotView snapshot_view() const;
 
-  /// Installs fully built arenas (the attach back door for
-  /// sampling/pool_snapshot.cpp, which reads each snapshot section into
-  /// its own owned arena). The pool takes them over as they are. Validates
-  /// the structural invariants (sizes coherent, both offset tables'
-  /// endpoints AND monotonicity — so no span can wrap out of bounds —
-  /// epoch matches); the content checks, community frequencies included,
-  /// run in the loader on the restored pool.
-  /// Throws std::invalid_argument on any structural mismatch.
-  [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
-                                                const CommunitySet& communities,
-                                                DiffusionModel model,
-                                                PoolEpoch epoch,
-                                                PoolArenas&& arenas);
-
-  /// Materializes sample g from the arenas (community/threshold from the
-  /// SoA metadata, touching pairs from the sample-major arena). This is
-  /// the slow path for serialization, BT instance construction and tests;
-  /// hot loops read the arenas directly. Throws std::out_of_range.
-  [[nodiscard]] RicSample sample(std::uint32_t i) const;
-
-  /// Touch list of sample g — the same (node, mask) pairs as
-  /// sample(g).touching, but served from one contiguous sample-major arena
-  /// (samples are concatenated in insertion order, so maintenance on
-  /// grow/append is a plain append — no rebuild, never stale). The
-  /// sample-major marginal passes stream this arena end to end instead of
-  /// hopping through |R| scattered heap vectors. Hot path: debug-asserted.
+  /// Touch list of sample g: its (node, mask) pairs, sorted by node id,
+  /// served from one contiguous sample-major arena (samples are
+  /// concatenated in insertion order, so maintenance on grow is a plain
+  /// append — no rebuild, never stale). The sample-major marginal passes
+  /// stream this arena end to end instead of hopping through |R|
+  /// scattered heap vectors. Hot path: debug-asserted.
   [[nodiscard]] std::span<const TouchPair> sample_touches(
       std::uint32_t g) const {
     assert(g + 1 < sample_offsets_.size());
@@ -298,7 +273,8 @@ class RicPool {
   }
 
   /// Number of samples whose source community is c (MAF community
-  /// frequency). O(1): counters are maintained during grow/append.
+  /// frequency). O(1): grow maintains the counters, a repair recounts
+  /// them, and a restore checks them against the samples.
   [[nodiscard]] std::uint32_t community_frequency(CommunityId c) const {
     return c < community_frequency_.size() ? community_frequency_[c] : 0;
   }
@@ -348,6 +324,23 @@ class RicPool {
 
  private:
   friend class EstimateTail;
+  friend RicPool restore_ric_pool(const Graph& graph,
+                                  const CommunitySet& communities,
+                                  DiffusionModel model, PoolEpoch epoch,
+                                  PoolArenas&& arenas);
+
+  /// Installs fully built arenas: the structural half of
+  /// restore_ric_pool (sampling/pool_snapshot.h), which then checks the
+  /// content on the restored pool. The pool takes the arenas over as they
+  /// are. Validates the structural invariants (sizes coherent, both offset
+  /// tables' endpoints AND monotonicity — so no span can wrap out of
+  /// bounds — epoch matches). Throws std::invalid_argument on any
+  /// structural mismatch.
+  [[nodiscard]] static RicPool restore_snapshot(const Graph& graph,
+                                                const CommunitySet& communities,
+                                                DiffusionModel model,
+                                                PoolEpoch epoch,
+                                                PoolArenas&& arenas);
 
   /// Throws std::length_error when adding `count` samples would push ids
   /// past the 32-bit Touch::sample range.
@@ -377,11 +370,6 @@ class RicPool {
   [[nodiscard]] std::unique_ptr<RicSampler> acquire_sampler();
   void release_sampler(std::unique_ptr<RicSampler> sampler);
 
-  /// Registers one sample's metadata (SoA mirrors + community counter +
-  /// sample-major offset for `touch_count` freshly appended arena pairs).
-  void register_metadata(CommunityId community, std::uint32_t threshold,
-                         std::uint64_t touch_count);
-
   /// Merges samples [indexed_samples_, size()) into the CSR in place:
   /// per-chunk counting, one right-to-left sweep that moves each node's
   /// old run to its new offset inside the lengthened arena and turns the
@@ -400,8 +388,7 @@ class RicPool {
   DiffusionModel model_ = DiffusionModel::kIndependentCascade;
   double total_benefit_ = 0.0;
 
-  // Completed growth operations (grow with count > 0, append); see
-  // PoolEpoch.
+  // Completed growth operations (grow with count > 0); see PoolEpoch.
   std::uint64_t grows_ = 0;
 
   // Completed delta repairs (invalidate_and_repair with non-empty
@@ -416,7 +403,7 @@ class RicPool {
 
   // Canonical per-sample storage: touch lists concatenated in insertion
   // order (offsets in sample_offsets_, size+1 entries). Sample-major gain
-  // passes stream it; sample() materializes views from it.
+  // passes stream it.
   ArenaVector<std::uint64_t> sample_offsets_;            // sample -> begin
   ArenaVector<TouchPair> sample_arena_;
 

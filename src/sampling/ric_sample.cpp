@@ -11,20 +11,6 @@
 
 namespace imc {
 
-std::uint64_t RicSample::mask_of(NodeId v) const {
-  const auto it = std::lower_bound(
-      touching.begin(), touching.end(), v,
-      [](const auto& entry, NodeId node) { return entry.first < node; });
-  if (it != touching.end() && it->first == v) return it->second;
-  return 0;
-}
-
-std::uint32_t RicSample::members_reached(std::span<const NodeId> seeds) const {
-  std::uint64_t covered = 0;
-  for (const NodeId v : seeds) covered |= mask_of(v);
-  return static_cast<std::uint32_t>(__builtin_popcountll(covered));
-}
-
 RicSampler::RicSampler(const Graph& graph, const CommunitySet& communities,
                        DiffusionModel model)
     : graph_(&graph), communities_(&communities), model_(model) {
@@ -56,23 +42,6 @@ RicSampler::RicSampler(const Graph& graph, const CommunitySet& communities,
   in_worklist_.assign(n, 0);
   region_bits_.assign(ceil_div(n, 64), 0);
   region_summary_.assign(ceil_div(n, 4096), 0);
-}
-
-RicSample RicSampler::generate(Rng& rng) {
-  return generate_for_community(static_cast<CommunityId>(rho_.sample(rng)),
-                                rng);
-}
-
-RicSample RicSampler::generate_for_community(CommunityId community, Rng& rng) {
-  RicSample sample;
-  TouchArena touching;
-  const RicSampleMeta meta =
-      generate_for_community_into(community, rng, touching);
-  sample.touching.assign(touching.begin(), touching.end());
-  sample.community = meta.community;
-  sample.threshold = meta.threshold;
-  sample.member_count = meta.member_count;
-  return sample;
 }
 
 RicSampleMeta RicSampler::generate_into(Rng& rng, TouchArena& out) {
@@ -201,7 +170,6 @@ RicSampleMeta RicSampler::generate_for_community_into(CommunityId community,
   RicSampleMeta meta;
   meta.community = community;
   meta.threshold = communities_->threshold(community);
-  meta.member_count = static_cast<std::uint32_t>(members.size());
   realize(members, rng);
   propagate(members, [](NodeId) { return false; });
 
@@ -262,7 +230,7 @@ bool RicSampler::draw_influenced(Rng& rng,
   const auto community = static_cast<CommunityId>(rho_.sample(rng));
   const auto members = communities_->members(community);
   const std::uint32_t threshold = communities_->threshold(community);
-  realize(members, rng);  // the only RNG consumer, as in generate()
+  realize(members, rng);  // the only RNG consumer, as in generate_into()
 
   // h_g >= 1, so a region without seeds cannot be influenced.
   const bool seed_in_region = std::any_of(

@@ -23,8 +23,8 @@
 //     O(live edges × rounds) instead of one DFS per member.
 //   * Scratch is flat: realized in-edges live in a head/next arena (no
 //     per-node heap vectors), and `generate_into` appends the touching
-//     pairs straight into a caller-owned arena so pool growth never
-//     materializes intermediate RicSample objects.
+//     pairs straight into a caller-owned arena: no sample is ever
+//     materialized as an object of its own.
 //   * The emit needs no sort: the region's nodes are marked in a two-level
 //     bitmap and read back in word order, which is node order.
 #pragma once
@@ -96,36 +96,12 @@ static_assert(sizeof(TouchPair) == 16 && offsetof(TouchPair, second) == 8,
               "a touch pair is two words, the mask in the second");
 static_assert(std::is_trivially_copyable_v<TouchPair>);
 
-/// One RIC sample. `touching` lists every node that can reach >= 1 member
-/// of the source community in the realization, with the mask of members it
-/// reaches; sorted by node id; members themselves appear with their own bit
-/// set (u ∈ R_g(u)).
-struct RicSample {
-  CommunityId community = kInvalidCommunity;
-  std::uint32_t threshold = 1;     // h_g
-  std::uint32_t member_count = 0;  // |C_g| (<= 64)
-  std::vector<TouchPair> touching;
-
-  /// Mask of members reached from `v`, 0 if v does not touch the sample.
-  [[nodiscard]] std::uint64_t mask_of(NodeId v) const;
-
-  /// Number of members of C_g reachable from seed set S = |I_g(S)|.
-  [[nodiscard]] std::uint32_t members_reached(
-      std::span<const NodeId> seeds) const;
-
-  /// X_g(S): 1 iff S reaches >= h_g members.
-  [[nodiscard]] bool influenced_by(std::span<const NodeId> seeds) const {
-    return members_reached(seeds) >= threshold;
-  }
-};
-
-/// Per-sample metadata the arena-direct generation path emits alongside the
-/// touching pairs — everything RicPool stores besides the pairs themselves.
+/// Per-sample metadata `generate_into` returns beside the touching pairs it
+/// appends — everything RicPool stores besides the pairs themselves.
 struct RicSampleMeta {
   CommunityId community = kInvalidCommunity;
-  std::uint32_t threshold = 1;     // h_g
-  std::uint32_t member_count = 0;  // |C_g| (<= 64)
-  std::uint32_t touch_count = 0;   // pairs appended to the arena
+  std::uint32_t threshold = 1;    // h_g
+  std::uint32_t touch_count = 0;  // pairs appended to the arena
 };
 
 /// Reusable generator (owns scratch buffers; one instance per thread).
@@ -147,31 +123,30 @@ class RicSampler {
   RicSampler(const Graph& graph, const CommunitySet& communities,
              DiffusionModel model = DiffusionModel::kIndependentCascade);
 
-  /// Draws one sample (paper Alg. 1). Deterministic given rng state.
-  [[nodiscard]] RicSample generate(Rng& rng);
-
-  /// Draws a sample with a forced source community (used by tests and by
-  /// stratified ablations).
-  [[nodiscard]] RicSample generate_for_community(CommunityId community,
-                                                 Rng& rng);
-
-  /// Arena-direct variant: appends the sample's touching pairs (sorted by
-  /// node id) to `out` and returns the metadata. Pool growth uses this to
-  /// emit straight into per-part arenas with zero intermediate copies.
+  /// Draws one sample (paper Alg. 1), deterministic given the rng state:
+  /// appends its touching pairs to `out` and returns the metadata. A pair
+  /// (v, mask) lists a node v that reaches >= 1 member of the source
+  /// community in the realization, with the mask of the members it
+  /// reaches; pairs are sorted by node id, and members appear with their
+  /// own bit set (u ∈ R_g(u)). Pool growth emits straight into per-part
+  /// arenas with zero intermediate copies.
   RicSampleMeta generate_into(Rng& rng, TouchArena& out);
 
-  /// Arena-direct variant of generate_for_community.
+  /// generate_into with a forced source community (tests, and the part of
+  /// every draw after the source is chosen).
   RicSampleMeta generate_for_community_into(CommunityId community, Rng& rng,
                                             TouchArena& out);
 
   /// X_g(S) of one fresh draw: true iff the seeds flagged in `is_seed`
   /// (indexed by node id, size >= node_count) reach at least h_g members
-  /// of the drawn sample. Equals generate(rng).influenced_by(S) and leaves
-  /// `rng` in the same state — the draw and the live-edge BFS are the
-  /// same code and the only RNG consumers — but builds no sample: a region
-  /// without seeds returns before mask propagation, and propagation stops
-  /// as soon as the seeds cover h_g members. No sort, no allocation once
-  /// the scratch has grown. The estimators' inner loop (DESIGN.md §9).
+  /// of the drawn sample. Decides what the pairs a generate_into from the
+  /// same rng state would append decide (the OR of the seeds' masks
+  /// reaches h_g) and leaves `rng` in the same state — the draw and the
+  /// live-edge BFS are the same code and the only RNG consumers — but
+  /// writes no pairs: a region without seeds returns before mask
+  /// propagation, and propagation stops as soon as the seeds cover h_g
+  /// members. No sort, no allocation once the scratch has grown. The
+  /// estimators' inner loop (DESIGN.md §9).
   [[nodiscard]] bool draw_influenced(Rng& rng,
                                      std::span<const std::uint8_t> is_seed);
 

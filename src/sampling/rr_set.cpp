@@ -69,7 +69,7 @@ RrSet generate_rr_set_lt(const Graph& graph, Rng& rng) {
   return result;
 }
 
-void RrPool::generate(std::uint64_t count, Rng& rng) {
+void RrPool::grow(std::uint64_t count, Rng& rng) {
   index_.resize(graph_->node_count());
   sets_.reserve(sets_.size() + count);
   for (std::uint64_t i = 0; i < count; ++i) {

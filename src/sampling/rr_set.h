@@ -34,7 +34,7 @@ class RrPool {
   explicit RrPool(const Graph& graph) : graph_(&graph) {}
 
   /// Appends `count` fresh RR sets (deterministic given rng state).
-  void generate(std::uint64_t count, Rng& rng);
+  void grow(std::uint64_t count, Rng& rng);
 
   [[nodiscard]] std::uint64_t size() const noexcept { return sets_.size(); }
   [[nodiscard]] const RrSet& set(std::uint64_t i) const { return sets_.at(i); }

@@ -18,6 +18,7 @@
 #include "core/maf.h"
 #include "core/objective.h"
 #include "core/ubg.h"
+#include "diffusion/lt_model.h"
 #include "estimation/concentration.h"
 #include "estimation/dagum.h"
 #include "util/context.h"
@@ -45,11 +46,10 @@ std::uint64_t pool_size_for(std::uint64_t case_seed) {
 
 /// Builds the reference pool by replaying the pool's documented RNG
 /// contract — one substream Rng(fuzz_case_seed(seed, i)) per sample index,
-/// identical to RicPool::grow's splitmix_of — through the AoS
-/// RicSampler::generate path (which shares generate_into's consumption).
-/// The CONTAINER and everything downstream of it is independent; only the
-/// sample stream is shared, which is what makes the layout/evaluator/
-/// greedy comparisons exact.
+/// identical to RicPool::grow's splitmix_of — through draw_sample (one
+/// generate_into per sample). The CONTAINER and everything downstream of
+/// it is independent; only the sample stream is shared, which is what
+/// makes the layout/evaluator/greedy comparisons exact.
 ReferencePool contract_reference_pool(const Graph& graph,
                                       const CommunitySet& communities,
                                       DiffusionModel model,
@@ -59,7 +59,7 @@ ReferencePool contract_reference_pool(const Graph& graph,
   RicSampler sampler(graph, communities, model);
   for (std::uint64_t i = 0; i < count; ++i) {
     Rng rng(fuzz_case_seed(seed, i));
-    ref.add(sampler.generate(rng));
+    ref.add(draw_sample(sampler, rng));
   }
   return ref;
 }
@@ -122,12 +122,10 @@ std::optional<std::string> check_pool_layout(const InstanceSpec& spec,
            std::to_string(ref.size());
   }
   for (std::uint32_t g = 0; g < count; ++g) {
-    const RicSample got = pool.sample(g);
+    const RicSample got = pool_sample(pool, g);
     const RicSample& want = ref.sample(g);
     if (got.community != want.community ||
-        got.threshold != want.threshold ||
-        got.member_count != want.member_count ||
-        got.touching != want.touching) {
+        got.threshold != want.threshold || got.touching != want.touching) {
       return "sample " + std::to_string(g) +
              " mismatch (community/threshold/touching)";
     }
@@ -160,65 +158,6 @@ std::optional<std::string> check_pool_layout(const InstanceSpec& spec,
              std::to_string(pool.community_frequency(c)) + " != reference " +
              std::to_string(ref.community_frequency(c));
     }
-  }
-  return std::nullopt;
-}
-
-// ---------------------------------------------------------------------------
-// Check: append_path
-// ---------------------------------------------------------------------------
-
-std::optional<std::string> check_append_path(const InstanceSpec& spec,
-                                             std::uint64_t case_seed) {
-  const Graph graph = spec.build_graph();
-  const CommunitySet communities = spec.build_communities();
-  const std::uint64_t count = pool_size_for(case_seed);
-
-  RicPool grown(graph, communities, spec.model);
-  grown.grow(count, case_seed, /*parallel=*/false);
-
-  // Rebuild sample-by-sample through append(), which merges each sample
-  // into the CSR index before returning; read the index mid-stream too.
-  RicPool appended(graph, communities, spec.model);
-  for (std::uint32_t g = 0; g < count; ++g) {
-    appended.append(grown.sample(g));
-    if (g == count / 2) (void)appended.appearance_count(0);
-  }
-  if (appended.size() != grown.size()) {
-    return "appended pool size mismatch";
-  }
-  for (NodeId v = 0; v < graph.node_count(); ++v) {
-    const auto got = appended.touches_of(v);
-    const auto want = grown.touches_of(v);
-    if (got.size() != want.size()) {
-      return "append: node " + std::to_string(v) + " touch count mismatch";
-    }
-    for (std::size_t t = 0; t < want.size(); ++t) {
-      if (got[t].sample != want[t].sample ||
-          got[t].threshold != want[t].threshold ||
-          got[t].mask != want[t].mask) {
-        return "append: node " + std::to_string(v) + " touch " +
-               std::to_string(t) + " mismatch";
-      }
-    }
-  }
-  const auto got_freq = appended.community_frequencies();
-  const auto want_freq = grown.community_frequencies();
-  if (!std::equal(got_freq.begin(), got_freq.end(), want_freq.begin(),
-                  want_freq.end())) {
-    return "append: community_frequencies mismatch";
-  }
-  // Evaluators must agree exactly: same arenas, same sweep.
-  Rng rng(case_seed ^ 0xa99e4dULL);
-  const auto k = static_cast<std::uint32_t>(
-      rng.between(1, std::min<std::int64_t>(4, graph.node_count())));
-  const std::vector<std::uint32_t> seeds =
-      rng.sample_without_replacement(graph.node_count(), k);
-  const std::span<const NodeId> view(seeds);
-  if (appended.influenced_count(view) != grown.influenced_count(view) ||
-      appended.c_hat(view) != grown.c_hat(view) ||
-      appended.nu(view) != grown.nu(view)) {
-    return "append: evaluator mismatch on seeds " + describe_nodes(view);
   }
   return std::nullopt;
 }
@@ -649,6 +588,39 @@ std::optional<std::string> check_pool_roundtrip(const InstanceSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
+// Check: restore_path
+// ---------------------------------------------------------------------------
+
+/// A grown pool's samples, rebuilt through pool_of_samples (the CSR by
+/// counting, installed by the snapshot loader's validator), must pass the
+/// validator and equal the grown pool arena for arena, CSR included —
+/// under IC and, when the weights allow it, under LT.
+std::optional<std::string> check_restore_path(const InstanceSpec& spec,
+                                              std::uint64_t case_seed) {
+  const Graph graph = spec.build_graph();
+  const CommunitySet communities = spec.build_communities();
+  const std::uint64_t count = pool_size_for(case_seed);
+  std::vector<DiffusionModel> models{DiffusionModel::kIndependentCascade};
+  if (lt_weights_valid(graph)) {
+    models.push_back(DiffusionModel::kLinearThreshold);
+  }
+  for (const DiffusionModel model : models) {
+    const char* const name =
+        model == DiffusionModel::kLinearThreshold ? "lt" : "ic";
+    RicPool grown(graph, communities, model);
+    grown.grow(count, case_seed, /*parallel=*/false);
+    const RicPool rebuilt =
+        pool_of_samples(graph, communities, pool_samples(grown), model);
+    const std::string diff = pool_content_diff(rebuilt, grown);
+    if (!diff.empty()) return std::string(name) + ": rebuilt pool: " + diff;
+    if (!(rebuilt.grow_epoch() == grown.grow_epoch())) {
+      return std::string(name) + ": rebuilt pool: epoch mismatch";
+    }
+  }
+  return std::nullopt;
+}
+
+// ---------------------------------------------------------------------------
 // Check: delta_vs_rebuild
 // ---------------------------------------------------------------------------
 
@@ -921,7 +893,8 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
   Rng rng_reference(case_seed);
   Rng rng_drawing(case_seed);
   for (int i = 0; i < 200; ++i) {
-    const bool want = reference.generate(rng_reference).influenced_by(seeds);
+    const bool want =
+        draw_sample(reference, rng_reference).influenced_by(seeds);
     const bool got = drawing.draw_influenced(rng_drawing, is_seed);
     Rng next_reference = rng_reference;
     Rng next_drawing = rng_drawing;
@@ -951,7 +924,7 @@ std::optional<std::string> check_dagum_draw(const InstanceSpec& spec,
   std::uint64_t influenced = 0;
   for (std::uint64_t t = 1; t <= options.max_samples; ++t) {
     Rng rng(splitmix_of(options.seed, options.first + t - 1));
-    if (reference.generate(rng).influenced_by(seeds)) ++influenced;
+    if (draw_sample(reference, rng).influenced_by(seeds)) ++influenced;
     want.samples = t;
     if (static_cast<double>(influenced) >= lambda_prime) {
       want.value = b * lambda_prime / static_cast<double>(t);
@@ -1542,7 +1515,7 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 std::vector<FuzzCheck> default_checks() {
   return {
       {"pool_layout", check_pool_layout},
-      {"append_path", check_append_path},
+      {"restore_path", check_restore_path},
       {"evaluators", check_evaluators},
       {"greedy", check_greedy},
       {"kernel_variants", check_kernel_variants},

@@ -10,8 +10,10 @@
 //                     reference pool fed the same per-sample RNG
 //                     substreams, compared sample-for-sample and
 //                     touch-for-touch.
-//   * append_path   — RicPool::append (eager per-sample index merge) vs
-//                     the grow()-built index, including interleaved reads.
+//   * restore_path  — the grown pool's samples rebuilt through
+//                     pool_of_samples (the CSR by counting, installed by
+//                     the snapshot loader's validator) vs the grown pool,
+//                     arena for arena and CSR included, under IC and LT.
 //   * evaluators    — c_hat/nu/influenced_count, CoverageState increments,
 //                     node marginals (ν compared BIT-FOR-BIT to pin the
 //                     accumulation-order contract) and the chunked /
@@ -35,7 +37,7 @@
 //                     ground truth (6σ bands), plus binomial checks on the
 //                     source-community frequencies.
 //   * dagum_draw    — RicSampler::draw_influenced (the estimators' early-
-//                     exit draw) vs generate().influenced_by() draw for
+//                     exit draw) vs draw_sample().influenced_by() draw for
 //                     draw, X and RNG state alike, plus
 //                     dagum_estimate_benefit vs a replay of Alg. 6 on
 //                     materialized samples, draw j being the sample at

@@ -76,7 +76,6 @@ RicSample naive_ric_sample(const Graph& graph,
   RicSample sample;
   sample.community = community;
   sample.threshold = communities.threshold(community);
-  sample.member_count = static_cast<std::uint32_t>(members.size());
 
   const LiveEdges live = realize_live_edges(graph, model, rng);
 
@@ -102,7 +101,6 @@ RicSample replay_ric_sample(const Graph& graph,
   RicSample sample;
   sample.community = community;
   sample.threshold = communities.threshold(community);
-  sample.member_count = static_cast<std::uint32_t>(members.size());
 
   LiveEdges live(graph.node_count());
   std::vector<std::uint8_t> visited(graph.node_count(), 0);

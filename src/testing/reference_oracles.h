@@ -32,7 +32,7 @@
 #include "diffusion/monte_carlo.h"
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "sampling/ric_sample.h"
+#include "testing/sample_pool.h"
 #include "util/rng.h"
 
 namespace imc::testing {
@@ -54,9 +54,9 @@ namespace imc::testing {
 /// probability, one Bernoulli per in-edge of any other node, and one
 /// uniform per node under LT. Masks then come from one forward DFS per
 /// node over the realized edges, as in naive_ric_sample, and the pairs
-/// come out in node order by construction. Equals
-/// RicSampler::generate_for_community pair for pair and leaves `rng` in
-/// the same state.
+/// come out in node order by construction. Equals the pairs of
+/// RicSampler::generate_for_community_into pair for pair and leaves `rng`
+/// in the same state.
 [[nodiscard]] RicSample replay_ric_sample(const Graph& graph,
                                           const CommunitySet& communities,
                                           DiffusionModel model,

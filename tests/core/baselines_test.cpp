@@ -148,7 +148,7 @@ TEST(ImRis, CoverageGreedyPicksStarCenter) {
   const Graph graph = test::star_graph(20, 1.0);
   RrPool pool(graph);
   Rng rng(3);
-  pool.generate(300, rng);
+  pool.grow(300, rng);
   const auto seeds = rr_greedy_max_coverage(pool, 1);
   ASSERT_EQ(seeds.size(), 1U);
   EXPECT_EQ(seeds[0], 0U);
@@ -181,7 +181,7 @@ TEST(ImRis, TopsUpWhenPoolSparse) {
   const Graph graph = builder.build();
   RrPool pool(graph);
   Rng rng(4);
-  pool.generate(50, rng);
+  pool.grow(50, rng);
   const auto seeds = rr_greedy_max_coverage(pool, 5);
   const std::set<NodeId> unique(seeds.begin(), seeds.end());
   EXPECT_EQ(unique.size(), 5U);

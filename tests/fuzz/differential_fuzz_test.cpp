@@ -135,7 +135,7 @@ std::optional<std::string> off_by_one_check(const InstanceSpec& spec,
   const std::vector<NodeId> seeds{0};
   std::uint64_t broken = 0;
   for (std::uint32_t g = 0; g < pool.size(); ++g) {
-    const RicSample sample = pool.sample(g);
+    const RicSample sample = pool_sample(pool, g);
     if (sample.members_reached(seeds) + 1 >= sample.threshold) ++broken;
   }
   if (broken != pool.influenced_count(seeds)) {

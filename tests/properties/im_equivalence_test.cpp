@@ -58,7 +58,7 @@ TEST(ImEquivalence, RicEstimateMatchesRisEstimate) {
   ric.grow(40000, 31);
   RrPool ris(graph);
   Rng rng(31);
-  ris.generate(40000, rng);
+  ris.grow(40000, rng);
 
   const std::vector<NodeId> seeds{0, 9, 23, 41};
   const double via_ric = ric.c_hat(seeds);

@@ -14,6 +14,7 @@
 #include "graph/weights.h"
 #include "sampling/ric_pool.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 
 namespace imc {
 namespace {
@@ -126,7 +127,8 @@ TEST_P(PoolPropertyTest, Lemma5SandwichOnInfluencedCount) {
       // D(S, u): samples u touches that S influences.
       std::uint64_t d = 0;
       for (const RicPool::Touch& touch : pool_->touches_of(u)) {
-        const RicSample& g = pool_->sample(touch.sample);
+        const testing::RicSample g =
+            testing::pool_sample(*pool_, touch.sample);
         if (g.members_reached(seeds) >= g.threshold) ++d;
       }
       max_d = std::max(max_d, d);

@@ -210,8 +210,8 @@ TEST_F(EstimateTailTest, GrowAppendAndASeedChangeDropTheTail) {
   (void)dagum_estimate_benefit(graph_, communities_, seeds, past,
                                ExecutionContext{}, nullptr, &again);
   ASSERT_GT(kept(pool_), 0U);
-  pool_.append(pool_.sample(0));
-  expect_dropped("append");
+  pool_.grow(1, kSeed);  // one sample is a growth operation too
+  expect_dropped("grow by one");
 }
 
 TEST_F(EstimateTailTest, RefusesATailOfAnotherStreamOrStructure) {

@@ -25,6 +25,7 @@
 #include "graph/generators/generators.h"
 #include "graph/weights.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 #include "util/mathx.h"
 #include "util/thread_pool.h"
 
@@ -419,18 +420,25 @@ std::string attach_error(const Fixture& fixture, const std::string& blob) {
 class PoolSnapshotCorpus : public ::testing::Test {
  protected:
   Fixture fixture_;
+  RicPool pool_{fixture_.graph, fixture_.communities};
   std::string blob_;
 
   void SetUp() override {
-    RicPool pool(fixture_.graph, fixture_.communities);
-    pool.grow(50, 13);
-    blob_ = snapshot_bytes(pool);
+    pool_.grow(50, 13);
+    blob_ = snapshot_bytes(pool_);
   }
 
   /// Overwrites a header field given its byte offset inside the struct.
   template <typename T>
   void patch_header(std::size_t offset, T value) {
     std::memcpy(blob_.data() + offset, &value, sizeof(value));
+  }
+
+  /// Overwrites pair `i` of the sample-major arena (section 5).
+  void patch_pair(std::size_t i, TouchPair pair) {
+    const Layout layout(header_of(blob_));
+    std::memcpy(blob_.data() + layout.offset[4] + i * sizeof(TouchPair),
+                &pair, sizeof(pair));
   }
 };
 
@@ -666,6 +674,87 @@ TEST_F(PoolSnapshotCorpus, NonMonotoneTouchOffsetsBehindValidChecksum) {
             "monotone");
 }
 
+// The transpose check: the CSR must hold exactly the touch {g, h_g, mask}
+// for each pair (v, mask) of each sample g. Each forgery below keeps every
+// offset table and count consistent and reseals both checksums, so only
+// the content walk can catch it.
+
+TEST_F(PoolSnapshotCorpus, PairNamingANodeItsCsrRowLacksBehindValidChecksum) {
+  // Sample 0's first pair moves to the node before it, one the sample
+  // does not touch: still in range and ascending, but that node's CSR row
+  // has no touch of sample 0.
+  const auto pairs = pool_.sample_touches(0);
+  ASSERT_GT(pairs[0].first, 0U);
+  const NodeId moved = pairs[0].first - 1;
+  patch_pair(0, TouchPair{moved, pairs[0].second});
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample 0: node " + std::to_string(moved) +
+                " is missing from its csr row");
+}
+
+TEST_F(PoolSnapshotCorpus, CsrMaskDiffersFromThePairBehindValidChecksum) {
+  // The first touch of the CSR arena gets another member mask.
+  NodeId v = 0;
+  while (pool_.touches_of(v).empty()) ++v;
+  const RicPool::Touch first = pool_.touches_of(v).front();
+  const Layout layout(header_of(blob_));
+  const std::uint64_t forged = first.mask ^ 0b10;
+  std::memcpy(blob_.data() + layout.offset[6] + offsetof(RicPool::Touch, mask),
+              &forged, sizeof(forged));
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample " + std::to_string(first.sample) +
+                ": csr mask of node " + std::to_string(v) +
+                " disagrees with the sample's pair");
+}
+
+TEST_F(PoolSnapshotCorpus, DuplicateNodeBehindValidChecksum) {
+  const auto pairs = pool_.sample_touches(0);
+  ASSERT_GE(pairs.size(), 2U);
+  patch_pair(1, TouchPair{pairs[0].first, pairs[1].second});
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample 0: touching nodes not strictly "
+            "ascending");
+}
+
+TEST_F(PoolSnapshotCorpus, ZeroMaskBehindValidChecksum) {
+  // A zero mask in both arenas still agrees across them; the pair itself
+  // names no member.
+  const auto pairs = pool_.sample_touches(0);
+  patch_pair(0, TouchPair{pairs[0].first, 0});
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: sample 0: empty member mask");
+}
+
+TEST_F(PoolSnapshotCorpus, ExtraCsrTouchBehindValidChecksum) {
+  // One more touch at the end of the last node's row: the CSR arena (the
+  // last section), its count and the row's end offset grow by one, and
+  // the file by its padding.
+  PoolSnapshotHeader header = header_of(blob_);
+  const Layout layout(header);
+  const NodeId last = fixture_.graph.node_count() - 1;
+  const RicPool::Touch extra{static_cast<std::uint32_t>(pool_.size() - 1),
+                             2, 0b1};
+  std::string touches = blob_.substr(layout.offset[6], layout.bytes[6]);
+  touches.append(reinterpret_cast<const char*>(&extra), sizeof(extra));
+  touches.resize(detail::round_up_64(touches.size()), '\0');
+  blob_ = blob_.substr(0, layout.offset[6]) + touches;
+  ++header.csr_touch_count;
+  header.payload_bytes = blob_.size();
+  std::memcpy(blob_.data(), &header, sizeof(header));
+  const std::uint64_t row_end = header.csr_touch_count;
+  std::memcpy(blob_.data() + layout.offset[5] +
+                  (last + 1) * sizeof(std::uint64_t),
+              &row_end, sizeof(row_end));
+  reseal_checksum(blob_);
+  EXPECT_EQ(attach_error(fixture_, blob_),
+            "ric pool snapshot: csr: row of node " + std::to_string(last) +
+                " holds a touch no sample names");
+}
+
 TEST_F(PoolSnapshotCorpus, HugePairCountOverflowsTheLayout) {
   // A pair count of 2^60 used to wrap the section size to a small value
   // that stayed self-consistent with payload_bytes; the layout math now
@@ -683,19 +772,12 @@ TEST(PoolSnapshot, V4PayloadChecksumIsPinned) {
   // (independent of the sampler's RNG contract). Its sections cover
   // word-aligned, 4-byte-tail and 16-byte-element lengths.
   const Fixture fixture;
-  RicPool pool(fixture.graph, fixture.communities);
-  const auto add = [&pool](CommunityId community,
-                           std::vector<TouchPair> touching) {
-    RicSample sample;
-    sample.community = community;
-    sample.threshold = 2;
-    sample.member_count = 3;
-    sample.touching = std::move(touching);
-    pool.append(sample);
-  };
-  add(0, {{0, 0b1}, {1, 0b10}});
-  add(1, {{4, 0b1}, {5, 0b11}, {7, 0b100}});
-  add(2, {{8, 0b101}});
+  const RicPool pool = testing::pool_of_samples(
+      fixture.graph, fixture.communities,
+      std::vector<testing::RicSample>{
+          {0, 2, {{0, 0b1}, {1, 0b10}}},
+          {1, 2, {{4, 0b1}, {5, 0b11}, {7, 0b100}}},
+          {2, 2, {{8, 0b101}}}});
   const PoolSnapshotHeader header = header_of(snapshot_bytes(pool));
   EXPECT_EQ(header.version, 4U);
   EXPECT_EQ(header.payload_checksum, 0xeaa1eb5dfdc6a10cULL);
@@ -742,27 +824,33 @@ TEST(PoolSnapshotEngine, AttachPoolRejectsModelMismatch) {
 }
 
 TEST(PoolAppend, ValidatesInput) {
-  const Graph graph = test::cycle_graph(12, 0.5);
-  CommunitySet communities = test::chunk_communities(12, 3);
-  apply_population_benefits(communities);
-  apply_constant_thresholds(communities, 2);
-  RicPool pool(graph, communities);
-  RicSample bad_community;
-  bad_community.community = 99;
-  bad_community.threshold = 1;
-  EXPECT_THROW(pool.append(bad_community), std::invalid_argument);
+  // Hand-built samples go through the snapshot loader's validator, so each
+  // rejection carries the loader's diagnostic. The threshold must be the
+  // community's h_i exactly, not just a value in [1, population].
+  const Fixture fixture;
+  const auto error = [&](const testing::RicSample& sample) {
+    try {
+      (void)testing::pool_of_samples(fixture.graph, fixture.communities,
+                                     std::vector<testing::RicSample>{sample});
+    } catch (const std::runtime_error& failure) {
+      return std::string(failure.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error({99, 2, {}}),
+            "ric pool snapshot: sample 0: community id out of range");
+  for (const std::uint32_t threshold : {0U, 1U, 3U}) {
+    EXPECT_EQ(error({0, threshold, {}}),
+              "ric pool snapshot: sample 0: threshold disagrees with the "
+              "community structure")
+        << "threshold " << threshold;
+  }
+  EXPECT_EQ(error({0, 2, {{12, 0b1}}}),
+            "ric pool snapshot: sample 0: touching node out of range");
 
-  RicSample bad_threshold;
-  bad_threshold.community = 0;
-  bad_threshold.threshold = 0;
-  EXPECT_THROW(pool.append(bad_threshold), std::invalid_argument);
-
-  RicSample good;
-  good.community = 0;
-  good.threshold = 2;
-  good.member_count = 3;
-  good.touching = {{0, 0b1ULL}, {1, 0b10ULL}};
-  pool.append(good);
+  const RicPool pool = testing::pool_of_samples(
+      fixture.graph, fixture.communities,
+      std::vector<testing::RicSample>{{0, 2, {{0, 0b1}, {1, 0b10}}}});
   EXPECT_EQ(pool.size(), 1U);
   EXPECT_EQ(pool.appearance_count(0), 1U);
 }

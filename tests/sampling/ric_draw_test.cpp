@@ -1,10 +1,11 @@
 // RicSampler::draw_influenced — the estimators' allocation-free draw — must
-// be indistinguishable from generate(rng).influenced_by(S): the same X_g(S)
-// per draw, the same RNG state afterwards, and scratch left clean for the
-// next generate(). Covered across IC with uniform in-weights (geometric
-// skipping), IC with mixed in-weights (the per-edge Bernoulli fallback)
-// and LT, seeds inside and outside the sampled region, every threshold
-// from 1 to |C|, and the visit-epoch wrap.
+// be indistinguishable from a full draw's influenced_by(S) (generate_into,
+// through imc_testing's draw_sample): the same X_g(S) per draw, the same
+// RNG state afterwards, and scratch left clean for the next full draw.
+// Covered across IC with uniform in-weights (geometric skipping), IC with
+// mixed in-weights (the per-edge Bernoulli fallback) and LT, seeds inside
+// and outside the sampled region, every threshold from 1 to |C|, and the
+// visit-epoch wrap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "graph/builder.h"
 #include "sampling/ric_sample.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 #include "util/rng.h"
 
 namespace imc {
@@ -83,7 +85,7 @@ std::vector<std::uint8_t> bitmap_of(const std::vector<NodeId>& seeds) {
 }
 
 /// Runs `draws` draws of both paths side by side from one Rng seed and
-/// checks X, the RNG state after each draw, and a generate() on the
+/// checks X, the RNG state after each draw, and a full draw on the
 /// drawing sampler right after it against an untouched sampler. Returns
 /// how many draws were influenced.
 int expect_equivalent(const Graph& graph, const CommunitySet& communities,
@@ -99,7 +101,8 @@ int expect_equivalent(const Graph& graph, const CommunitySet& communities,
   Rng rng_drawing(rng_seed);
   int influenced = 0;
   for (int i = 0; i < draws; ++i) {
-    const bool want = reference.generate(rng_reference).influenced_by(seeds);
+    const bool want =
+        testing::draw_sample(reference, rng_reference).influenced_by(seeds);
     const bool got = drawing.draw_influenced(rng_drawing, bitmap);
     EXPECT_EQ(got, want) << "draw " << i;
     influenced += got ? 1 : 0;
@@ -108,12 +111,13 @@ int expect_equivalent(const Graph& graph, const CommunitySet& communities,
     EXPECT_EQ(next_drawing.next(), next_reference.next())
         << "RNG state diverged after draw " << i;
 
-    // Scratch must be fully reset: a generate() on the drawing sampler
+    // Scratch must be fully reset: a full draw on the drawing sampler
     // equals one on a sampler that never ran draw_influenced.
     Rng probe_a(rng_seed ^ static_cast<std::uint64_t>(i));
     Rng probe_b(rng_seed ^ static_cast<std::uint64_t>(i));
-    const RicSample after = drawing.generate(probe_a);
-    const RicSample fresh = untouched.generate(probe_b);
+    const testing::RicSample after = testing::draw_sample(drawing, probe_a);
+    const testing::RicSample fresh =
+        testing::draw_sample(untouched, probe_b);
     EXPECT_EQ(after.community, fresh.community) << "draw " << i;
     EXPECT_EQ(after.touching, fresh.touching) << "draw " << i;
   }
@@ -150,7 +154,7 @@ TEST_P(DrawInfluenced, MatchesGenerateAcrossTheEpochWrap) {
   communities.set_threshold(2, 3);
   const std::vector<NodeId> seeds = {3, 17, 40};
   // Each iteration bumps the drawing sampler's epoch twice (draw, then the
-  // generate probe), so from max - 2 the wrap lands inside draw 1.
+  // full-draw probe), so from max - 2 the wrap lands inside draw 1.
   (void)expect_equivalent(graph, communities, model_of(weights), seeds, 5, 8,
                           std::numeric_limits<std::uint32_t>::max() - 2);
 }

@@ -14,6 +14,7 @@
 #include "sampling/ric_pool.h"
 #include "sampling/rr_set.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 
 namespace imc {
 namespace {
@@ -47,7 +48,7 @@ TEST(RicLt, SingleLiveInEdgePerNode) {
   RicSampler sampler(graph, communities, DiffusionModel::kLinearThreshold);
   Rng rng(1);
   for (int i = 0; i < 200; ++i) {
-    const RicSample g = sampler.generate(rng);
+    const testing::RicSample g = testing::draw_sample(sampler, rng);
     // All masks are bit 0 (single member); no node can appear twice.
     for (const auto& [node, mask] : g.touching) {
       (void)node;
@@ -90,9 +91,9 @@ TEST(RicLt, MutuallyExclusiveParentsUnderLt) {
   int ic_both = 0, lt_both = 0;
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) {
-    const RicSample a = ic.generate(rng_ic);
+    const testing::RicSample a = testing::draw_sample(ic, rng_ic);
     ic_both += (a.mask_of(1) != 0 && a.mask_of(2) != 0);
-    const RicSample b = lt.generate(rng_lt);
+    const testing::RicSample b = testing::draw_sample(lt, rng_lt);
     lt_both += (b.mask_of(1) != 0 && b.mask_of(2) != 0);
   }
   EXPECT_NEAR(static_cast<double>(ic_both) / kDraws, 0.25, 0.01);

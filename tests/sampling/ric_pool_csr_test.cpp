@@ -1,9 +1,9 @@
 // Equivalence tests for the flat CSR/SoA pool layout: after any interleaving
-// of grow() (serial and parallel) and append(), the CSR inverted index, the
-// sample-major arena, the appearance counts, and the community frequencies
-// must match a straightforward nested-vector reference rebuilt from the
-// materialized per-sample views. Also pins the uint32 sample-id overflow
-// guard.
+// of grow() (serial and parallel) and restores of hand-built samples
+// (testing::pool_of_samples), the CSR inverted index, the sample-major
+// arena, the appearance counts, and the community frequencies must match a
+// straightforward nested-vector reference rebuilt from the materialized
+// per-sample views. Also pins the uint32 sample-id overflow guard.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,11 +24,18 @@
 #include "sampling/ric_pool.h"
 #include "sampling/ric_sample.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace imc {
 namespace {
+
+using testing::draw_sample;
+using testing::pool_of_samples;
+using testing::pool_sample;
+using testing::pool_samples;
+using testing::RicSample;
 
 struct RefTouch {
   std::uint32_t sample;
@@ -41,7 +48,7 @@ struct RefTouch {
 std::vector<std::vector<RefTouch>> reference_index(const RicPool& pool) {
   std::vector<std::vector<RefTouch>> index(pool.graph().node_count());
   for (std::uint32_t g = 0; g < pool.size(); ++g) {
-    const RicSample& sample = pool.sample(g);
+    const RicSample sample = pool_sample(pool, g);
     for (const auto& [node, mask] : sample.touching) {
       index[node].push_back(RefTouch{g, sample.threshold, mask});
     }
@@ -75,21 +82,19 @@ void expect_matches_reference(const RicPool& pool) {
   // The sample-major arena serves exactly the AoS touching lists.
   for (std::uint32_t g = 0; g < pool.size(); ++g) {
     const auto span = pool.sample_touches(g);
-    const auto& aos = pool.sample(g).touching;
-    ASSERT_EQ(span.size(), aos.size()) << "sample " << g;
+    const RicSample sample = pool_sample(pool, g);
+    ASSERT_EQ(span.size(), sample.touching.size()) << "sample " << g;
     for (std::size_t i = 0; i < span.size(); ++i) {
-      EXPECT_EQ(span[i].first, aos[i].first);
-      EXPECT_EQ(span[i].second, aos[i].second);
+      EXPECT_EQ(span[i].first, sample.touching[i].first);
+      EXPECT_EQ(span[i].second, sample.touching[i].second);
     }
-    EXPECT_EQ(pool.threshold_of(g), pool.sample(g).threshold);
-    EXPECT_EQ(pool.source_communities()[g], pool.sample(g).community);
+    EXPECT_EQ(pool.threshold_of(g), sample.threshold);
+    EXPECT_EQ(pool.source_communities()[g], sample.community);
   }
 
   // Community frequencies match a direct count of source communities.
   std::vector<std::uint32_t> frequency(pool.communities().size(), 0);
-  for (std::uint32_t g = 0; g < pool.size(); ++g) {
-    ++frequency[pool.sample(g).community];
-  }
+  for (const CommunityId c : pool.source_communities()) ++frequency[c];
   for (CommunityId c = 0; c < pool.communities().size(); ++c) {
     EXPECT_EQ(pool.community_frequency(c), frequency[c]) << "community " << c;
   }
@@ -122,25 +127,34 @@ TEST_F(RicPoolCsrTest, InterleavedGrowAndAppendMatchesReference) {
   RicPool pool(graph_, communities_);
   RicSampler sampler(graph_, communities_);
   Rng rng(7);
+  // The pool's samples plus `count` fresh draws, restored into a new pool
+  // through the validator (its CSR built by counting).
+  const auto extend = [&](const RicPool& from, int count) {
+    std::vector<RicSample> samples = pool_samples(from);
+    for (int i = 0; i < count; ++i) {
+      samples.push_back(draw_sample(sampler, rng));
+    }
+    return pool_of_samples(graph_, communities_, samples);
+  };
 
-  // Interleave serial growth, parallel growth, and single appends; the
-  // index must match the reference after every step, exercising the
-  // merge after both grow() and append().
+  // Interleave serial growth, parallel growth, and restores with extra
+  // hand-built samples; the index must match the reference after every
+  // step, exercising the merge after both grow() and a restore.
   pool.grow(60, 11, /*parallel=*/false);
   expect_matches_reference(pool);
 
-  for (int i = 0; i < 17; ++i) pool.append(sampler.generate(rng));
+  pool = extend(pool, 17);
   expect_matches_reference(pool);
 
   pool.grow(90, 11, /*parallel=*/true);
   expect_matches_reference(pool);
 
-  for (int i = 0; i < 5; ++i) pool.append(sampler.generate(rng));
-  pool.grow(40, 23, /*parallel=*/true);  // merge right after appends
+  pool = extend(pool, 5);
+  pool.grow(40, 23, /*parallel=*/true);  // merge right after a restore
   expect_matches_reference(pool);
 
   pool.grow(25, 31, /*parallel=*/false);
-  for (int i = 0; i < 9; ++i) pool.append(sampler.generate(rng));
+  pool = extend(pool, 9);
   expect_matches_reference(pool);
 }
 
@@ -226,22 +240,21 @@ TEST_F(RicPoolCsrTest, GrowEpochWatermarksEveryGrowthPath) {
   const RicPool::PoolEpoch after_serial = pool.grow_epoch();
   EXPECT_EQ(after_serial, (RicPool::PoolEpoch{60, 1, 0}));
 
-  // append() and parallel grow() advance the watermark too.
-  RicSampler sampler(graph_, communities_);
-  Rng rng(7);
-  pool.append(sampler.generate(rng));
-  EXPECT_EQ(pool.grow_epoch(), (RicPool::PoolEpoch{61, 2, 0}));
-
+  // Parallel grow() advances the watermark too.
   pool.grow(40, 23, /*parallel=*/true);
-  EXPECT_EQ(pool.grow_epoch(), (RicPool::PoolEpoch{101, 3, 0}));
+  EXPECT_EQ(pool.grow_epoch(), (RicPool::PoolEpoch{100, 2, 0}));
   EXPECT_TRUE(pool.grow_epoch() == pool.grow_epoch());
 
   // A pool rebuilt to the same size in fewer growth steps is a different
-  // lineage: its watermark differs in the grow counter alone.
+  // lineage: its watermark differs in the grow counter alone. So is a
+  // restore of the same samples, which counts as one growth operation.
   RicPool rebuilt(graph_, communities_);
-  rebuilt.grow(101, 11, /*parallel=*/false);
+  rebuilt.grow(100, 11, /*parallel=*/false);
   EXPECT_EQ(rebuilt.grow_epoch().samples, pool.grow_epoch().samples);
   EXPECT_FALSE(rebuilt.grow_epoch() == pool.grow_epoch());
+  const RicPool restored =
+      pool_of_samples(graph_, communities_, pool_samples(pool));
+  EXPECT_EQ(restored.grow_epoch(), (RicPool::PoolEpoch{100, 1, 0}));
 }
 
 TEST_F(RicPoolCsrTest, GrowRejectsSampleIdOverflow) {

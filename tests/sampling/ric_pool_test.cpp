@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "community/threshold_policy.h"
 #include "diffusion/monte_carlo.h"
@@ -13,10 +15,14 @@
 #include "graph/weights.h"
 #include "sampling/pool_equality.h"
 #include "test_support.h"
+#include "testing/sample_pool.h"
 #include "util/thread_pool.h"
 
 namespace imc {
 namespace {
+
+using testing::pool_of_samples;
+using testing::RicSample;
 
 Graph make_dataset_like_graph() {
   Rng rng(123);
@@ -36,7 +42,7 @@ TEST(RicPool, GrowAndIndexConsistency) {
   ASSERT_EQ(pool.size(), 300U);
   // Inverted index agrees with per-sample touching lists.
   for (std::uint32_t g = 0; g < pool.size(); ++g) {
-    for (const auto& [node, mask] : pool.sample(g).touching) {
+    for (const auto& [node, mask] : pool.sample_touches(g)) {
       bool found = false;
       for (const RicPool::Touch& touch : pool.touches_of(node)) {
         if (touch.sample == g) {
@@ -163,17 +169,17 @@ TEST(RicPool, CommunityFrequencyCountsSources) {
 }
 
 TEST(RicPool, CommunityFrequencyCountersMatchRecount) {
-  // The O(1) counters maintained in grow/append must agree with a full
-  // recount of the sample list, across multiple growth rounds and appends.
+  // The O(1) counters grow maintains must agree with a full recount of
+  // the sample list, across multiple growth rounds and after the grown
+  // samples plus a hand-built one are restored into a new pool.
   const Graph graph = test::path_graph(8, 0.3);
   CommunitySet communities = test::chunk_communities(8, 4);
-  RicPool pool(graph, communities);
-  pool.grow(500, 31);
-  pool.grow(700, 31);  // second round exercises incremental growth
-  RicSample manual;
-  manual.community = 1;
-  manual.threshold = 1;
-  pool.append(manual);
+  RicPool grown(graph, communities);
+  grown.grow(500, 31);
+  grown.grow(700, 31);  // second round exercises incremental growth
+  std::vector<RicSample> samples = testing::pool_samples(grown);
+  samples.push_back(RicSample{1, 1, {}});
+  const RicPool pool = pool_of_samples(graph, communities, samples);
 
   std::vector<std::uint32_t> recount(communities.size(), 0);
   for (const CommunityId c : pool.source_communities()) ++recount[c];
@@ -205,68 +211,81 @@ TEST(RicPool, EmptyPoolScoresZero) {
   EXPECT_DOUBLE_EQ(pool.nu(seeds), 0.0);
 }
 
-// Regression tests for the append()-after-grow() audit: the deferred
-// materialize-on-demand index must stay sound for hand-built samples.
+// Hand-built samples reach a pool only through testing::pool_of_samples,
+// which installs them with the snapshot loader's validator: a sample the
+// loader would reject fails with the loader's pinned diagnostic.
+
+/// The diagnostic pool_of_samples fails with on `samples`, or "".
+std::string restore_error(const Graph& graph,
+                          const CommunitySet& communities,
+                          const std::vector<RicSample>& samples) {
+  try {
+    (void)pool_of_samples(graph, communities, samples);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
 
 TEST(RicPool, AppendZeroTouchSampleAfterGrowKeepsIndexConsistent) {
   const Graph graph = test::path_graph(4, 0.5);
   const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
-  pool.grow(20, 7);
-  const std::uint32_t frequency_before = pool.community_frequency(0);
+  RicPool grown(graph, communities);
+  grown.grow(20, 7);
+  const std::uint32_t frequency_before = grown.community_frequency(0);
 
   // A realization can reach no node at all; such samples carry an empty
-  // touching list and must flow through append + the CSR merge without
-  // corrupting offsets or counters.
-  RicSample empty;
-  empty.community = 0;
-  empty.threshold = 1;
-  empty.member_count = 2;
-  pool.append(empty);
+  // touching list and must flow through the restore and a later grow's
+  // CSR merge without corrupting offsets or counters.
+  std::vector<RicSample> samples = testing::pool_samples(grown);
+  samples.push_back(RicSample{0, 1, {}});
+  RicPool pool = pool_of_samples(graph, communities, samples);
 
   ASSERT_EQ(pool.size(), 21U);
-  EXPECT_EQ(pool.sample(20).touching.size(), 0U);
+  EXPECT_EQ(pool.sample_touches(20).size(), 0U);
   EXPECT_EQ(pool.community_frequency(0), frequency_before + 1);
   // The zero-touch sample can never be influenced; scores still work.
   const std::vector<NodeId> seeds{0, 1, 2, 3};
   EXPECT_LE(pool.influenced_count(seeds), 20U);
+
+  // Growth on top merges into the restored CSR as into a grown one.
+  grown.grow(30, 7);
+  pool.grow(30, 7);
+  EXPECT_EQ(pool.size(), 51U);
+  EXPECT_EQ(pool.sample_touches(20).size(), 0U);
+  EXPECT_EQ(pool.influenced_count(seeds), grown.influenced_count(seeds));
 }
 
 TEST(RicPool, AppendRejectsMaskBitsBeyondPopulation) {
   const Graph graph = test::path_graph(4, 0.5);
   const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
   // Community 0 has population 2, so only mask bits 0 and 1 are members.
   // A phantom bit would be popcounted toward h_g by every evaluator.
-  RicSample phantom;
-  phantom.community = 0;
-  phantom.threshold = 2;
-  phantom.member_count = 2;
-  phantom.touching = {{0, 0b100ull}};
-  EXPECT_THROW(pool.append(phantom), std::invalid_argument);
+  EXPECT_EQ(restore_error(graph, communities, {RicSample{0, 1, {{0, 0b100}}}}),
+            "ric pool snapshot: sample 0: member mask wider than the "
+            "community population");
+  // A pair must name at least one member.
+  EXPECT_EQ(restore_error(graph, communities, {RicSample{0, 1, {{0, 0}}}}),
+            "ric pool snapshot: sample 0: empty member mask");
 }
 
 TEST(RicPool, AppendRejectsUnsortedOrDuplicateTouches) {
   const Graph graph = test::path_graph(4, 0.5);
   const CommunitySet communities = test::chunk_communities(4, 2);
-  RicPool pool(graph, communities);
-  RicSample duplicate;
-  duplicate.community = 0;
-  duplicate.threshold = 1;
-  duplicate.member_count = 2;
-  duplicate.touching = {{1, 1ull}, {1, 2ull}};
-  EXPECT_THROW(pool.append(duplicate), std::invalid_argument);
-
-  RicSample unsorted;
-  unsorted.community = 0;
-  unsorted.threshold = 1;
-  unsorted.member_count = 2;
-  unsorted.touching = {{2, 1ull}, {0, 1ull}};
-  EXPECT_THROW(pool.append(unsorted), std::invalid_argument);
+  const std::string diagnostic =
+      "ric pool snapshot: sample 1: touching nodes not strictly ascending";
+  const RicSample good{0, 1, {{0, 1}, {1, 2}}};
+  EXPECT_EQ(restore_error(graph, communities,
+                          {good, RicSample{0, 1, {{1, 1}, {1, 2}}}}),
+            diagnostic);
+  EXPECT_EQ(restore_error(graph, communities,
+                          {good, RicSample{0, 1, {{2, 1}, {0, 1}}}}),
+            diagnostic);
+  EXPECT_EQ(restore_error(graph, communities, {good, good}), "");
 }
 
 TEST(RicPool, EmptyCommunitiesAreRejectedBeforeTheyReachAPool) {
-  // append() never has to guard against population-zero communities:
+  // The validator never has to guard against population-zero communities:
   // CommunitySet refuses to construct them in the first place.
   EXPECT_THROW(CommunitySet(4, {{0, 1}, {}}), std::invalid_argument);
 }

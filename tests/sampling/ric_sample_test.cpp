@@ -8,11 +8,15 @@
 #include "graph/algorithms.h"
 #include "test_support.h"
 #include "testing/reference_oracles.h"
+#include "testing/sample_pool.h"
 #include "util/mathx.h"
 #include "util/rng.h"
 
 namespace imc {
 namespace {
+
+using testing::draw_sample;
+using testing::RicSample;
 
 CommunitySet two_communities() {
   // nodes 0..5; C0 = {0, 1}, C1 = {4, 5}; relays 2, 3 outside.
@@ -41,7 +45,7 @@ TEST(RicSampler, MembersCarryOwnBit) {
   RicSampler sampler(graph, communities);
   Rng rng(1);
   for (int i = 0; i < 50; ++i) {
-    const RicSample g = sampler.generate(rng);
+    const RicSample g = draw_sample(sampler, rng);
     const auto members = communities.members(g.community);
     for (std::uint32_t j = 0; j < members.size(); ++j) {
       EXPECT_TRUE(g.mask_of(members[j]) & (1ULL << j))
@@ -62,10 +66,9 @@ TEST(RicSampler, CertainGraphMatchesExactReachability) {
   CommunitySet communities(6, {{0, 1}});
   RicSampler sampler(graph, communities);
   Rng rng(2);
-  const RicSample g = sampler.generate_for_community(0, rng);
+  const RicSample g = draw_sample(sampler, 0, rng);
 
   EXPECT_EQ(g.community, 0U);
-  EXPECT_EQ(g.member_count, 2U);
   EXPECT_EQ(g.mask_of(0), 0b01ULL);          // member 0 reaches itself
   EXPECT_EQ(g.mask_of(1), 0b10ULL);          // member 1 reaches itself
   EXPECT_EQ(g.mask_of(2), 0b01ULL);          // 2 -> 0
@@ -83,7 +86,7 @@ TEST(RicSampler, MembersReachedAndInfluence) {
   communities.set_threshold(0, 2);
   RicSampler sampler(graph, communities);
   Rng rng(3);
-  const RicSample g = sampler.generate_for_community(0, rng);
+  const RicSample g = draw_sample(sampler, 0, rng);
 
   const std::vector<NodeId> just_two{2};
   const std::vector<NodeId> both{2, 3};
@@ -103,7 +106,7 @@ TEST(RicSampler, SourceDistributionFollowsBenefits) {
   int first = 0;
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) {
-    first += (sampler.generate(rng).community == 0);
+    first += (draw_sample(sampler, rng).community == 0);
   }
   EXPECT_NEAR(static_cast<double>(first) / kDraws, 0.25, 0.01);
 }
@@ -121,7 +124,7 @@ TEST(RicSampler, EdgeProbabilityRespected) {
   int touched = 0;
   constexpr int kDraws = 30000;
   for (int i = 0; i < kDraws; ++i) {
-    touched += (sampler.generate(rng).mask_of(1) != 0);
+    touched += (draw_sample(sampler, rng).mask_of(1) != 0);
   }
   EXPECT_NEAR(static_cast<double>(touched) / kDraws, 0.3, 0.01);
 }
@@ -132,7 +135,7 @@ TEST(RicSampler, ThresholdCopiedFromCommunity) {
   communities.set_threshold(1, 2);
   RicSampler sampler(graph, communities);
   Rng rng(6);
-  const RicSample g = sampler.generate_for_community(1, rng);
+  const RicSample g = draw_sample(sampler, 1, rng);
   EXPECT_EQ(g.threshold, 2U);
 }
 
@@ -142,7 +145,7 @@ TEST(RicSampler, TouchingSortedByNode) {
   RicSampler sampler(graph, communities);
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
-    const RicSample g = sampler.generate(rng);
+    const RicSample g = draw_sample(sampler, rng);
     for (std::size_t j = 1; j < g.touching.size(); ++j) {
       EXPECT_LT(g.touching[j - 1].first, g.touching[j].first);
     }
@@ -164,11 +167,11 @@ TEST(RicSampler, VisitEpochWrapRefillsAndRestarts) {
   Rng rng(9);
 
   // Populate the visit marks with a pre-wrap epoch, then force the wrap.
-  const RicSample before = sampler.generate_for_community(0, rng);
+  const RicSample before = draw_sample(sampler, 0, rng);
   EXPECT_EQ(before.mask_of(3), 0b01ULL);
   sampler.set_visit_epoch_for_test(std::numeric_limits<std::uint32_t>::max());
 
-  const RicSample wrapped = sampler.generate_for_community(0, rng);
+  const RicSample wrapped = draw_sample(sampler, 0, rng);
   EXPECT_EQ(sampler.visit_epoch_for_test(), 1U);
   EXPECT_EQ(wrapped.mask_of(0), 0b01ULL);
   EXPECT_EQ(wrapped.mask_of(1), 0b10ULL);
@@ -178,7 +181,7 @@ TEST(RicSampler, VisitEpochWrapRefillsAndRestarts) {
 
   // Marks stamped with the old large epochs must not leak into the
   // restarted counter's samples.
-  const RicSample after = sampler.generate_for_community(1, rng);
+  const RicSample after = draw_sample(sampler, 1, rng);
   EXPECT_EQ(sampler.visit_epoch_for_test(), 2U);
   EXPECT_EQ(after.touching.size(), 2U);  // {4, 5}: no in-edges
   EXPECT_EQ(after.mask_of(2), 0ULL);
@@ -186,30 +189,32 @@ TEST(RicSampler, VisitEpochWrapRefillsAndRestarts) {
 }
 
 TEST(RicSampler, GenerateIntoMatchesGenerate) {
-  // The arena-direct path must emit exactly the touching pairs and
-  // metadata of the RicSample path, including when the arena already holds
-  // earlier samples (appends, no clobbering).
+  // generate_into appends behind the samples an arena already holds: each
+  // draw must land exactly as the same draw into a fresh arena
+  // (draw_sample), pairs and metadata alike, with nothing clobbered.
   const Graph graph = test::complete_graph(10, 0.4);
   CommunitySet communities(10, {{0, 1, 2}, {5, 6}});
   communities.set_threshold(1, 2);
-  RicSampler by_value(graph, communities);
-  RicSampler arena_direct(graph, communities);
+  RicSampler fresh(graph, communities);
+  RicSampler appending(graph, communities);
   Rng rng_a(10);
   Rng rng_b(10);
   RicSampler::TouchArena arena;
-  std::size_t consumed = 0;
+  std::vector<RicSample> expected;
+  std::vector<std::size_t> starts;
   for (int i = 0; i < 40; ++i) {
-    const RicSample expected = by_value.generate(rng_a);
-    const RicSampleMeta meta = arena_direct.generate_into(rng_b, arena);
-    EXPECT_EQ(meta.community, expected.community);
-    EXPECT_EQ(meta.threshold, expected.threshold);
-    EXPECT_EQ(meta.member_count, expected.member_count);
-    ASSERT_EQ(meta.touch_count, expected.touching.size());
-    ASSERT_EQ(arena.size(), consumed + meta.touch_count);
-    for (std::size_t j = 0; j < expected.touching.size(); ++j) {
-      EXPECT_EQ(arena[consumed + j], expected.touching[j]);
+    expected.push_back(draw_sample(fresh, rng_a));
+    starts.push_back(arena.size());
+    const RicSampleMeta meta = appending.generate_into(rng_b, arena);
+    EXPECT_EQ(meta.community, expected.back().community);
+    EXPECT_EQ(meta.threshold, expected.back().threshold);
+    ASSERT_EQ(meta.touch_count, expected.back().touching.size());
+    ASSERT_EQ(arena.size(), starts.back() + meta.touch_count);
+  }
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    for (std::size_t j = 0; j < expected[i].touching.size(); ++j) {
+      EXPECT_EQ(arena[starts[i] + j], expected[i].touching[j]);
     }
-    consumed = arena.size();
   }
 }
 
@@ -225,10 +230,10 @@ TEST(RicSampler, ScratchStateResetsBetweenSamples) {
   RicSampler sampler(graph, communities);
   Rng rng(8);
   for (int round = 0; round < 25; ++round) {
-    const RicSample a = sampler.generate_for_community(0, rng);
+    const RicSample a = draw_sample(sampler, 0, rng);
     EXPECT_EQ(a.touching.size(), 3U);  // {0, 1, 2}
     EXPECT_EQ(a.mask_of(3), 0ULL);
-    const RicSample b = sampler.generate_for_community(1, rng);
+    const RicSample b = draw_sample(sampler, 1, rng);
     EXPECT_EQ(b.touching.size(), 3U);  // {3, 4, 5}
     EXPECT_EQ(b.mask_of(2), 0ULL);
     EXPECT_EQ(b.mask_of(3), 0b01ULL);  // 3 -> member 4 (index 0 of C1)

@@ -48,7 +48,7 @@ TEST(RrPool, IndexConsistentWithSets) {
   const Graph graph = test::cycle_graph(10, 0.5);
   RrPool pool(graph);
   Rng rng(5);
-  pool.generate(200, rng);
+  pool.grow(200, rng);
   ASSERT_EQ(pool.size(), 200U);
   for (std::uint32_t i = 0; i < pool.size(); ++i) {
     for (const NodeId v : pool.set(i).nodes) {
@@ -64,7 +64,7 @@ TEST(RrPool, SpreadEstimateMatchesMonteCarlo) {
   const Graph graph = test::cycle_graph(16, 0.4);
   RrPool pool(graph);
   Rng rng(6);
-  pool.generate(40000, rng);
+  pool.grow(40000, rng);
   const std::vector<NodeId> seeds{0, 8};
   MonteCarloOptions options;
   options.simulations = 40000;
@@ -83,8 +83,8 @@ TEST(RrPool, IncrementalGeneration) {
   const Graph graph = test::path_graph(5, 0.5);
   RrPool pool(graph);
   Rng rng(7);
-  pool.generate(10, rng);
-  pool.generate(15, rng);
+  pool.grow(10, rng);
+  pool.grow(15, rng);
   EXPECT_EQ(pool.size(), 25U);
 }
 
